@@ -1,6 +1,7 @@
 """Command-line interface: graph ingestion, manifold builders, verification runs.
 
-Exit codes: 0 success, 1 invalid input, 2 resource cap exceeded.  Rational
+Exit codes: 0 success, 1 invalid input or usage, 2 the |H| cap was exceeded,
+3 a route cross-check disagreed or an internal invariant failed.  Rational
 values are printed as exact fractions; JSON output carries num/den pairs.
 The one floating-point surface (the Gauss-sum cross-check) is labelled as such.
 """
@@ -16,7 +17,8 @@ from math import gcd
 from .brieskorn import BrieskornSpec, brieskorn_seifert, classify, \
     closed_form_invariants
 from .dedekind import dr_sum, dr_sum_direct
-from .errors import OrderCapExceeded, SwplumbError
+from .errors import InternalInvariantViolated, NotRational, OrderCapExceeded, \
+    SwplumbError
 from .homology import DEFAULT_ORDER_CAP, homology_from_lattice
 from .plumbing import PlumbingGraph, build_lattice
 from .report import compute_report_from, render_table, report_to_json
@@ -27,15 +29,25 @@ from . import verify as verify_mod
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
+EXIT_MISMATCH = 3
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on EXIT_INPUT; its own 2 is the cap code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _match(tag: str, lhs, rhs) -> str:
     flag = "MATCH" if lhs == rhs else "MISMATCH"
     return f"  {tag}: {lhs} vs {rhs}  [{flag}]"
+
+
+def _verdict(lines) -> int:
+    """EXIT_MISMATCH when any route cross-check line is flagged, else EXIT_OK."""
+    return EXIT_MISMATCH if any(line.endswith("[MISMATCH]") for line in lines) else EXIT_OK
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -46,7 +58,7 @@ def _compute(graph, args):
     lattice = build_lattice(graph)
     group = homology_from_lattice(lattice)
     report = compute_report_from(lattice, group, max_order=args.max_order,
-                                 all_spinc=args.all_spinc, threads=args.threads)
+                                 all_spinc=args.all_spinc)
     return report, lattice, group
 
 
@@ -97,7 +109,7 @@ def _cmd_lens(args) -> int:
                Fraction(2 * (p - 1), p) - 12 * s_qp),
     ]
     _print_report(report, args, lines, "route cross-checks (lens closed forms)")
-    return EXIT_OK
+    return _verdict(lines)
 
 
 def _cmd_seifert(args) -> int:
@@ -131,7 +143,7 @@ def _cmd_seifert(args) -> int:
     if ks.applicable:
         lines.append(_match("sw0 via eta route", report.sw0, ks.sw0_ks))
     _print_report(report, args, lines, "route cross-checks (Seifert closed forms)")
-    return EXIT_OK
+    return _verdict(lines)
 
 
 def _cmd_brieskorn(args) -> int:
@@ -163,7 +175,7 @@ def _cmd_brieskorn(args) -> int:
     _print_report(report, args, lines,
                   f"route cross-checks (classification {cls.kind}, "
                   f"parameter {cls.d}, parts {cls.bs})")
-    return EXIT_OK
+    return _verdict(lines)
 
 
 def _cmd_dedekind(args) -> int:
@@ -192,7 +204,7 @@ def _cmd_dedekind(args) -> int:
         print(f"s({h},{k};{x},{y}) = {fast}")
         print(f"direct summation oracle: {direct}  "
               f"[{'MATCH' if fast == direct else 'MISMATCH'}]")
-    return EXIT_OK if fast == direct else EXIT_INPUT
+    return EXIT_OK if fast == direct else EXIT_MISMATCH
 
 
 def _cmd_verify(args) -> int:
@@ -205,7 +217,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swplumb",
         description="Exact torsion / Casson-Walker / monopole-count invariants "
                     "of negative-definite plumbed 3-manifolds.")
@@ -217,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on |H| for character sums (default 10^6)")
         p.add_argument("--all-spinc", action="store_true",
                        help="also list sw0 for every spin-c offset")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the character reduction")
 
     p_graph = sub.add_parser("graph", help="invariants of a plumbing graph JSON file")
     p_graph.add_argument("path")
@@ -268,6 +278,9 @@ def main(argv=None) -> int:
     except OrderCapExceeded as exc:
         print(f"error: {exc} (raise --max-order to proceed)", file=sys.stderr)
         return EXIT_CAP
+    except (InternalInvariantViolated, NotRational) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (SwplumbError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,8 +15,6 @@ from math import gcd
 
 from .errors import ConductorMismatch, NotRational, SingularMatrix
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # Integer matrices
@@ -41,20 +39,9 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, diag, rows=None, cols=None) -> "IntMatrix":
-        diag = list(diag)
-        rows = len(diag) if rows is None else rows
-        cols = len(diag) if cols is None else cols
-        return cls([[diag[i] if i == j and i < len(diag) else 0
-                     for j in range(cols)] for i in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -70,9 +57,6 @@ class IntMatrix:
 
     def __hash__(self):
         return hash(self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)))
 
     @property
     def is_square(self) -> bool:
@@ -460,6 +444,8 @@ class CyclotomicField:
         a %= n
         if a == 0:
             raise ZeroDivisionError("zeta^0 - 1 is zero")
+        # cached as (num, den): a cached CycNum points back at the field, and that
+        # cycle keeps a dropped field and its phi(N)^2 table alive until a full gc
         hit = self._rmo_inverse_cache.get(a)
         if hit is None:
             k = n // gcd(a, n)
@@ -469,9 +455,9 @@ class CyclotomicField:
                 for j, r in enumerate(self._root_vec((a * i) % n)):
                     if r:
                         vec[j] += coef * r
-            hit = CycNum(self, [-x for x in vec], k)
-            self._rmo_inverse_cache[a] = hit
-        return hit
+            value = CycNum(self, [-x for x in vec], k)
+            hit = self._rmo_inverse_cache[a] = (value.num, value.den)
+        return CycNum(self, *hit, _normalized=True)
 
     def _reduce(self, conv):
         d = self.degree

@@ -83,12 +83,15 @@ class FinAbGroup:
     # -- characters --------------------------------------------------------------
 
     def characters(self, max_order: int = DEFAULT_ORDER_CAP):
-        """All |H| characters, lexicographic in exponent tuples, trivial first."""
+        """All |H| characters, lexicographic in exponent tuples, trivial first.
+
+        The cap is checked on the call, not on the first iteration, so a caller
+        can reject the group before it builds the cyclotomic field.
+        """
         if self.order > max_order:
             raise OrderCapExceeded(self.order, max_order)
         from itertools import product as iproduct
-        for t in iproduct(*(range(d) for d in self.invariant_factors)):
-            yield Character(t)
+        return map(Character, iproduct(*(range(d) for d in self.invariant_factors)))
 
     def char_exponent(self, chi: Character, h: GroupElement) -> int:
         """e with chi(h) = zeta^e, zeta the fixed primitive exp(H)-th root."""
@@ -179,6 +182,16 @@ def linking_matrix(lattice: LatticeData, group: FinAbGroup):
     gens = [tuple(int(i == j) for i in range(k)) for j in range(k)]
     return tuple(tuple(linking_form(lattice, group, gi, gj) for gj in gens)
                  for gi in gens)
+
+
+def linking_pairing(bmat, g: GroupElement, h: GroupElement) -> Fraction:
+    """sum_ij g_i b_ij h_j for the linking matrix b; congruent to b_M(g, h) mod 1."""
+    k = len(bmat)
+    total = Fraction(0)
+    for i in range(k):
+        if g[i]:
+            total += g[i] * sum(bmat[i][j] * h[j] for j in range(k) if h[j])
+    return total
 
 
 def q_can(lattice: LatticeData, group: FinAbGroup, h: GroupElement,

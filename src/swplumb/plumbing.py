@@ -22,8 +22,16 @@ class PlumbingGraph:
     edges: tuple
 
     def __init__(self, vertices, edges):
-        vv = tuple((str(i), int(e)) for i, e in vertices)
-        ee = tuple((str(a), str(b)) for a, b in edges)
+        vv = tuple((i, e) for i, e in vertices)
+        ee = tuple((a, b) for a, b in edges)
+        for i, e in vv:
+            if not isinstance(i, str):
+                raise ValueError(f"vertex id {i!r} is not a string")
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise ValueError(f"Euler number {e!r} of vertex {i} is not an integer")
+        for a, b in ee:
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise ValueError(f"edge ({a!r},{b!r}) has a non-string endpoint")
         ids = [i for i, _ in vv]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .homology import DEFAULT_ORDER_CAP, FinAbGroup, homology_from_lattice
 from .plumbing import (LatticeData, PlumbingGraph, build_lattice, casson_walker,
                        k2_plus_nv, numerically_gorenstein)
-from .torsion import _transform_values, torsion_table
+from .torsion import torsion_table
 
 
 @dataclass(frozen=True)
@@ -27,38 +27,26 @@ class InvariantReport:
 
 
 def compute_report(graph: PlumbingGraph, *, max_order: int = DEFAULT_ORDER_CAP,
-                   all_spinc: bool = False, threads: int = 1) -> InvariantReport:
+                   all_spinc: bool = False) -> InvariantReport:
     lattice = build_lattice(graph)
     group = homology_from_lattice(lattice)
     return compute_report_from(lattice, group, max_order=max_order,
-                               all_spinc=all_spinc, threads=threads)
+                               all_spinc=all_spinc)
 
 
 def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
                         max_order: int = DEFAULT_ORDER_CAP,
-                        all_spinc: bool = False, threads: int = 1) -> InvariantReport:
+                        all_spinc: bool = False) -> InvariantReport:
     k2 = k2_plus_nv(lattice)
     lam = casson_walker(lattice)
-    table = torsion_table(lattice, group, max_order=max_order, threads=threads)
+    table = torsion_table(lattice, group, max_order=max_order)
     sw = table.t_at_1 - lam / group.order
     gap = sw - k2 / 8
     spinc = None
     if all_spinc:
-        field = group.field
-        values = [(chi, val)
-                  for chi, val in _transform_values(lattice, group, max_order)
-                  if not val.is_zero]
-        rows = []
         lam_over_h = lam / group.order
-        inv_order = Fraction(1, group.order)
-        for h in group.elements(max_order):
-            acc = field.zero()
-            for chi, val in values:
-                e = group.char_exponent(chi, h)
-                acc = acc + (val * field.root_of_unity(-e % field.conductor)
-                             if e else val)
-            rows.append((h, (acc * inv_order).as_rational() - lam_over_h))
-        spinc = tuple(rows)
+        spinc = tuple((h, t - lam_over_h)
+                      for h, t in table.invert(group, max_order).items())
     return InvariantReport(
         order_h=group.order,
         invariant_factors=group.invariant_factors,

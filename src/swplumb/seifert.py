@@ -265,12 +265,13 @@ def seifert_torsion_shortcut(data: SeifertData, lattice: LatticeData,
     center_id, end_ids = star_vertex_ids(data)
     center = lattice.index_of(center_id)
     ends = [lattice.index_of(i) for i in end_ids]
+    characters = group.characters(max_order)   # the |H| cap fires before the field is built
     field = group.field
     images = group.generator_images
     nu = data.nu
     alphas = [a for a, _ in data.arms]
     total = field.zero()
-    for chi in group.characters(max_order):
+    for chi in characters:
         if chi.is_trivial:
             continue
         e0 = group.char_exponent(chi, images[center])

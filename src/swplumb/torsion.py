@@ -9,7 +9,6 @@ I w = -m e_(v0).  Everything stays in Q(zeta_N), N = exp(H); no numeric limits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -17,7 +16,7 @@ from math import gcd
 from .errors import InternalInvariantViolated, InvalidBaseVertex
 from .exact import CycNum
 from .homology import (DEFAULT_ORDER_CAP, Character, FinAbGroup, GroupElement,
-                       linking_matrix, spinc_quadratic)
+                       linking_matrix, linking_pairing, spinc_quadratic)
 from .plumbing import LatticeData, casson_walker, k2_plus_nv
 
 
@@ -118,6 +117,24 @@ class TorsionTable:
     entries: dict            # Character -> CycNum, trivial character -> 0
     t_at_1: Fraction         # (1/|H|) * sum of entries, certified rational
 
+    def invert(self, group: FinAbGroup, max_order: int = DEFAULT_ORDER_CAP) -> dict:
+        """{h: T(h_sigma + h)} over H, by Fourier inversion of the entries.
+
+        The entries already carry chibar(h_sigma), and
+        chibar(h) * chibar(h_sigma) = chibar(h + h_sigma).
+        """
+        field = group.field
+        values = [(chi, val) for chi, val in self.entries.items() if not val.is_zero]
+        out = {}
+        inv_order = Fraction(1, group.order)
+        for h in group.elements(max_order):
+            acc = field.zero()
+            for chi, val in values:
+                e = group.char_exponent(chi, h)
+                acc = acc + (val * field.root_of_unity(-e % field.conductor) if e else val)
+            out[h] = (acc * inv_order).as_rational()
+        return out
+
 
 def _transform_values(lattice, group, max_order):
     """R(chi) for every character: the regularized product with no h_sigma twist."""
@@ -141,8 +158,7 @@ def _transform_values(lattice, group, max_order):
 
 def torsion_table(lattice: LatticeData, group: FinAbGroup,
                   h_sigma: GroupElement = None, *,
-                  max_order: int = DEFAULT_ORDER_CAP,
-                  threads: int = 1) -> TorsionTable:
+                  max_order: int = DEFAULT_ORDER_CAP) -> TorsionTable:
     """All Fourier coefficients for the structure h_sigma * sigma_can.
 
     Entry at chi is chibar(h_sigma) times the regularized vertex product at chi;
@@ -151,76 +167,42 @@ def torsion_table(lattice: LatticeData, group: FinAbGroup,
     """
     if h_sigma is None:
         h_sigma = group.identity
+    values = _transform_values(lattice, group, max_order)   # the |H| cap fires here
     field = group.field
     twist = any(h_sigma)
     entries = {}
-    values = _transform_values(lattice, group, max_order)
+    total = field.zero()
     for chi, val in values:
         if twist and not chi.is_trivial and not val.is_zero:
             e = group.char_exponent(chi, h_sigma)
             if e:
                 val = val * field.root_of_unity(-e % field.conductor)
         entries[chi] = val
-
-    items = list(entries.values())
-    if threads > 1 and len(items) > 4 * threads:
-        chunk = (len(items) + threads - 1) // threads
-        parts = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-
-        def addup(part):
-            acc = field.zero()
-            for x in part:
-                acc = acc + x
-            return acc
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(addup, parts))
-        total = field.zero()
-        for s in sums:
-            total = total + s
-    else:
-        total = field.zero()
-        for x in items:
-            total = total + x
+        total = total + val
     t1 = (total * Fraction(1, group.order)).as_rational()
     return TorsionTable(h_sigma=h_sigma, entries=entries, t_at_1=t1)
 
 
 def sw0(lattice: LatticeData, group: FinAbGroup,
         h_sigma: GroupElement = None, *,
-        max_order: int = DEFAULT_ORDER_CAP, threads: int = 1) -> Fraction:
+        max_order: int = DEFAULT_ORDER_CAP) -> Fraction:
     """Modified monopole count: torsion at the identity minus lambda / |H|."""
-    table = torsion_table(lattice, group, h_sigma,
-                          max_order=max_order, threads=threads)
+    table = torsion_table(lattice, group, h_sigma, max_order=max_order)
     return table.t_at_1 - casson_walker(lattice) / group.order
 
 
 def conjecture_gap(lattice: LatticeData, group: FinAbGroup, *,
-                   max_order: int = DEFAULT_ORDER_CAP, threads: int = 1) -> Fraction:
+                   max_order: int = DEFAULT_ORDER_CAP) -> Fraction:
     """sw0 of the canonical structure minus (K^2 + #vertices)/8, exactly."""
-    return (sw0(lattice, group, max_order=max_order, threads=threads)
-            - k2_plus_nv(lattice) / 8)
+    return sw0(lattice, group, max_order=max_order) - k2_plus_nv(lattice) / 8
 
 
 def torsion_function(lattice: LatticeData, group: FinAbGroup,
                      h_sigma: GroupElement = None, *,
                      max_order: int = DEFAULT_ORDER_CAP):
-    """The torsion as a rational-valued function on H, by Fourier inversion."""
-    if h_sigma is None:
-        h_sigma = group.identity
-    field = group.field
-    values = [(chi, val) for chi, val in _transform_values(lattice, group, max_order)
-              if not val.is_zero]
-    out = {}
-    inv_order = Fraction(1, group.order)
-    for h in group.elements(max_order):
-        shifted = group.add(h, h_sigma)
-        acc = field.zero()
-        for chi, val in values:
-            e = group.char_exponent(chi, shifted)
-            acc = acc + (val * field.root_of_unity(-e % field.conductor) if e else val)
-        out[h] = (acc * inv_order).as_rational()
-    return out
+    """The torsion as a rational-valued function on H: h -> T(h_sigma + h)."""
+    table = torsion_table(lattice, group, h_sigma, max_order=max_order)
+    return table.invert(group, max_order)
 
 
 def swiden_consistency(lattice: LatticeData, group: FinAbGroup,
@@ -238,20 +220,11 @@ def swiden_consistency(lattice: LatticeData, group: FinAbGroup,
     t0 = tfun[group.identity]
 
     bmat = linking_matrix(lattice, group)
-    k = group.rank
-
-    def bform(g, h):
-        total = Fraction(0)
-        for i in range(k):
-            if g[i]:
-                total += g[i] * sum(bmat[i][j] * h[j] for j in range(k) if h[j])
-        return total
-
     for g in elements:
         tg = tfun[g]
         for h in elements:
             lhs = t0 - tg - tfun[h] + tfun[group.add(g, h)]
-            if (lhs + bform(g, h)) % 1 != 0:
+            if (lhs + linking_pairing(bmat, g, h)) % 1 != 0:
                 return False
     for h in elements:
         if (t0 - tfun[h] - spinc_quadratic(lattice, group, h_sigma, h)) % 1 != 0:

@@ -20,7 +20,7 @@ from .corpus import (a_chain, dn_seifert, e_star, nonstar_13_vertex,
 from .exact import IntMatrix, adjugate_inverse, cyclotomic_field, \
     cyclotomic_polynomial, invert_rational_matrix, smith_normal_form
 from .homology import gauss_sum_check, homology_from_lattice, \
-    linking_matrix, q_can, spinc_conjugate
+    linking_matrix, linking_pairing, q_can, spinc_conjugate
 from .plumbing import blow_up_edge, blow_up_vertex, build_lattice, \
     casson_walker, k2_plus_nv, numerically_gorenstein
 from .seifert import SeifertData, ks_route, lens_chain, seifert_casson_walker, \
@@ -419,14 +419,9 @@ def quadratic_function_family():
         elements = list(group.elements())
         qvals = {h: q_can(lattice, group, h) for h in elements}
         bmat = linking_matrix(lattice, group)
-        k = group.rank
 
         def bform(g, h):
-            acc = Fraction(0)
-            for i in range(k):
-                if g[i]:
-                    acc += g[i] * sum(bmat[i][j] * h[j] for j in range(k) if h[j])
-            return acc % 1
+            return linking_pairing(bmat, g, h) % 1
 
         # quadratic-function law against the linking form
         for g in elements:

@@ -1,9 +1,15 @@
 """Command-line surface: formats, exit codes, determinism, harness sensitivity."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
-from swplumb import verify
-from swplumb.cli import main
+import pytest
+
+from swplumb import cli, verify
+from swplumb.cli import EXIT_CAP, EXIT_INPUT, EXIT_MISMATCH, main
+from swplumb.errors import InternalInvariantViolated, NotRational
+from swplumb.plumbing import PlumbingGraph
 from swplumb.report import compute_report, report_from_json, report_to_json
 from swplumb.corpus import chain_graph
 
@@ -188,3 +194,95 @@ def test_verify_cli_reports_failures(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize("vertex", [
+    {"id": "v0", "euler": -2.7},
+    {"id": "v0", "euler": -2.0},
+    {"id": "v0", "euler": True},
+    {"id": "v0", "euler": "-2"},
+    {"id": 0, "euler": -2},
+    {"id": None, "euler": -2},
+], ids=["float", "integral-float", "bool", "numeric-string", "int-id", "null-id"])
+def test_graph_rejects_non_integer_eulers_and_non_string_ids(tmp_path, capsys, vertex):
+    doc = {"vertices": [vertex], "edges": []}
+    with pytest.raises(ValueError):
+        PlumbingGraph.from_dict(doc)
+    code, out, err = run_cli(capsys, "graph", write_graph(tmp_path, doc))
+    assert code == EXIT_INPUT
+    assert out == "" and "ValueError" in err
+
+
+def test_graph_rejects_non_string_edge_endpoints():
+    doc = {"vertices": [{"id": "0", "euler": -2}, {"id": "1", "euler": -2}],
+           "edges": [[0, 1]]}
+    with pytest.raises(ValueError):
+        PlumbingGraph.from_dict(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lens", "abc", "3"),
+    ("lens", "5", "2", "--bogus"),
+    ("lens", "5", "2", "--threads", "2"),
+    ("frobnicate",),
+    (),
+])
+def test_usage_errors_exit_as_invalid_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_INPUT
+    assert "usage" in capsys.readouterr().err
+
+
+def test_order_cap_fires_before_the_field(capsys):
+    code, _, err = run_cli(capsys, "lens", "4001", "2", "--max-order", "10")
+    assert code == EXIT_CAP
+    assert "4001" in err
+
+
+def skew(monkeypatch, name):
+    """Shift a closed-form route used by the CLI so its cross-check disagrees."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: real(*a, **k) + Fraction(1, 7))
+
+
+def test_lens_mismatch_exit_code(monkeypatch, capsys):
+    skew(monkeypatch, "dr_sum")
+    code, out, _ = run_cli(capsys, "lens", "7", "3")
+    assert code == EXIT_MISMATCH
+    assert "MISMATCH" in out
+
+
+def test_dedekind_mismatch_exit_code(monkeypatch, capsys):
+    skew(monkeypatch, "dr_sum")
+    code, out, _ = run_cli(capsys, "dedekind", "2", "3")
+    assert code == EXIT_MISMATCH
+    assert "MISMATCH" in out
+
+
+def test_seifert_mismatch_exit_code(monkeypatch, capsys):
+    skew(monkeypatch, "seifert_casson_walker")
+    code, out, _ = run_cli(capsys, "seifert", "--b", "-2", "--arm", "2/1",
+                           "--arm", "3/2", "--arm", "4/3", "--format", "json")
+    assert code == EXIT_MISMATCH
+    assert "MISMATCH" in out
+
+
+def test_brieskorn_mismatch_exit_code(monkeypatch, capsys):
+    real = cli.closed_form_invariants
+    monkeypatch.setattr(cli, "closed_form_invariants", lambda spec: dataclasses.replace(
+        real(spec), gorenstein_check=False))
+    code, out, _ = run_cli(capsys, "brieskorn", "2", "3", "5")
+    assert code == EXIT_MISMATCH
+    assert out.count("MISMATCH") == 1
+
+
+@pytest.mark.parametrize("error", [InternalInvariantViolated, NotRational])
+def test_internal_failure_exit_code(monkeypatch, capsys, error):
+    def broken(p, q):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "lens_chain", broken)
+    code, _, err = run_cli(capsys, "lens", "7", "3")
+    assert code == EXIT_MISMATCH
+    assert error.__name__ in err

@@ -1,14 +1,16 @@
 """Exact arithmetic layer: Smith form, inverses, cyclotomic fields."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swplumb.errors import ConductorMismatch, NotRational, SingularMatrix
-from swplumb.exact import (CycNum, IntMatrix, adjugate_inverse, cyclotomic_field,
-                           cyclotomic_polynomial, invert_rational_matrix,
-                           smith_normal_form)
+from swplumb.exact import (CycNum, CyclotomicField, IntMatrix, adjugate_inverse,
+                           cyclotomic_field, cyclotomic_polynomial,
+                           invert_rational_matrix, smith_normal_form)
 
 
 def frac_rows(rows):
@@ -129,6 +131,19 @@ class TestCycNum:
         f = cyclotomic_field(5)
         x = f.root_of_unity(1) + f.root_of_unity(4)
         assert x * x + x == f.one()
+
+    def test_inverse_cache_keeps_no_cycle(self):
+        # a dropped field is freed by reference counting, not left to a full gc
+        f = CyclotomicField(7)
+        assert f.inv_root_minus_one(3) * (f.root_of_unity(3) - 1) == f.one()
+        assert f.inv_root_minus_one(3) == f.inv_root_minus_one(10)
+        ref = weakref.ref(f)
+        gc.disable()
+        try:
+            del f
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_as_rational(self):
         f = cyclotomic_field(5)

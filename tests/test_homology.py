@@ -98,7 +98,7 @@ class TestCharacters:
     def test_order_cap(self):
         _, group = pipeline(lens_chain(12, 5))
         with pytest.raises(OrderCapExceeded):
-            list(group.characters(max_order=5))
+            group.characters(max_order=5)       # on the call, before any iteration
 
 
 class TestLinkingForm:
@@ -114,17 +114,15 @@ class TestLinkingForm:
         assert linking_form(lattice, group, group.identity, g) == 0
 
     def test_symmetric_bilinear_nondegenerate(self):
-        from swplumb.homology import linking_matrix
+        from swplumb.homology import linking_matrix, linking_pairing
         for name, graph in standard_corpus():
             lattice, group = pipeline(graph)
             if not 1 < group.order <= 200:
                 continue
             bmat = linking_matrix(lattice, group)
-            k = group.rank
 
             def bform(g, h):
-                return sum(g[i] * bmat[i][j] * h[j]
-                           for i in range(k) for j in range(k)) % 1
+                return linking_pairing(bmat, g, h) % 1
 
             elems = list(group.elements())
             # the bilinear extension agrees with the lift pairing

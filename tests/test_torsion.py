@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from swplumb import report, torsion
 from swplumb.corpus import (a_chain, nonstar_13_vertex, standard_corpus,
                             three_arm_family)
-from swplumb.errors import InvalidBaseVertex
+from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
 from swplumb.homology import homology_from_lattice, spinc_conjugate
-from swplumb.plumbing import build_lattice
-from swplumb.seifert import lens_chain, star_graph
+from swplumb.plumbing import build_lattice, casson_walker
+from swplumb.seifert import lens_chain, seifert_torsion_shortcut, star_graph
 from swplumb.torsion import (WeightVector, conjecture_gap, delta_at_one_check,
                              regularized_product, sw0, swiden_consistency,
-                             torsion_table, weight_vector)
+                             torsion_function, torsion_table, weight_vector)
 
 
 def pipeline(graph):
@@ -131,11 +132,6 @@ class TestTorsionTable:
         lattice, group = pipeline(nonstar_13_vertex())
         assert torsion_table(lattice, group).t_at_1 == Fraction(8, 9)
 
-    def test_threads_do_not_change_the_sum(self):
-        lattice, group = pipeline(lens_chain(25, 7))
-        assert torsion_table(lattice, group).t_at_1 == \
-            torsion_table(lattice, group, threads=4).t_at_1
-
     def test_symmetry_under_conjugation(self):
         for name, graph in standard_corpus():
             lattice, group = pipeline(graph)
@@ -148,6 +144,74 @@ class TestTorsionTable:
                                      spinc_conjugate(lattice, group, h))
                 for chi, val in table.entries.items():
                     assert val == conj.entries[group.conjugate_character(chi)], name
+
+
+def small_corpus():
+    """Standard-corpus pipelines with 1 < |H| <= 60, cyclic or not."""
+    for name, graph in standard_corpus():
+        lattice, group = pipeline(graph)
+        if 1 < group.order <= 60:
+            yield name, lattice, group
+
+
+class TestFourierInversion:
+    def test_spinc_table_is_the_torsion_function(self):
+        noncyclic = set()
+        for name, lattice, group in small_corpus():
+            lam_over_h = casson_walker(lattice) / group.order
+            rows = report.compute_report_from(lattice, group, all_spinc=True).spinc_table
+            want = [(h, t - lam_over_h)
+                    for h, t in torsion_function(lattice, group).items()]
+            assert list(rows) == want, name
+            if group.rank > 1:
+                noncyclic.add(name)
+        assert {"D4", "3arm(m=2)", "polygonal(2^5)"} <= noncyclic
+
+    def test_twisted_table_inverts_to_the_shifted_spinc_row(self):
+        # chibar(h) * chibar(h_sigma) = chibar(h + h_sigma): inverting the table
+        # twisted by h_sigma reads the untwisted inversion shifted by h_sigma
+        for name, lattice, group in small_corpus():
+            lam_over_h = casson_walker(lattice) / group.order
+            rows = dict(report.compute_report_from(lattice, group,
+                                                   all_spinc=True).spinc_table)
+            elems = list(group.elements())
+            for h_sigma in (elems[1], elems[-1]):
+                values = torsion_table(lattice, group, h_sigma).invert(group)
+                assert list(values) == elems, name
+                for h, t in values.items():
+                    assert t - lam_over_h == rows[group.add(h_sigma, h)], (name, h)
+
+    def test_all_spinc_runs_one_forward_transform(self, monkeypatch):
+        calls = []
+        real = torsion._transform_values
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # wherever the transform can be reached from the report
+        monkeypatch.setattr(torsion, "_transform_values", counted)
+        monkeypatch.setattr(report, "_transform_values", counted, raising=False)
+        lattice, group = pipeline(star_graph(three_arm_family(2)))
+        assert report.compute_report_from(lattice, group, all_spinc=True).spinc_table
+        assert len(calls) == 1
+
+
+class TestOrderCapBeforeField:
+    def test_torsion_table(self):
+        lattice, group = pipeline(lens_chain(4001, 2))
+        with pytest.raises(OrderCapExceeded):
+            torsion_table(lattice, group, max_order=10)
+        with pytest.raises(OrderCapExceeded):
+            report.compute_report_from(lattice, group, max_order=10)
+        assert group._field is None
+
+    def test_seifert_shortcut(self):
+        data = three_arm_family(8)
+        lattice, group = pipeline(star_graph(data))
+        with pytest.raises(OrderCapExceeded):
+            seifert_torsion_shortcut(data, lattice, group, max_order=group.order - 1)
+        assert group._field is None
 
 
 class TestMonopoleCount:
