@@ -211,10 +211,10 @@ def closed_form_invariants(spec: BrieskornSpec) -> BrieskornReport:
         a_full = 2 ** c * big_b
         half = 2 ** (c - 1) * big_b
         lam_scale = Fraction(half, 48)
-        fiber_scale = Fraction(1, 3 * 2 ** (c - 2) * big_b)
+        fiber_scale = Fraction(1, 3 * Fraction(2) ** (c - 2) * big_b)
         drop = -4 * (n - 2)
         sq_drop = (n - 2) * 2 ** (2 * c) * big_b * big_b
-        sq_scale = 2 ** (2 * c - 4) * big_b * big_b
+        sq_scale = Fraction(2) ** (2 * c - 4) * big_b * big_b
         tail = -Fraction(1, 3 * 2 ** (c + 1) * big_b)
         t1 = (Fraction(half, 8)
               + Fraction(half, 24) * sum(Fraction(s * (s - 1), 2)

@@ -1,9 +1,11 @@
 """Command-line interface: graph ingestion, manifold builders, verification runs.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 the |H| cap was exceeded,
-3 a route cross-check disagreed or an internal invariant failed.  Rational
-values are printed as exact fractions; JSON output carries num/den pairs.
-The one floating-point surface (the Gauss-sum cross-check) is labelled as such.
+Exit codes: 0 success, 1 invalid input or usage, 2 the |H| cap (--max-order,
+checked on |det I| before the group is built) was exceeded, 3 a route
+cross-check disagreed, a verify fixture failed or an internal invariant
+failed.  Rational values are printed as exact fractions; JSON output carries
+num/den pairs.  The one floating-point surface (the Gauss-sum cross-check) is
+labelled as such.
 """
 
 from __future__ import annotations
@@ -56,9 +58,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _compute(graph, args):
     lattice = build_lattice(graph)
-    group = homology_from_lattice(lattice)
-    report = compute_report_from(lattice, group, max_order=args.max_order,
-                                 all_spinc=args.all_spinc)
+    group = homology_from_lattice(lattice, max_order=args.max_order)
+    report = compute_report_from(lattice, group, all_spinc=args.all_spinc)
     return report, lattice, group
 
 
@@ -135,8 +136,7 @@ def _cmd_seifert(args) -> int:
                seifert_casson_walker(data)),
         _match("K^2 + #V (closed form)", report.k2_plus_nv, seifert_k2nv(data)),
         _match("torsion at 1 (arm shortcut)", report.torsion_at_1,
-               seifert_torsion_shortcut(data, lattice, group,
-                                        max_order=args.max_order)),
+               seifert_torsion_shortcut(data, lattice, group)),
         f"  eta-invariant route: KS = {ks.ks}, |S0+| = {len(ks.s0_plus)}, "
         f"|S0-| = {len(ks.s0_minus)}, applicable = {ks.applicable}",
     ]
@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
             print(name)
         return EXIT_OK
     ok = verify_mod.run(out=print)
-    return EXIT_OK if ok else EXIT_INPUT
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -276,16 +276,6 @@ def _recursive_det(rows):
 # Cyclotomic polynomials and fields
 # ---------------------------------------------------------------------------
 
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _poly_divmod_int(num, den):
     """Exact division of integer polynomials (den monic up to sign)."""
     num = list(num)
@@ -528,10 +518,6 @@ class CycNum:
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def coeffs(self):
-        """Coefficients in the power basis 1, zeta, ..., zeta^(phi(N)-1), as Fractions."""
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- arithmetic --------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iproduct
 from math import prod
 
 from .errors import InternalInvariantViolated, OrderCapExceeded
@@ -73,25 +74,20 @@ class FinAbGroup:
     def scale(self, c: int, a: GroupElement) -> GroupElement:
         return tuple((c * x) % d for x, d in zip(a, self.invariant_factors))
 
-    def elements(self, max_order: int = DEFAULT_ORDER_CAP):
-        """All elements, lexicographic; raises OrderCapExceeded above the cap."""
-        if self.order > max_order:
-            raise OrderCapExceeded(self.order, max_order)
-        from itertools import product as iproduct
+    def elements(self):
+        """All elements, lexicographic."""
         return iproduct(*(range(d) for d in self.invariant_factors))
 
     # -- characters --------------------------------------------------------------
 
-    def characters(self, max_order: int = DEFAULT_ORDER_CAP):
+    def characters(self, _cap=None, /):
         """All |H| characters, lexicographic in exponent tuples, trivial first.
 
-        The cap is checked on the call, not on the first iteration, so a caller
-        can reject the group before it builds the cyclotomic field.
+        The |H| cap was checked when the group was built.  The positional
+        argument is ignored; it is accepted because bench/run.py still passes
+        the group order here.
         """
-        if self.order > max_order:
-            raise OrderCapExceeded(self.order, max_order)
-        from itertools import product as iproduct
-        return map(Character, iproduct(*(range(d) for d in self.invariant_factors)))
+        return map(Character, self.elements())
 
     def char_exponent(self, chi: Character, h: GroupElement) -> int:
         """e with chi(h) = zeta^e, zeta the fixed primitive exp(H)-th root."""
@@ -135,8 +131,16 @@ class FinAbGroup:
         return f"FinAbGroup({list(self.invariant_factors)})"
 
 
-def homology_from_lattice(lattice: LatticeData) -> FinAbGroup:
-    """H = coker(I) via Smith normal form, with the meridian generator images."""
+def homology_from_lattice(lattice: LatticeData, *,
+                          max_order: int = DEFAULT_ORDER_CAP) -> FinAbGroup:
+    """H = coker(I) via Smith normal form, with the meridian generator images.
+
+    |H| = |det I| bounds every enumeration downstream (elements, characters,
+    the torsion transform), so the cap is checked here, before the Smith
+    normal form: a group over the cap is never built.
+    """
+    if lattice.order_h > max_order:
+        raise OrderCapExceeded(lattice.order_h, max_order)
     snf = smith_normal_form(lattice.I)
     diag = snf.diagonal
     if any(d == 0 for d in diag):
@@ -231,8 +235,7 @@ def spinc_conjugate(lattice: LatticeData, group: FinAbGroup,
     return group.neg(group.add(h_sigma, c))
 
 
-def gauss_sum_check(lattice: LatticeData, group: FinAbGroup,
-                    max_order: int = DEFAULT_ORDER_CAP):
+def gauss_sum_check(lattice: LatticeData, group: FinAbGroup):
     """Both sides of the Gauss-sum identity for the discriminant quadratic function.
 
     Computes |H|^(-1/2) * sum_x exp(2 pi i q(x)) with q(x) = (1/2)(d + k, d) mod 1
@@ -240,11 +243,9 @@ def gauss_sum_check(lattice: LatticeData, group: FinAbGroup,
     unity exp(i pi / 4 * (signature - (k,k))).  Floating point by design; this
     is the package's only non-exact surface.
     """
-    if group.order > max_order:
-        raise OrderCapExceeded(group.order, max_order)
     k_vec = lattice.k_vec
     total = 0j
-    for h in group.elements(max_order):
+    for h in group.elements():
         d = group.lift(h)
         shifted = tuple(x + kx for x, kx in zip(d, k_vec))
         qval = (Fraction(1, 2) * _pairing(lattice, shifted, d)) % 1

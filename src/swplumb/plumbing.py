@@ -56,7 +56,10 @@ class PlumbingGraph:
     def from_dict(cls, doc: dict) -> "PlumbingGraph":
         try:
             vertices = [(v["id"], v["euler"]) for v in doc["vertices"]]
-            edges = [tuple(e) for e in doc["edges"]]
+            edges = doc["edges"]
+            for e in edges:
+                if not (isinstance(e, list) and len(e) == 2):
+                    raise TypeError(f"edge {e!r} is not a two-element array")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
         return cls(vertices, edges)

@@ -29,24 +29,22 @@ class InvariantReport:
 def compute_report(graph: PlumbingGraph, *, max_order: int = DEFAULT_ORDER_CAP,
                    all_spinc: bool = False) -> InvariantReport:
     lattice = build_lattice(graph)
-    group = homology_from_lattice(lattice)
-    return compute_report_from(lattice, group, max_order=max_order,
-                               all_spinc=all_spinc)
+    group = homology_from_lattice(lattice, max_order=max_order)
+    return compute_report_from(lattice, group, all_spinc=all_spinc)
 
 
 def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
-                        max_order: int = DEFAULT_ORDER_CAP,
                         all_spinc: bool = False) -> InvariantReport:
     k2 = k2_plus_nv(lattice)
     lam = casson_walker(lattice)
-    table = torsion_table(lattice, group, max_order=max_order)
+    table = torsion_table(lattice, group)
     sw = table.t_at_1 - lam / group.order
     gap = sw - k2 / 8
     spinc = None
     if all_spinc:
         lam_over_h = lam / group.order
         spinc = tuple((h, t - lam_over_h)
-                      for h, t in table.invert(group, max_order).items())
+                      for h, t in table.invert(group).items())
     return InvariantReport(
         order_h=group.order,
         invariant_factors=group.invariant_factors,

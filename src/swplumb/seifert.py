@@ -1,9 +1,10 @@
 """Seifert fibered rational homology spheres over the 2-sphere.
 
-Normalized data (b; (alpha_i, omega_i)) with at least three arms; the star
-plumbing graph comes from negative continued fractions.  Closed forms for the
-Casson-Walker invariant and the canonical-cycle invariant, the eta-invariant
-route to the monopole count, and the arm-level shortcut for the torsion.
+Normalized data (b; (alpha_i, omega_i)) with any number of arms (fewer than
+three give lens spaces); the star plumbing graph comes from negative continued
+fractions.  Closed forms for the Casson-Walker invariant and the canonical-cycle
+invariant, the eta-invariant route to the monopole count, and the arm-level
+shortcut for the torsion.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import ceil, floor, gcd, lcm, prod
 
 from .dedekind import dedekind_symbol, dr_sum
 from .errors import InternalInvariantViolated
-from .homology import DEFAULT_ORDER_CAP, FinAbGroup, GroupElement
+from .homology import FinAbGroup, GroupElement
 from .plumbing import LatticeData, PlumbingGraph
 
 
@@ -49,8 +50,6 @@ class SeifertData:
 
     def __init__(self, b, arms):
         arms = tuple((int(a), int(w)) for a, w in arms)
-        if len(arms) < 3:
-            raise ValueError("need at least three arms")
         for a, w in arms:
             if a < 2:
                 raise ValueError(f"arm order {a} must be at least 2")
@@ -69,7 +68,7 @@ class SeifertData:
 
     @cached_property
     def e(self) -> Fraction:
-        return self.b + sum(Fraction(w, a) for a, w in self.arms)
+        return Fraction(self.b) + sum(Fraction(w, a) for a, w in self.arms)
 
     @property
     def ell(self) -> Fraction:
@@ -82,12 +81,14 @@ class SeifertData:
     @cached_property
     def betas(self):
         """Unnormalized rotations: the central term absorbed into the first arm."""
+        if not self.arms:
+            return ()
         (a1, w1), rest = self.arms[0], self.arms[1:]
         return (-w1 - self.b * a1,) + tuple(-w for _, w in rest)
 
     @cached_property
     def kappa(self) -> Fraction:
-        return -2 + sum(1 - Fraction(1, a) for a, _ in self.arms)
+        return Fraction(-2) + sum(1 - Fraction(1, a) for a, _ in self.arms)
 
     @cached_property
     def rho0(self) -> Fraction:
@@ -237,9 +238,10 @@ def ks_route(data: SeifertData) -> KSReport:
                 minus_dims.append(int(deg))
     ks = _ks_invariant(data)
     # rho0 = 0 would need the positive-curvature branch, which only spherical
-    # bases could certify -- and normalized spherical data never has rho0 = 0
-    # (the patterns (2,2,n), (2,3,3), (2,3,4), (2,3,5) all fail integrality).
-    # The torsion route is the fallback.
+    # bases could certify -- and normalized three-arm spherical data never has
+    # rho0 = 0 (the patterns (2,2,n), (2,3,3), (2,3,4), (2,3,5) all fail
+    # integrality), while lens spaces (at most two arms) can.  The torsion
+    # route is the fallback.
     applicable = (data.rho0 != 0
                   and all(d == 0 for d in plus_dims)
                   and all(d == 0 for d in minus_dims))
@@ -253,8 +255,7 @@ def ks_route(data: SeifertData) -> KSReport:
 # ---------------------------------------------------------------------------
 
 def seifert_torsion_shortcut(data: SeifertData, lattice: LatticeData,
-                             group: FinAbGroup, h_sigma: GroupElement = None, *,
-                             max_order: int = DEFAULT_ORDER_CAP) -> Fraction:
+                             group: FinAbGroup, h_sigma: GroupElement = None) -> Fraction:
     """Torsion at the identity using only the central and arm-end generators.
 
     Weights (alpha; alpha/alpha_i) drive the same order-counting regularization
@@ -265,13 +266,12 @@ def seifert_torsion_shortcut(data: SeifertData, lattice: LatticeData,
     center_id, end_ids = star_vertex_ids(data)
     center = lattice.index_of(center_id)
     ends = [lattice.index_of(i) for i in end_ids]
-    characters = group.characters(max_order)   # the |H| cap fires before the field is built
     field = group.field
     images = group.generator_images
     nu = data.nu
     alphas = [a for a, _ in data.arms]
     total = field.zero()
-    for chi in characters:
+    for chi in group.characters():
         if chi.is_trivial:
             continue
         e0 = group.char_exponent(chi, images[center])

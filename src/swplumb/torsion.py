@@ -15,8 +15,8 @@ from math import gcd
 
 from .errors import InternalInvariantViolated, InvalidBaseVertex
 from .exact import CycNum
-from .homology import (DEFAULT_ORDER_CAP, Character, FinAbGroup, GroupElement,
-                       linking_matrix, linking_pairing, spinc_quadratic)
+from .homology import (Character, FinAbGroup, GroupElement, linking_matrix,
+                       linking_pairing, spinc_quadratic)
 from .plumbing import LatticeData, casson_walker, k2_plus_nv
 
 
@@ -117,7 +117,7 @@ class TorsionTable:
     entries: dict            # Character -> CycNum, trivial character -> 0
     t_at_1: Fraction         # (1/|H|) * sum of entries, certified rational
 
-    def invert(self, group: FinAbGroup, max_order: int = DEFAULT_ORDER_CAP) -> dict:
+    def invert(self, group: FinAbGroup) -> dict:
         """{h: T(h_sigma + h)} over H, by Fourier inversion of the entries.
 
         The entries already carry chibar(h_sigma), and
@@ -127,7 +127,7 @@ class TorsionTable:
         values = [(chi, val) for chi, val in self.entries.items() if not val.is_zero]
         out = {}
         inv_order = Fraction(1, group.order)
-        for h in group.elements(max_order):
+        for h in group.elements():
             acc = field.zero()
             for chi, val in values:
                 e = group.char_exponent(chi, h)
@@ -136,13 +136,13 @@ class TorsionTable:
         return out
 
 
-def _transform_values(lattice, group, max_order):
+def _transform_values(lattice, group):
     """R(chi) for every character: the regularized product with no h_sigma twist."""
     n = lattice.size
     images = group.generator_images
     wv_cache = {}
     out = []
-    for chi in group.characters(max_order):
+    for chi in group.characters():
         if chi.is_trivial:
             out.append((chi, group.field.zero()))
             continue
@@ -157,8 +157,7 @@ def _transform_values(lattice, group, max_order):
 
 
 def torsion_table(lattice: LatticeData, group: FinAbGroup,
-                  h_sigma: GroupElement = None, *,
-                  max_order: int = DEFAULT_ORDER_CAP) -> TorsionTable:
+                  h_sigma: GroupElement = None) -> TorsionTable:
     """All Fourier coefficients for the structure h_sigma * sigma_can.
 
     Entry at chi is chibar(h_sigma) times the regularized vertex product at chi;
@@ -167,7 +166,7 @@ def torsion_table(lattice: LatticeData, group: FinAbGroup,
     """
     if h_sigma is None:
         h_sigma = group.identity
-    values = _transform_values(lattice, group, max_order)   # the |H| cap fires here
+    values = _transform_values(lattice, group)
     field = group.field
     twist = any(h_sigma)
     entries = {}
@@ -184,30 +183,25 @@ def torsion_table(lattice: LatticeData, group: FinAbGroup,
 
 
 def sw0(lattice: LatticeData, group: FinAbGroup,
-        h_sigma: GroupElement = None, *,
-        max_order: int = DEFAULT_ORDER_CAP) -> Fraction:
+        h_sigma: GroupElement = None) -> Fraction:
     """Modified monopole count: torsion at the identity minus lambda / |H|."""
-    table = torsion_table(lattice, group, h_sigma, max_order=max_order)
+    table = torsion_table(lattice, group, h_sigma)
     return table.t_at_1 - casson_walker(lattice) / group.order
 
 
-def conjecture_gap(lattice: LatticeData, group: FinAbGroup, *,
-                   max_order: int = DEFAULT_ORDER_CAP) -> Fraction:
+def conjecture_gap(lattice: LatticeData, group: FinAbGroup) -> Fraction:
     """sw0 of the canonical structure minus (K^2 + #vertices)/8, exactly."""
-    return sw0(lattice, group, max_order=max_order) - k2_plus_nv(lattice) / 8
+    return sw0(lattice, group) - k2_plus_nv(lattice) / 8
 
 
 def torsion_function(lattice: LatticeData, group: FinAbGroup,
-                     h_sigma: GroupElement = None, *,
-                     max_order: int = DEFAULT_ORDER_CAP):
+                     h_sigma: GroupElement = None):
     """The torsion as a rational-valued function on H: h -> T(h_sigma + h)."""
-    table = torsion_table(lattice, group, h_sigma, max_order=max_order)
-    return table.invert(group, max_order)
+    return torsion_table(lattice, group, h_sigma).invert(group)
 
 
 def swiden_consistency(lattice: LatticeData, group: FinAbGroup,
-                       h_sigma: GroupElement = None, *,
-                       max_order: int = 500) -> bool:
+                       h_sigma: GroupElement = None) -> bool:
     """Exhaustive check of the two torsion/quadratic-function identities.
 
     (a) T(1) - T(g) - T(h) + T(g+h) = -b_M(g, h) mod Z for all g, h;
@@ -215,8 +209,8 @@ def swiden_consistency(lattice: LatticeData, group: FinAbGroup,
     """
     if h_sigma is None:
         h_sigma = group.identity
-    tfun = torsion_function(lattice, group, h_sigma, max_order=max_order)
-    elements = list(group.elements(max_order))
+    tfun = torsion_function(lattice, group, h_sigma)
+    elements = list(group.elements())
     t0 = tfun[group.identity]
 
     bmat = linking_matrix(lattice, group)

@@ -130,3 +130,23 @@ class TestClosedForms:
             assert group.order == rep.order_h, exps
             assert torsion_table(lattice, group).t_at_1 == rep.torsion_closed, exps
             assert casson_walker(lattice) == rep.lambda_closed, exps
+
+
+class TestTwoArmLinks:
+    """(2,2,n): the A_(n-1) lens space, with two arms for n >= 3 and none for n = 2."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_a_n_lens_spaces(self, n):
+        spec = BrieskornSpec((2, 2, n))
+        rep = closed_form_invariants(spec)
+        values = (rep.torsion_closed, rep.lambda_closed, rep.sigma_f, rep.sw0)
+        assert all(type(v) is Fraction for v in values)
+        assert rep.order_h == n and rep.sw0 == Fraction(n - 1, 8)
+        assert rep.gorenstein_check
+        data = brieskorn_seifert(spec)
+        assert data.nu == (0 if n == 2 else 2)
+        lattice = build_lattice(star_graph(data))
+        group = homology_from_lattice(lattice)
+        assert group.order == n
+        assert torsion_table(lattice, group).t_at_1 == rep.torsion_closed
+        assert casson_walker(lattice) == rep.lambda_closed

@@ -133,11 +133,14 @@ def test_brieskorn_rejects_positive_genus(capsys):
     assert "genus" in err
 
 
-def test_brieskorn_rejects_prism_type_links(capsys):
-    # fewer than three nontrivial arms: out of scope for the star pipeline
-    code, _, err = run_cli(capsys, "brieskorn", "4", "2", "2")
-    assert code == 1
-    assert "arms" in err
+def test_brieskorn_two_arm_links(capsys):
+    # (4,2,2) leaves two nontrivial arms: the lens space L(4,1) of A_3
+    code, out, _ = run_cli(capsys, "brieskorn", "4", "2", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order_h"] == 4
+    assert doc["sw0"] == {"num": 3, "den": 8}
+    assert not any(line.endswith("[MISMATCH]") for line in doc["cross_checks"])
 
 
 def test_dedekind_command(capsys):
@@ -192,7 +195,7 @@ def test_verify_cli_reports_failures(monkeypatch, capsys):
     fake = (("00-fake", lambda: [("broken check", False, "boom")]),)
     monkeypatch.setattr(verify, "FIXTURES", fake)
     code, out, _ = run_cli(capsys, "verify")
-    assert code == 1
+    assert code == EXIT_MISMATCH
     assert "[FAIL]" in out
 
 
@@ -218,6 +221,23 @@ def test_graph_rejects_non_string_edge_endpoints():
            "edges": [[0, 1]]}
     with pytest.raises(ValueError):
         PlumbingGraph.from_dict(doc)
+
+
+@pytest.mark.parametrize("edge", [
+    "ab",
+    {"a": 1, "b": 2},
+    ["a"],
+    ["a", "b", "a"],
+    None,
+], ids=["string", "object", "one-id", "three-ids", "null"])
+def test_graph_rejects_edges_that_are_not_pairs(tmp_path, capsys, edge):
+    doc = {"vertices": [{"id": "a", "euler": -2}, {"id": "b", "euler": -2}],
+           "edges": [edge]}
+    with pytest.raises(ValueError):
+        PlumbingGraph.from_dict(doc)
+    code, out, err = run_cli(capsys, "graph", write_graph(tmp_path, doc))
+    assert code == EXIT_INPUT
+    assert out == "" and "not a two-element array" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import pytest
 
+from swplumb import homology
 from swplumb.brieskorn import BrieskornSpec, brieskorn_seifert
 from swplumb.corpus import a_chain, standard_corpus
 from swplumb.errors import OrderCapExceeded
@@ -95,10 +96,17 @@ class TestCharacters:
                     assert (group.char_value(chi, group.add(a, b))
                             == group.char_value(chi, a) * group.char_value(chi, b))
 
-    def test_order_cap(self):
-        _, group = pipeline(lens_chain(12, 5))
-        with pytest.raises(OrderCapExceeded):
-            group.characters(max_order=5)       # on the call, before any iteration
+    def test_order_cap(self, monkeypatch):
+        # the cap is checked on |det I| once, before the group (and so any
+        # character) exists: the Smith normal form is never reached
+        def refuse(matrix):
+            raise AssertionError("Smith normal form reached above the cap")
+
+        lattice = build_lattice(lens_chain(4001, 2))
+        monkeypatch.setattr(homology, "smith_normal_form", refuse)
+        with pytest.raises(OrderCapExceeded) as exc:
+            homology_from_lattice(lattice, max_order=10)
+        assert (exc.value.order, exc.value.cap) == (4001, 10)
 
 
 class TestLinkingForm:

@@ -66,8 +66,6 @@ class TestStarGraph:
 class TestSeifertData:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SeifertData(-2, [(2, 1), (3, 2)])          # too few arms
-        with pytest.raises(ValueError):
             SeifertData(-2, [(2, 1), (4, 2), (3, 1)])  # non-coprime arm
         with pytest.raises(ValueError):
             SeifertData(0, [(2, 1), (2, 1), (2, 1)])   # degree not negative
@@ -176,3 +174,33 @@ class TestArmShortcut:
         for h in group.elements():
             assert seifert_torsion_shortcut(data, lattice, group, h) == \
                 torsion_table(lattice, group, h).t_at_1
+
+
+class TestFewArms:
+    """Fewer than three arms: a single vertex or a chain, i.e. a lens space."""
+
+    @pytest.mark.parametrize("b, arms", [
+        (-3, []),
+        (-1, [(5, 2)]),
+        (-2, [(7, 3)]),
+        (-1, [(3, 1), (4, 1)]),
+        (-2, [(5, 2), (7, 4)]),
+        (-4, [(2, 1), (2, 1)]),
+    ])
+    def test_every_route_agrees(self, b, arms):
+        data = SeifertData(b, arms)
+        assert data.nu == len(arms)
+        assert len(data.betas) == len(arms)
+        lattice, group = pipeline(data)
+        assert group.order == data.order_h
+        cw, k2, ks = seifert_casson_walker(data), seifert_k2nv(data), ks_route(data)
+        values = [data.e, data.kappa, data.rho0, cw, k2, ks.ks]
+        assert cw == casson_walker(lattice) and k2 == k2_plus_nv(lattice)
+        for h in (group.identity, next(reversed(list(group.elements())))):
+            shortcut = seifert_torsion_shortcut(data, lattice, group, h)
+            assert shortcut == torsion_table(lattice, group, h).t_at_1
+            values.append(shortcut)
+        if ks.applicable:
+            assert ks.sw0_ks == sw0(lattice, group)
+            values.append(ks.sw0_ks)
+        assert all(type(v) is Fraction for v in values)

@@ -7,10 +7,10 @@ import pytest
 from swplumb import report, torsion
 from swplumb.corpus import (a_chain, nonstar_13_vertex, standard_corpus,
                             three_arm_family)
-from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
+from swplumb.errors import InvalidBaseVertex
 from swplumb.homology import homology_from_lattice, spinc_conjugate
 from swplumb.plumbing import build_lattice, casson_walker
-from swplumb.seifert import lens_chain, seifert_torsion_shortcut, star_graph
+from swplumb.seifert import lens_chain, star_graph
 from swplumb.torsion import (WeightVector, conjecture_gap, delta_at_one_check,
                              regularized_product, sw0, swiden_consistency,
                              torsion_function, torsion_table, weight_vector)
@@ -195,23 +195,6 @@ class TestFourierInversion:
         lattice, group = pipeline(star_graph(three_arm_family(2)))
         assert report.compute_report_from(lattice, group, all_spinc=True).spinc_table
         assert len(calls) == 1
-
-
-class TestOrderCapBeforeField:
-    def test_torsion_table(self):
-        lattice, group = pipeline(lens_chain(4001, 2))
-        with pytest.raises(OrderCapExceeded):
-            torsion_table(lattice, group, max_order=10)
-        with pytest.raises(OrderCapExceeded):
-            report.compute_report_from(lattice, group, max_order=10)
-        assert group._field is None
-
-    def test_seifert_shortcut(self):
-        data = three_arm_family(8)
-        lattice, group = pipeline(star_graph(data))
-        with pytest.raises(OrderCapExceeded):
-            seifert_torsion_shortcut(data, lattice, group, max_order=group.order - 1)
-        assert group._field is None
 
 
 class TestMonopoleCount:
