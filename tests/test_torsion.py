@@ -7,7 +7,7 @@ import pytest
 from swplumb import report, torsion
 from swplumb.corpus import (a_chain, nonstar_13_vertex, standard_corpus,
                             three_arm_family)
-from swplumb.errors import InvalidBaseVertex
+from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
 from swplumb.homology import homology_from_lattice, spinc_conjugate
 from swplumb.plumbing import build_lattice, casson_walker
 from swplumb.seifert import lens_chain, star_graph
@@ -195,6 +195,33 @@ class TestFourierInversion:
         lattice, group = pipeline(star_graph(three_arm_family(2)))
         assert report.compute_report_from(lattice, group, all_spinc=True).spinc_table
         assert len(calls) == 1
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("reached above the |H| cap")
+
+
+class TestOrderCapBeforeField:
+    # the one cap sits in homology_from_lattice: the layers below it take no
+    # cap of their own, and are never reached when |H| is above it
+
+    def test_torsion_table(self, monkeypatch):
+        monkeypatch.setattr(report, "torsion_table", refuse)
+        with pytest.raises(OrderCapExceeded) as exc:
+            report.compute_report(lens_chain(4001, 2), max_order=10)
+        assert (exc.value.order, exc.value.cap) == (4001, 10)
+
+    def test_seifert_shortcut(self, monkeypatch, capsys):
+        from swplumb import cli
+        monkeypatch.setattr(cli, "seifert_torsion_shortcut", refuse)
+        monkeypatch.setattr(cli, "compute_report_from", refuse)
+        data = three_arm_family(8)
+        order = build_lattice(star_graph(data)).order_h
+        argv = ["seifert", "--b", str(data.b), "--max-order", str(order - 1)]
+        for alpha, omega in data.arms:
+            argv += ["--arm", f"{alpha}/{omega}"]
+        assert cli.main(argv) == cli.EXIT_CAP
+        assert str(order) in capsys.readouterr().err
 
 
 class TestMonopoleCount:
