@@ -24,7 +24,10 @@ class BrieskornSpec:
     exponents: tuple
 
     def __init__(self, exponents):
-        exps = tuple(int(a) for a in exponents)
+        exps = tuple(exponents)
+        for a in exps:
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise ValueError(f"exponent {a!r} is not an integer")
         if len(exps) < 3:
             raise ValueError("need at least three exponents")
         if any(a < 2 for a in exps):

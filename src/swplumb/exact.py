@@ -3,7 +3,10 @@
 Everything here is exact.  Rational numbers are `fractions.Fraction`, integer
 matrices keep arbitrary-precision entries, and elements of Q(zeta_N) are stored
 as integer coefficient vectors over a common denominator, reduced modulo the
-N-th cyclotomic polynomial.  No floating point is used anywhere.
+N-th cyclotomic polynomial.  No floating point is used in this module (the
+package's one floating-point check is `homology.gauss_sum_check`).  `CycNum`
+has ring operations only; the one inverse the torsion and the Dedekind sums
+need, 1/(zeta^a - 1), has a closed form in `CyclotomicField.inv_root_minus_one`.
 """
 
 from __future__ import annotations
@@ -316,32 +319,6 @@ def cyclotomic_polynomial(n: int):
     return tuple(num)
 
 
-def _poly_degree(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _frac_divmod(num, den):
-    num = list(num)
-    d_deg = _poly_degree(den)
-    lead = den[d_deg]
-    q = [Fraction(0)] * max(len(num) - d_deg, 1)
-    for k in range(len(num) - 1, d_deg - 1, -1):
-        if num[k]:
-            f = num[k] / lead
-            q[k - d_deg] = f
-            for i in range(d_deg + 1):
-                num[k - d_deg + i] -= f * den[i]
-    r = num[:d_deg] if d_deg > 0 else []
-    while r and not r[-1]:
-        r.pop()
-    while len(q) > 1 and not q[-1]:
-        q.pop()
-    return q, r
-
-
 class CyclotomicField:
     """The field Q(zeta_N), modelled as Q[x] modulo the N-th cyclotomic polynomial."""
 
@@ -570,75 +547,6 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycNum":
-        """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_N."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverting zero cyclotomic number")
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0 = [Fraction(x) for x in self.num]
-        r1 = mod
-        s0 = [Fraction(1)]
-        s1: list = []
-        while _poly_degree(r1) > 0:
-            q, rem = _frac_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        if _poly_degree(r1) == 0:
-            c = r1[0]
-            s = s1
-        else:  # r1 == 0, gcd is r0; must be a nonzero constant since Phi is irreducible
-            if _poly_degree(r0) != 0:
-                raise ZeroDivisionError("element is zero modulo the cyclotomic polynomial")
-            c = r0[0]
-            s = s0
-        inv = [x / c for x in s]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        den = 1
-        for x in inv:
-            den = den * x.denominator // gcd(den, x.denominator)
-        vec = [int(x * den) for x in inv]
-        return CycNum(self.field, vec, den) * self.den
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def galois(self, k: int) -> "CycNum":
-        """Image under zeta -> zeta^k (k coprime to the conductor)."""
-        n = self.field.conductor
-        if gcd(k, n) != 1:
-            raise ValueError("k must be coprime to the conductor")
-        vec = [0] * self.field.degree
-        for i, c in enumerate(self.num):
-            if c:
-                rv = self.field._root_vec((i * k) % n)
-                for j, r in enumerate(rv):
-                    vec[j] += c * r
-        return CycNum(self.field, vec, self.den)
-
-    def conjugate(self) -> "CycNum":
-        return self.galois(self.field.conductor - 1 if self.field.conductor > 1 else 1)
-
     def as_rational(self) -> Fraction:
         """The value as a Fraction; raises NotRational unless it lies in Q."""
         if any(self.num[1:]):
@@ -661,21 +569,3 @@ class CycNum:
     def __repr__(self):
         return f"CycNum(N={self.field.conductor}, {self.num}/{self.den})"
 
-
-def _frac_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

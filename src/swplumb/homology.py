@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import InternalInvariantViolated, OrderCapExceeded
-from .exact import CycNum, CyclotomicField, IntMatrix, cyclotomic_field, \
+from .exact import CyclotomicField, IntMatrix, cyclotomic_field, \
     invert_rational_matrix, smith_normal_form
 from .plumbing import LatticeData
 
@@ -97,9 +97,6 @@ class FinAbGroup:
             if k and x:
                 total += (n // d) * k * x
         return total % n
-
-    def char_value(self, chi: Character, h: GroupElement) -> CycNum:
-        return self.field.root_of_unity(self.char_exponent(chi, h))
 
     def conjugate_character(self, chi: Character) -> Character:
         return Character(tuple((-k) % d for k, d in zip(chi.exponents, self.invariant_factors)))

@@ -18,6 +18,7 @@ from .dedekind import dedekind_symbol, dr_sum
 from .errors import InternalInvariantViolated
 from .homology import FinAbGroup, GroupElement
 from .plumbing import LatticeData, PlumbingGraph
+from .torsion import fourier_average, regularized_factor_product
 
 
 def hj_expand(alpha: int, omega: int):
@@ -41,6 +42,11 @@ def hj_expand(alpha: int, omega: int):
     return out
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool: Seifert data is rejected, never coerced."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SeifertData:
     """Normalized invariants (b; (alpha_i, omega_i)), orbifold Euler number < 0."""
@@ -49,15 +55,19 @@ class SeifertData:
     arms: tuple
 
     def __init__(self, b, arms):
-        arms = tuple((int(a), int(w)) for a, w in arms)
+        if not _is_int(b):
+            raise ValueError(f"central Euler number {b!r} is not an integer")
+        arms = tuple((a, w) for a, w in arms)
         for a, w in arms:
+            if not (_is_int(a) and _is_int(w)):
+                raise ValueError(f"arm ({a!r}, {w!r}) is not a pair of integers")
             if a < 2:
                 raise ValueError(f"arm order {a} must be at least 2")
             if not (0 <= w < a):
                 raise ValueError(f"arm rotation {w} must lie in [0, {a})")
             if gcd(a, w) != 1:
                 raise ValueError(f"arm ({a},{w}) is not coprime")
-        object.__setattr__(self, "b", int(b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "arms", arms)
         if self.e >= 0:
             raise ValueError(f"orbifold Euler number {self.e} must be negative")
@@ -256,45 +266,26 @@ def ks_route(data: SeifertData) -> KSReport:
 
 def seifert_torsion_shortcut(data: SeifertData, lattice: LatticeData,
                              group: FinAbGroup, h_sigma: GroupElement = None) -> Fraction:
-    """Torsion at the identity using only the central and arm-end generators.
+    """Torsion at h_sigma using only the central and arm-end generators.
 
-    Weights (alpha; alpha/alpha_i) drive the same order-counting regularization
-    as the generic route; must agree with it on every star graph.
+    Factors (chi(g_center), nu - 2, alpha) and (chi(g_end_i), -1, alpha/alpha_i),
+    with the weights read off the Seifert data, go through the same regularized
+    product and Fourier average as the generic route; must agree with it on
+    every star graph.
     """
     if h_sigma is None:
         h_sigma = group.identity
     center_id, end_ids = star_vertex_ids(data)
     center = lattice.index_of(center_id)
     ends = [lattice.index_of(i) for i in end_ids]
-    field = group.field
     images = group.generator_images
-    nu = data.nu
-    alphas = [a for a, _ in data.arms]
-    total = field.zero()
+    arm_weights = [data.alpha // a for a, _ in data.arms]
+    products = []
     for chi in group.characters():
         if chi.is_trivial:
             continue
-        e0 = group.char_exponent(chi, images[center])
-        arm_exps = [group.char_exponent(chi, images[v]) for v in ends]
-        zero_arms = sum(1 for e in arm_exps if e == 0)
-        order = (nu - 2 if e0 == 0 else 0) - zero_arms
-        if order > 0:
-            continue
-        if order < 0:
-            raise InternalInvariantViolated("infinite limit in the arm shortcut")
-        scalar = Fraction(1)
-        if e0 == 0:
-            scalar *= Fraction(data.alpha) ** (nu - 2)
-            value = field.one()
-        else:
-            value = field.root_minus_one(e0) ** (nu - 2)
-        for a, e in zip(alphas, arm_exps):
-            if e == 0:
-                scalar /= Fraction(data.alpha, a)
-            else:
-                value = value * field.inv_root_minus_one(e)
-        es = group.char_exponent(chi, h_sigma)
-        if es:
-            value = value * field.root_of_unity(-es % field.conductor)
-        total = total + value * scalar
-    return (total * Fraction(1, group.order)).as_rational()
+        factors = [(group.char_exponent(chi, images[center]), data.nu - 2, data.alpha)]
+        factors += [(group.char_exponent(chi, images[v]), -1, w)
+                    for v, w in zip(ends, arm_weights)]
+        products.append((chi, regularized_factor_product(group.field, factors)))
+    return fourier_average(group, products, h_sigma)

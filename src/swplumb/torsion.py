@@ -5,6 +5,12 @@ of (chi(g_v) - 1)^(deg v - 2), regularized when some chi(g_v) = 1 by an exact
 order count at t = 1: a factor t^(w_v) * chi(g_v) - 1 with chi(g_v) = 1 carries
 one order of (t - 1) and unit part w_v, where the weights w solve
 I w = -m e_(v0).  Everything stays in Q(zeta_N), N = exp(H); no numeric limits.
+
+Every torsion value goes through two helpers: `regularized_factor_product`
+(the order-counted product of a factor list) and `fourier_average`
+((1/|H|) sum_chi chibar(h) * value, certified rational).  The generic route
+passes one factor per vertex with deg v != 2; the Seifert arm shortcut passes
+the center and the arm ends.
 """
 
 from __future__ import annotations
@@ -55,16 +61,14 @@ def weight_vector(lattice: LatticeData, v0: int) -> WeightVector:
     return WeightVector(v0=v0, m=m, w=tuple(w))
 
 
-def _product_from_exponents(lattice, group, exps, wv: WeightVector) -> CycNum:
-    """Regularized product over vertices of (chi(g_v) - 1)^(deg v - 2).
+def regularized_factor_product(field, factors) -> CycNum:
+    """prod (t^w * zeta^e - 1)^d at t = 1 over the factors (e, d, w), exactly.
 
-    `exps` lists the exponent of chi(g_v) against the fixed root of unity.
-    Exact order counting at t = 1: total (t-1)-order s > 0 gives 0, s = 0 gives
-    the closed-form product, s < 0 cannot occur for nontrivial chi.
+    A factor with e = 0 carries d orders of (t - 1) and unit part w^d; any
+    other factor is (zeta^e - 1)^d.  Total order s > 0 gives 0, s = 0 gives
+    the closed-form product, s < 0 (an infinite limit) is an internal error.
     """
-    field = group.field
-    degrees = lattice.degrees
-    order = sum(degrees[v] - 2 for v in range(lattice.size) if exps[v] == 0)
+    order = sum(d for e, d, _ in factors if e == 0)
     if order > 0:
         return field.zero()
     if order < 0:
@@ -73,24 +77,54 @@ def _product_from_exponents(lattice, group, exps, wv: WeightVector) -> CycNum:
     scalar = Fraction(1)
     value = None
     inverse_exponents = []
-    for v in range(lattice.size):
-        d = degrees[v] - 2
-        if d == 0:
-            continue
-        if exps[v] == 0:
-            scalar *= Fraction(wv.w[v]) ** d
+    for e, d, w in factors:
+        if e == 0:
+            scalar *= Fraction(w) ** d
         elif d > 0:
-            factor = field.root_minus_one(exps[v])
+            factor = field.root_minus_one(e)
             for _ in range(d):
                 value = factor if value is None else value * factor
         else:
-            inverse_exponents.extend([exps[v]] * (-d))
-    for a in inverse_exponents:
-        factor = field.inv_root_minus_one(a)
+            inverse_exponents.extend([e] * (-d))
+    for e in inverse_exponents:
+        factor = field.inv_root_minus_one(e)
         value = factor if value is None else value * factor
     if value is None:
         value = field.one()
     return value * scalar
+
+
+def _twisted(group: FinAbGroup, values, h: GroupElement):
+    """(chi, chibar(h) * value) for each (chi, value); zero values pass as they are."""
+    field = group.field
+    for chi, value in values:
+        e = group.char_exponent(chi, h)
+        if e and not value.is_zero:
+            value = value * field.root_of_unity(-e % field.conductor)
+        yield chi, value
+
+
+def fourier_average(group: FinAbGroup, values, h: GroupElement) -> Fraction:
+    """(1/|H|) sum_chi chibar(h) * value over the (chi, value) pairs, as a Fraction.
+
+    Raises NotRational unless the sum lies in Q.
+    """
+    total = group.field.zero()
+    for _, value in _twisted(group, values, h):
+        total = total + value
+    return (total * Fraction(1, group.order)).as_rational()
+
+
+def _product_from_exponents(lattice, group, exps, wv: WeightVector) -> CycNum:
+    """Regularized product over vertices of (chi(g_v) - 1)^(deg v - 2).
+
+    `exps` lists the exponent of chi(g_v) against the fixed root of unity; the
+    vertices with deg v != 2 are the factors, with the weights of `wv`.
+    """
+    degrees = lattice.degrees
+    return regularized_factor_product(
+        group.field, [(exps[v], degrees[v] - 2, wv.w[v])
+                      for v in range(lattice.size) if degrees[v] != 2])
 
 
 def regularized_product(lattice: LatticeData, group: FinAbGroup,
@@ -123,17 +157,8 @@ class TorsionTable:
         The entries already carry chibar(h_sigma), and
         chibar(h) * chibar(h_sigma) = chibar(h + h_sigma).
         """
-        field = group.field
         values = [(chi, val) for chi, val in self.entries.items() if not val.is_zero]
-        out = {}
-        inv_order = Fraction(1, group.order)
-        for h in group.elements():
-            acc = field.zero()
-            for chi, val in values:
-                e = group.char_exponent(chi, h)
-                acc = acc + (val * field.root_of_unity(-e % field.conductor) if e else val)
-            out[h] = (acc * inv_order).as_rational()
-        return out
+        return {h: fourier_average(group, values, h) for h in group.elements()}
 
 
 def _transform_values(lattice, group):
@@ -166,19 +191,8 @@ def torsion_table(lattice: LatticeData, group: FinAbGroup,
     """
     if h_sigma is None:
         h_sigma = group.identity
-    values = _transform_values(lattice, group)
-    field = group.field
-    twist = any(h_sigma)
-    entries = {}
-    total = field.zero()
-    for chi, val in values:
-        if twist and not chi.is_trivial and not val.is_zero:
-            e = group.char_exponent(chi, h_sigma)
-            if e:
-                val = val * field.root_of_unity(-e % field.conductor)
-        entries[chi] = val
-        total = total + val
-    t1 = (total * Fraction(1, group.order)).as_rational()
+    entries = dict(_twisted(group, _transform_values(lattice, group), h_sigma))
+    t1 = fourier_average(group, entries.items(), group.identity)
     return TorsionTable(h_sigma=h_sigma, entries=entries, t_at_1=t1)
 
 

@@ -54,6 +54,17 @@ class TestClassification:
                             g = gcd(gcd(exps[a], exps[b]), gcd(exps[c], exps[d]))
                             assert g == 1
 
+    @pytest.mark.parametrize("exponents", [
+        (2, 3, 5.5),            # stored (2, 3, 5) before
+        (2, 3, 5.0),
+        (2, "3", 5),
+        (2, 3, Fraction(5)),
+        (True, 3, 5),
+    ])
+    def test_rejects_non_integers(self, exponents):
+        with pytest.raises(ValueError, match="integer"):
+            BrieskornSpec(exponents)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BrieskornSpec((2, 3))

@@ -122,11 +122,6 @@ class TestCycNum:
         z = f.root_of_unity(1)
         assert z * z == f.rational(-1)
 
-    def test_inverse_axiom(self):
-        f = cyclotomic_field(3)
-        x = f.root_of_unity(1) - 1
-        assert x.inverse() * x == f.one()
-
     def test_golden_minimal_polynomial(self):
         f = cyclotomic_field(5)
         x = f.root_of_unity(1) + f.root_of_unity(4)
@@ -155,8 +150,6 @@ class TestCycNum:
 
     def test_zero_division(self):
         f = cyclotomic_field(6)
-        with pytest.raises(ZeroDivisionError):
-            f.zero().inverse()
         with pytest.raises(ZeroDivisionError):
             f.inv_root_minus_one(0)
 
@@ -196,15 +189,6 @@ class TestCycNum:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        if not a.is_zero:
-            assert a * a.inverse() == f.one()
-
-    def test_galois_and_conjugate(self):
-        f = cyclotomic_field(7)
-        z = f.root_of_unity(1)
-        assert z.conjugate() == f.root_of_unity(6)
-        x = f.root_of_unity(2) + 3 * f.root_of_unity(5)
-        assert x.galois(2) == f.root_of_unity(4) + 3 * f.root_of_unity(10 % 7)
 
     def test_scalar_mixing(self):
         f = cyclotomic_field(5)

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import random
+from math import gcd
+
 import pytest
 
 from swplumb.corpus import dn_seifert, polygonal_seifert, three_arm_family
@@ -71,6 +74,20 @@ class TestSeifertData:
             SeifertData(0, [(2, 1), (2, 1), (2, 1)])   # degree not negative
         with pytest.raises(ValueError):
             SeifertData(-2, [(1, 0), (2, 1), (2, 1)])  # trivial arm
+
+    @pytest.mark.parametrize("b, arms", [
+        (-2.7, [(2, 1), (3, 1), (5, 1)]),      # stored b = -2 before
+        (-2.0, [(2, 1), (3, 1), (5, 1)]),
+        (True, [(2, 1), (3, 1), (5, 1)]),
+        ("-2", [(2, 1), (3, 1), (5, 1)]),
+        (-2, [(2.9, 1), (3, 1), (5, 1)]),      # the arm (2, 1) before
+        (-2, [(2, 1), ("5", 1), (3, 1)]),
+        (-2, [(2, 1), (3, Fraction(1)), (5, 1)]),
+        (-2, [(2, 1), (3, False), (5, 1)]),
+    ])
+    def test_rejects_non_integers(self, b, arms):
+        with pytest.raises(ValueError, match="integer"):
+            SeifertData(b, arms)
 
     def test_degree_bounds(self):
         for data in (dn_seifert(5), three_arm_family(4),
@@ -204,3 +221,35 @@ class TestFewArms:
             assert ks.sw0_ks == sw0(lattice, group)
             values.append(ks.sw0_ks)
         assert all(type(v) is Fraction for v in values)
+
+
+class TestShortcutDifferential:
+    """The arm shortcut against the generic table on seeded random Seifert data."""
+
+    @staticmethod
+    def seeded_data(count, seed=20020613, max_order=60):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            nu = (0, 1, 2, 3, 4, 5, 3, 4)[len(out) % 8]
+            arms = []
+            for _ in range(nu):
+                a = rng.randrange(2, 7)
+                arms.append((a, rng.choice([w for w in range(1, a) if gcd(a, w) == 1])))
+            shift = sum(Fraction(w, a) for a, w in arms)
+            b = -int(shift) - 1 - rng.randrange(2)
+            data = SeifertData(b, sorted(arms))
+            if data.order_h <= max_order:
+                out.append(data)
+        return out
+
+    def test_shortcut_equals_table(self):
+        samples = self.seeded_data(120)
+        assert sum(1 for data in samples if data.nu >= 3) >= len(samples) // 2
+        assert {data.nu for data in samples} == set(range(6))
+        for data in samples:
+            lattice, group = pipeline(data)
+            last = next(reversed(list(group.elements())))
+            for h in (group.identity, last):
+                assert seifert_torsion_shortcut(data, lattice, group, h) == \
+                    torsion_table(lattice, group, h).t_at_1, (data, h)
