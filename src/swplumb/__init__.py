@@ -28,9 +28,8 @@ from .report import (InvariantReport, compute_report, render_table,
 from .seifert import (KSReport, SeifertData, hj_expand, ks_route, lens_chain,
                       seifert_casson_walker, seifert_k2nv,
                       seifert_torsion_shortcut, star_graph)
-from .torsion import (TorsionTable, WeightVector, conjecture_gap,
-                      delta_at_one_check, regularized_product, sw0,
-                      swiden_consistency, torsion_function, torsion_table,
+from .torsion import (TorsionTable, WeightVector, delta_at_one_check,
+                      regularized_product, swiden_consistency, torsion_table,
                       weight_vector)
 
 __version__ = "0.1.0"

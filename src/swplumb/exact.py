@@ -329,24 +329,20 @@ class CyclotomicField:
         self.modulus = cyclotomic_polynomial(conductor)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # x^d reduced: Phi is monic, so x^d = -(lower part of Phi)
-        base = [-c for c in self.modulus[:d]]
-        table = [base]
-        for _ in range(d - 2 if d >= 2 else 0):
-            table.append(self._shift(table[-1], base))
-        self._xpow = table  # x^(d+k) for k = 0 .. d-2
-        self._root_vecs = [tuple(int(i == 0) for i in range(d))]
+        # x^k mod Phi_N for 0 <= k < max(N, 2d - 1): every root of unity, and
+        # every power a product of two reduced vectors reaches, is one row
+        base = [-c for c in self.modulus[:d]]  # x^d = -(lower part of Phi), Phi monic
+        row = [1] + [0] * (d - 1)
+        powers = []
+        for _ in range(max(conductor, 2 * d - 1)):
+            powers.append(tuple(row))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                for i, b in enumerate(base):
+                    row[i] += top * b
+        self._powers = tuple(powers)
         self._rmo_inverse_cache = {}
-
-    @staticmethod
-    def _shift(vec, base):
-        top = vec[-1]
-        out = [0] + list(vec[:-1])
-        if top:
-            for i, b in enumerate(base):
-                if b:
-                    out[i] += top * b
-        return out[:len(vec)]
 
     # -- element constructors ------------------------------------------------
 
@@ -368,35 +364,18 @@ class CyclotomicField:
         den = 1
         for c in coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        vec = [0] * self.degree
-        for i, c in enumerate(ints):
-            if c:
-                rv = self._root_vec(i % self.conductor)
-                for j, r in enumerate(rv):
-                    vec[j] += c * r
-        return CycNum(self, vec, den)
-
-    def _root_vec(self, a: int):
-        a %= self.conductor
-        cache = self._root_vecs
-        if a < len(cache):
-            return cache[a]
-        d = self.degree
-        base = [-c for c in self.modulus[:d]]
-        vec = list(cache[-1])
-        while len(cache) <= a:
-            vec = self._shift(vec, base)
-            cache.append(tuple(vec))
-        return cache[a]
+        raw = [0] * self.conductor
+        for i, c in enumerate(coeffs):
+            raw[i % self.conductor] += int(c * den)
+        return CycNum(self, self._reduce(raw), den)
 
     def root_of_unity(self, a: int) -> "CycNum":
         """zeta_N ** a."""
-        return CycNum(self, self._root_vec(a), 1, _normalized=True)
+        return CycNum(self, self._powers[a % self.conductor], 1, _normalized=True)
 
     def root_minus_one(self, a: int) -> "CycNum":
         """zeta_N**a - 1."""
-        vec = list(self._root_vec(a))
+        vec = list(self._powers[a % self.conductor])
         vec[0] -= 1
         return CycNum(self, vec, 1)
 
@@ -412,31 +391,29 @@ class CyclotomicField:
         if a == 0:
             raise ZeroDivisionError("zeta^0 - 1 is zero")
         # cached as (num, den): a cached CycNum points back at the field, and that
-        # cycle keeps a dropped field and its phi(N)^2 table alive until a full gc
+        # cycle keeps a dropped field and its power table alive until a full gc
         hit = self._rmo_inverse_cache.get(a)
         if hit is None:
             k = n // gcd(a, n)
-            vec = [0] * self.degree
+            raw = [0] * n
             for i in range(k - 1):
-                coef = k - 1 - i
-                for j, r in enumerate(self._root_vec((a * i) % n)):
-                    if r:
-                        vec[j] += coef * r
-            value = CycNum(self, [-x for x in vec], k)
+                raw[(a * i) % n] = k - 1 - i
+            value = CycNum(self, [-x for x in self._reduce(raw)], k)
             hit = self._rmo_inverse_cache[a] = (value.num, value.den)
         return CycNum(self, *hit, _normalized=True)
 
     def _reduce(self, conv):
+        """sum_k conv[k] * x^k mod Phi_N, for len(conv) up to the power table's."""
         d = self.degree
-        for k in range(len(conv) - 1, d - 1, -1):
+        powers = self._powers
+        out = conv[:d]
+        for k in range(d, len(conv)):
             c = conv[k]
             if c:
-                conv[k] = 0
-                tbl = self._xpow[k - d]
-                for i, t in enumerate(tbl):
+                for i, t in enumerate(powers[k]):
                     if t:
-                        conv[i] += c * t
-        return conv[:d]
+                        out[i] += c * t
+        return out
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.conductor == self.conductor

@@ -98,9 +98,6 @@ class FinAbGroup:
                 total += (n // d) * k * x
         return total % n
 
-    def conjugate_character(self, chi: Character) -> Character:
-        return Character(tuple((-k) % d for k, d in zip(chi.exponents, self.invariant_factors)))
-
     # -- lifting between H and the vertex lattice ---------------------------------
 
     def class_of_vector(self, vec) -> GroupElement:

@@ -35,6 +35,12 @@ def compute_report(graph: PlumbingGraph, *, max_order: int = DEFAULT_ORDER_CAP,
 
 def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
                         all_spinc: bool = False) -> InvariantReport:
+    """The one place sw0, the gap and the spin^c rows are derived.
+
+    sw0 = T(1) - lambda/|H| and the gap sw0 - (K^2 + #V)/8 for the canonical
+    structure; with all_spinc, sw0 of h * sigma_can is T(h) - lambda/|H|, read
+    from the same torsion table.
+    """
     k2 = k2_plus_nv(lattice)
     lam = casson_walker(lattice)
     table = torsion_table(lattice, group)

@@ -11,6 +11,10 @@ Every torsion value goes through two helpers: `regularized_factor_product`
 ((1/|H|) sum_chi chibar(h) * value, certified rational).  The generic route
 passes one factor per vertex with deg v != 2; the Seifert arm shortcut passes
 the center and the arm ends.
+
+The transform is computed once, for the canonical structure.  Every other
+spin^c structure is a translate of it, T_{h*sigma_can}(1) = T_{sigma_can}(h),
+so a spin^c offset is a point at which the one transform is evaluated.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import InternalInvariantViolated, InvalidBaseVertex
 from .exact import CycNum
 from .homology import (Character, FinAbGroup, GroupElement, linking_matrix,
                        linking_pairing, spinc_quadratic)
-from .plumbing import LatticeData, casson_walker, k2_plus_nv
+from .plumbing import LatticeData
 
 
 @dataclass(frozen=True)
@@ -94,24 +98,18 @@ def regularized_factor_product(field, factors) -> CycNum:
     return value * scalar
 
 
-def _twisted(group: FinAbGroup, values, h: GroupElement):
-    """(chi, chibar(h) * value) for each (chi, value); zero values pass as they are."""
-    field = group.field
-    for chi, value in values:
-        e = group.char_exponent(chi, h)
-        if e and not value.is_zero:
-            value = value * field.root_of_unity(-e % field.conductor)
-        yield chi, value
-
-
 def fourier_average(group: FinAbGroup, values, h: GroupElement) -> Fraction:
     """(1/|H|) sum_chi chibar(h) * value over the (chi, value) pairs, as a Fraction.
 
     Raises NotRational unless the sum lies in Q.
     """
-    total = group.field.zero()
-    for _, value in _twisted(group, values, h):
-        total = total + value
+    field = group.field
+    total = field.zero()
+    for chi, value in values:
+        if value.is_zero:
+            continue
+        e = group.char_exponent(chi, h)
+        total = total + (value * field.root_of_unity(-e) if e else value)
     return (total * Fraction(1, group.order)).as_rational()
 
 
@@ -145,24 +143,26 @@ def regularized_product(lattice: LatticeData, group: FinAbGroup,
 
 @dataclass(frozen=True, eq=False)
 class TorsionTable:
-    """Fourier transform of the torsion for one spin^c offset h_sigma."""
+    """Fourier transform R(chi) of the torsion of the canonical structure.
 
-    h_sigma: GroupElement
+    The structure h * sigma_can has torsion T(h) at 1: the transform evaluated
+    at h.  `at` reads one point, `invert` the whole function on H.
+    """
+
     entries: dict            # Character -> CycNum, trivial character -> 0
-    t_at_1: Fraction         # (1/|H|) * sum of entries, certified rational
+    t_at_1: Fraction         # at(identity), certified rational
+
+    def at(self, group: FinAbGroup, h: GroupElement) -> Fraction:
+        """T(h) = (1/|H|) sum_chi chibar(h) * R(chi)."""
+        return fourier_average(group, self.entries.items(), h)
 
     def invert(self, group: FinAbGroup) -> dict:
-        """{h: T(h_sigma + h)} over H, by Fourier inversion of the entries.
-
-        The entries already carry chibar(h_sigma), and
-        chibar(h) * chibar(h_sigma) = chibar(h + h_sigma).
-        """
-        values = [(chi, val) for chi, val in self.entries.items() if not val.is_zero]
-        return {h: fourier_average(group, values, h) for h in group.elements()}
+        """{h: T(h)} over H, lexicographic."""
+        return {h: self.at(group, h) for h in group.elements()}
 
 
 def _transform_values(lattice, group):
-    """R(chi) for every character: the regularized product with no h_sigma twist."""
+    """(chi, R(chi)) for every character: the regularized vertex product, 0 at chi = 1."""
     n = lattice.size
     images = group.generator_images
     wv_cache = {}
@@ -181,37 +181,16 @@ def _transform_values(lattice, group):
     return out
 
 
-def torsion_table(lattice: LatticeData, group: FinAbGroup,
-                  h_sigma: GroupElement = None) -> TorsionTable:
-    """All Fourier coefficients for the structure h_sigma * sigma_can.
+def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:
+    """All Fourier coefficients of the torsion of the canonical structure.
 
-    Entry at chi is chibar(h_sigma) times the regularized vertex product at chi;
-    the trivial character contributes 0.  t_at_1 averages the entries and must
-    come out rational (a Galois-stability fact, asserted by construction).
+    Entry at chi is the regularized vertex product at chi; the trivial
+    character contributes 0.  t_at_1 averages the entries and must come out
+    rational (a Galois-stability fact, asserted by construction).
     """
-    if h_sigma is None:
-        h_sigma = group.identity
-    entries = dict(_twisted(group, _transform_values(lattice, group), h_sigma))
-    t1 = fourier_average(group, entries.items(), group.identity)
-    return TorsionTable(h_sigma=h_sigma, entries=entries, t_at_1=t1)
-
-
-def sw0(lattice: LatticeData, group: FinAbGroup,
-        h_sigma: GroupElement = None) -> Fraction:
-    """Modified monopole count: torsion at the identity minus lambda / |H|."""
-    table = torsion_table(lattice, group, h_sigma)
-    return table.t_at_1 - casson_walker(lattice) / group.order
-
-
-def conjecture_gap(lattice: LatticeData, group: FinAbGroup) -> Fraction:
-    """sw0 of the canonical structure minus (K^2 + #vertices)/8, exactly."""
-    return sw0(lattice, group) - k2_plus_nv(lattice) / 8
-
-
-def torsion_function(lattice: LatticeData, group: FinAbGroup,
-                     h_sigma: GroupElement = None):
-    """The torsion as a rational-valued function on H: h -> T(h_sigma + h)."""
-    return torsion_table(lattice, group, h_sigma).invert(group)
+    entries = dict(_transform_values(lattice, group))
+    return TorsionTable(entries=entries,
+                        t_at_1=fourier_average(group, entries.items(), group.identity))
 
 
 def swiden_consistency(lattice: LatticeData, group: FinAbGroup,
@@ -223,8 +202,10 @@ def swiden_consistency(lattice: LatticeData, group: FinAbGroup,
     """
     if h_sigma is None:
         h_sigma = group.identity
-    tfun = torsion_function(lattice, group, h_sigma)
+    torsion = torsion_table(lattice, group).invert(group)
     elements = list(group.elements())
+    # the structure h_sigma * sigma_can has torsion h -> T(h_sigma + h)
+    tfun = {h: torsion[group.add(h_sigma, h)] for h in elements}
     t0 = tfun[group.identity]
 
     bmat = linking_matrix(lattice, group)

@@ -23,10 +23,11 @@ from .homology import gauss_sum_check, homology_from_lattice, \
     linking_matrix, linking_pairing, q_can, spinc_conjugate
 from .plumbing import blow_up_edge, blow_up_vertex, build_lattice, \
     casson_walker, k2_plus_nv, numerically_gorenstein
+from .report import compute_report_from
 from .seifert import SeifertData, ks_route, lens_chain, seifert_casson_walker, \
     seifert_k2nv, seifert_torsion_shortcut, star_graph
 from .torsion import WeightVector, delta_at_one_check, \
-    regularized_product, sw0, swiden_consistency, torsion_table, weight_vector
+    regularized_product, swiden_consistency, torsion_table, weight_vector
 
 Check = tuple  # (name, passed, detail)
 
@@ -35,6 +36,11 @@ def _pipeline(graph):
     lattice = build_lattice(graph)
     group = homology_from_lattice(lattice)
     return lattice, group
+
+
+def _report(graph):
+    """The invariant report of a graph: torsion, lambda, K^2 + #V, sw0 and gap."""
+    return compute_report_from(*_pipeline(graph))
 
 
 def _summary(label, failures, total) -> Check:
@@ -54,15 +60,12 @@ def lens_sweep():
             if gcd(p, q) != 1:
                 continue
             total += 1
-            lattice, group = _pipeline(lens_chain(p, q))
+            rep = _report(lens_chain(p, q))
             s_qp = dedekind.dr_sum(q, p)
-            t1 = torsion_table(lattice, group).t_at_1
-            lam = casson_walker(lattice)
-            k2 = k2_plus_nv(lattice)
-            ok = (t1 == Fraction(p - 1, 4 * p) - s_qp
-                  and lam == Fraction(p, 2) * s_qp
-                  and k2 == Fraction(2 * (p - 1), p) - 12 * s_qp
-                  and t1 - lam / p - k2 / 8 == 0)
+            ok = (rep.torsion_at_1 == Fraction(p - 1, 4 * p) - s_qp
+                  and rep.casson_walker == Fraction(p, 2) * s_qp
+                  and rep.k2_plus_nv == Fraction(2 * (p - 1), p) - 12 * s_qp
+                  and rep.conjecture_gap == 0)
             if not ok:
                 failures.append((p, q))
     return [_summary("lens closed forms and zero gap, p <= 50", failures, total)]
@@ -72,8 +75,7 @@ def a_chain_sweep():
     """Chains of -2 curves up to 29 vertices: 8 sw0 = p - 1."""
     failures = []
     for p in range(2, 31):
-        lattice, group = _pipeline(a_chain(p))
-        if sw0(lattice, group) != Fraction(p - 1, 8):
+        if _report(a_chain(p)).sw0 != Fraction(p - 1, 8):
             failures.append(p)
     return [_summary("(-2)-chain monopole count, p <= 30", failures, 29)]
 
@@ -83,9 +85,8 @@ def d_family():
     failures = []
     for n in range(4, 13):
         data = dn_seifert(n)
-        lattice, group = _pipeline(star_graph(data))
         want = Fraction(n, 8)  # (p + 2)/8 with p = n - 2
-        torsion_route = sw0(lattice, group)
+        torsion_route = _report(star_graph(data)).sw0
         ks = ks_route(data)
         if not (torsion_route == want and ks.applicable and ks.sw0_ks == want):
             failures.append(n)
@@ -97,8 +98,7 @@ def e_family():
     checks = []
     targets = {6: Fraction(6, 8), 7: Fraction(7, 8), 8: Fraction(1)}
     for kind, want in targets.items():
-        lattice, group = _pipeline(e_star(kind))
-        got = sw0(lattice, group)
+        got = _report(e_star(kind)).sw0
         checks.append((f"exceptional star E{kind}: sw0", got == want,
                        f"{got} vs {want}"))
     # E7 via the eta-invariant route (KS = 7)
@@ -121,14 +121,14 @@ def three_arm_sweep():
     failures = []
     for m in (2, 4, 5, 7, 8):
         data = three_arm_family(m)
-        lattice, group = _pipeline(star_graph(data))
+        rep = _report(star_graph(data))
         want = (Fraction(3 * m) - Fraction(m, 3) - 2) / 8
         ks = ks_route(data)
         plus_expected = (m - 3) // 6 + 1 if m > 3 else 0
-        ok = (sw0(lattice, group) == want
+        ok = (rep.sw0 == want
               and ks.applicable and ks.sw0_ks == want
               and len(ks.s0_plus) == plus_expected
-              and sw0(lattice, group) - k2_plus_nv(lattice) / 8 == 0)
+              and rep.conjecture_gap == 0)
         if not ok:
             failures.append(m)
     return [_summary("three-arm family, both routes, m in {2,4,5,7,8}",
@@ -138,14 +138,14 @@ def three_arm_sweep():
 def three_arm_m3():
     """The m = 3 member: eta route inapplicable, torsion route gives 3/4."""
     data = three_arm_family(3)
-    lattice, group = _pipeline(star_graph(data))
-    t1 = torsion_table(lattice, group).t_at_1
-    lam_over = casson_walker(lattice) / group.order
-    got = sw0(lattice, group)
+    rep = _report(star_graph(data))
+    t1 = rep.torsion_at_1
+    lam_over = rep.casson_walker / rep.order_h
+    got = rep.sw0
     ks = ks_route(data)
     ok = (t1 == Fraction(5, 9) and lam_over == Fraction(-7, 36)
           and got == Fraction(3, 4)
-          and got - k2_plus_nv(lattice) / 8 == 0
+          and rep.conjecture_gap == 0
           and not ks.applicable)
     return [("three-arm family at m = 3 (torsion route only)", ok,
              f"T(1) = {t1}, lambda/|H| = {lam_over}, sw0 = {got}")]
@@ -158,12 +158,11 @@ def polygonal_family():
              [3, 3, 3, 3, 3], [3, 3, 3, 3, 3, 3])
     for a_list in cases:
         data = polygonal_seifert(a_list)
-        lattice, group = _pipeline(star_graph(data))
-        got = sw0(lattice, group)
+        rep = _report(star_graph(data))
         want = Fraction(17 + len(a_list) - sum(a_list), 8)
-        gap = got - k2_plus_nv(lattice) / 8
         ks = ks_route(data)
-        if not (got == want and gap == 1 and ks.applicable and ks.sw0_ks == want):
+        if not (rep.sw0 == want and rep.conjecture_gap == 1
+                and ks.applicable and ks.sw0_ks == want):
             failures.append(a_list)
     return [_summary("polygonal stars: count formula and unit gap",
                      failures, len(cases))]
@@ -171,18 +170,18 @@ def polygonal_family():
 
 def nonstar_example():
     """The 13-vertex non-star graph; |H| = 3 gates the transcription."""
-    lattice, group = _pipeline(nonstar_13_vertex())
-    checks = [("non-star graph: |H| gate", group.order == 3,
-               f"|H| = {group.order}")]
-    if group.order == 3:
-        t1 = torsion_table(lattice, group).t_at_1
-        lam_over = casson_walker(lattice) / 3
-        got = sw0(lattice, group)
-        k2 = k2_plus_nv(lattice)
+    rep = _report(nonstar_13_vertex())
+    checks = [("non-star graph: |H| gate", rep.order_h == 3,
+               f"|H| = {rep.order_h}")]
+    if rep.order_h == 3:
+        t1 = rep.torsion_at_1
+        lam_over = rep.casson_walker / 3
+        got = rep.sw0
+        k2 = rep.k2_plus_nv
         ok = (lam_over == Fraction(-49, 36) and t1 == Fraction(8, 9)
               and k2 == 10 and got == Fraction(9, 4)
               and got == Fraction(9, 4) - k2 / 8 + Fraction(10, 8)
-              and got - k2 / 8 == 1)
+              and rep.conjecture_gap == 1)
         checks.append(("non-star graph: invariants and unit gap", ok,
                        f"T(1) = {t1}, lambda/|H| = {lam_over}, "
                        f"K^2+#V = {k2}, sw0 = {got}"))
@@ -205,11 +204,10 @@ def brieskorn_corpus():
         ok = rep.gorenstein_check
         detail = f"{cls.kind}, |H| = {rep.order_h}, sw0 = {rep.sw0}"
         if rep.order_h <= 10 ** 4:
-            lattice, group = _pipeline(star_graph(brieskorn_seifert(spec)))
-            t1 = torsion_table(lattice, group).t_at_1
-            ok = ok and (group.order == rep.order_h
-                         and t1 == rep.torsion_closed
-                         and casson_walker(lattice) == rep.lambda_closed)
+            got = _report(star_graph(brieskorn_seifert(spec)))
+            ok = ok and (got.order_h == rep.order_h
+                         and got.torsion_at_1 == rep.torsion_closed
+                         and got.casson_walker == rep.lambda_closed)
             detail += ", pipeline cross-checked"
         checks.append((f"intersection link {exps}", ok, detail))
     return checks
@@ -377,14 +375,12 @@ def torsion_props():
             total += 1
             if len(values) != 1:
                 failures.append(("independence", name, chi.exponents))
-        # conjugation symmetry of the transform
-        sample = [group.identity] + [h for h in group.elements()][1:3]
-        for h in sample:
-            table = torsion_table(lattice, group, h)
-            conj = torsion_table(lattice, group, spinc_conjugate(lattice, group, h))
+        # conjugation symmetry: T(h) = T(conjugate of h) on all of H, which by
+        # Fourier uniqueness is R(chi) = chibar(c) * R(chibar) for every chi
+        tfun = torsion_table(lattice, group).invert(group)
+        for h, t in tfun.items():
             total += 1
-            if any(val != conj.entries[group.conjugate_character(chi)]
-                   for chi, val in table.entries.items()):
+            if t != tfun[spinc_conjugate(lattice, group, h)]:
                 failures.append(("symmetry", name, h))
     return [_summary("torsion transform: order counting, independence, symmetry",
                      failures, total)]
@@ -473,24 +469,23 @@ def quadratic_function_family():
                      failures, total)]
 
 
+def _blowup_invariants(rep):
+    return (rep.order_h, rep.k2_plus_nv, rep.casson_walker, rep.torsion_at_1, rep.sw0)
+
+
 def blowup_family():
     failures = []
     total = 0
     for name, graph in standard_corpus():
-        lattice = build_lattice(graph)
-        group = homology_from_lattice(lattice)
+        lattice, group = _pipeline(graph)
         if group.order > 300:
             continue
-        base = (group.order, k2_plus_nv(lattice), casson_walker(lattice),
-                torsion_table(lattice, group).t_at_1, sw0(lattice, group))
+        base = _blowup_invariants(compute_report_from(lattice, group))
         moved = [blow_up_vertex(graph, graph.ids[0])]
         if graph.edges:
             moved.append(blow_up_edge(graph, graph.edges[0]))
         for g2 in moved:
-            lattice2 = build_lattice(g2)
-            group2 = homology_from_lattice(lattice2)
-            got = (group2.order, k2_plus_nv(lattice2), casson_walker(lattice2),
-                   torsion_table(lattice2, group2).t_at_1, sw0(lattice2, group2))
+            got = _blowup_invariants(_report(g2))
             total += 1
             if got != base:
                 failures.append(name)
@@ -539,11 +534,10 @@ def seifert_round_trip():
                  + [polygonal_seifert(a) for a in ([3, 4, 5], [2] * 5)]
                  + [SeifertData(-2, [(2, 1), (3, 2), (4, 3)])])
     for data in star_data:
-        lattice = build_lattice(star_graph(data))
-        group = homology_from_lattice(lattice)
+        lattice, group = _pipeline(star_graph(data))
+        table = torsion_table(lattice, group)
         for h in (group.identity, next(reversed(list(group.elements())))):
-            if seifert_torsion_shortcut(data, lattice, group, h) \
-                    != torsion_table(lattice, group, h).t_at_1:
+            if seifert_torsion_shortcut(data, lattice, group, h) != table.at(group, h):
                 short_fail.append(data.arms)
     checks.append(_summary("arm-level torsion shortcut agreement",
                            short_fail, 2 * len(star_data)))
@@ -576,9 +570,7 @@ def eta_route_cross_check():
         if not report.applicable:
             continue
         applicable += 1
-        lattice = build_lattice(star_graph(data))
-        group = homology_from_lattice(lattice)
-        if report.sw0_ks != sw0(lattice, group):
+        if report.sw0_ks != _report(star_graph(data)).sw0:
             failures.append((b, arms))
     return [_summary("eta route equals torsion route when applicable",
                      failures, applicable)]
@@ -590,10 +582,8 @@ def unimodular_family():
               ("Sigma(2,3,7)", star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 7))))),
               ("Sigma(2,3,11)", star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 11)))))]
     for name, graph in graphs:
-        lattice = build_lattice(graph)
-        group = homology_from_lattice(lattice)
-        if not (group.order == 1
-                and sw0(lattice, group) == -casson_walker(lattice)):
+        rep = _report(graph)
+        if not (rep.order_h == 1 and rep.sw0 == -rep.casson_walker):
             failures.append(name)
     return [_summary("unimodular graphs: monopole count is minus Casson",
                      failures, len(graphs))]
@@ -607,10 +597,8 @@ def nonnegativity_sweep():
         items.append((f"link{exps}",
                       star_graph(brieskorn_seifert(BrieskornSpec(exps)))))
     for name, graph in items:
-        lattice = build_lattice(graph)
-        group = homology_from_lattice(lattice)
         total += 1
-        gap = sw0(lattice, group) - k2_plus_nv(lattice) / 8
+        gap = _report(graph).conjecture_gap
         if gap < 0:
             failures.append((name, gap))
     return [_summary("conjectured gap nonnegative across the corpus",
@@ -646,8 +634,14 @@ def fixture_names():
 
 
 def run(names=None, out=print) -> bool:
-    """Run the fixture families (all by default); one pass/fail line per check."""
+    """Run the fixture families (all by default); one pass/fail line per check.
+
+    Raises ValueError, before any fixture runs, on a name that is not a fixture.
+    """
     wanted = set(names) if names else None
+    unknown = sorted(wanted - set(fixture_names())) if wanted else []
+    if unknown:
+        raise ValueError(f"unknown fixtures: {', '.join(unknown)}")
     all_ok = True
     for name, fn in FIXTURES:
         if wanted and name not in wanted:

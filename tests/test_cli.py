@@ -191,6 +191,12 @@ def test_verify_run_subset(capsys):
     assert "[PASS]" in out and "all fixtures passed" in out
 
 
+def test_verify_run_rejects_unknown_names(capsys):
+    with pytest.raises(ValueError, match="01-lens-spacez"):
+        verify.run(names=["01-lens-spacez", "02-minus-two-chains"])
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_cli_reports_failures(monkeypatch, capsys):
     fake = (("00-fake", lambda: [("broken check", False, "boom")]),)
     monkeypatch.setattr(verify, "FIXTURES", fake)

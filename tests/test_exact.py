@@ -167,6 +167,18 @@ class TestCycNum:
                 total = total + f.root_of_unity(k)
             assert total.is_zero, n
 
+    def test_root_laws_across_the_power_table(self):
+        # N > 2 phi(N) - 1 here, so roots and products read different rows
+        for n in (30, 42, 60):
+            f = cyclotomic_field(n)
+            assert n > 2 * f.degree - 1
+            for a in range(n):
+                for b in range(n):
+                    assert f.root_of_unity(a) * f.root_of_unity(b) \
+                        == f.root_of_unity(a + b), (n, a, b)
+                if a:
+                    assert f.inv_root_minus_one(a) * f.root_minus_one(a) == f.one()
+
     def test_inv_root_closed_form(self):
         for n in (8, 12, 15, 30):
             f = cyclotomic_field(n)

@@ -12,8 +12,8 @@ from swplumb.homology import homology_from_lattice
 from swplumb.plumbing import (PlumbingGraph, blow_up_edge, blow_up_vertex,
                               build_lattice, casson_walker, k2_plus_nv,
                               numerically_gorenstein)
+from swplumb.report import compute_report_from
 from swplumb.seifert import lens_chain, star_graph
-from swplumb.torsion import sw0, torsion_table
 
 
 def test_single_vertex_lattice():
@@ -126,24 +126,22 @@ def test_unimodular_monopole_count_is_minus_casson():
     lattice = build_lattice(e_star(8))
     group = homology_from_lattice(lattice)
     assert group.order == 1
-    assert sw0(lattice, group) == -casson_walker(lattice)
+    assert compute_report_from(lattice, group).sw0 == -casson_walker(lattice)
 
 
 def test_blowup_stability():
-    for name, graph in standard_corpus()[:10]:
+    def invariants(graph):
         lattice = build_lattice(graph)
-        group = homology_from_lattice(lattice)
-        base = (group.order, k2_plus_nv(lattice), casson_walker(lattice),
-                torsion_table(lattice, group).t_at_1, sw0(lattice, group))
+        rep = compute_report_from(lattice, homology_from_lattice(lattice))
+        return (rep.order_h, rep.k2_plus_nv, rep.casson_walker, rep.torsion_at_1, rep.sw0)
+
+    for name, graph in standard_corpus()[:10]:
+        base = invariants(graph)
         variants = [blow_up_vertex(graph, graph.ids[-1])]
         if graph.edges:
             variants.append(blow_up_edge(graph, graph.edges[-1]))
         for g2 in variants:
-            lattice2 = build_lattice(g2)
-            group2 = homology_from_lattice(lattice2)
-            assert (group2.order, k2_plus_nv(lattice2), casson_walker(lattice2),
-                    torsion_table(lattice2, group2).t_at_1,
-                    sw0(lattice2, group2)) == base, name
+            assert invariants(g2) == base, name
 
 
 def test_graph_json_round_trip():

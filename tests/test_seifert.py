@@ -10,10 +10,11 @@ import pytest
 from swplumb.corpus import dn_seifert, polygonal_seifert, three_arm_family
 from swplumb.homology import homology_from_lattice
 from swplumb.plumbing import build_lattice, casson_walker, k2_plus_nv
+from swplumb.report import compute_report_from
 from swplumb.seifert import (SeifertData, hj_expand, ks_route, lens_chain,
                              seifert_casson_walker, seifert_k2nv,
                              seifert_torsion_shortcut, star_graph)
-from swplumb.torsion import sw0, torsion_table
+from swplumb.torsion import torsion_table
 
 
 def pipeline(data):
@@ -167,8 +168,7 @@ class TestEtaRoute:
                      polygonal_seifert([3, 3, 3, 3])):
             report = ks_route(data)
             assert report.applicable
-            lattice, group = pipeline(data)
-            assert report.sw0_ks == sw0(lattice, group)
+            assert report.sw0_ks == compute_report_from(*pipeline(data)).sw0
 
 
 class TestArmShortcut:
@@ -188,9 +188,10 @@ class TestArmShortcut:
     def test_nontrivial_offset(self):
         data = dn_seifert(4)
         lattice, group = pipeline(data)
+        table = torsion_table(lattice, group)
         for h in group.elements():
             assert seifert_torsion_shortcut(data, lattice, group, h) == \
-                torsion_table(lattice, group, h).t_at_1
+                table.at(group, h)
 
 
 class TestFewArms:
@@ -213,12 +214,13 @@ class TestFewArms:
         cw, k2, ks = seifert_casson_walker(data), seifert_k2nv(data), ks_route(data)
         values = [data.e, data.kappa, data.rho0, cw, k2, ks.ks]
         assert cw == casson_walker(lattice) and k2 == k2_plus_nv(lattice)
+        table = torsion_table(lattice, group)
         for h in (group.identity, next(reversed(list(group.elements())))):
             shortcut = seifert_torsion_shortcut(data, lattice, group, h)
-            assert shortcut == torsion_table(lattice, group, h).t_at_1
+            assert shortcut == table.at(group, h)
             values.append(shortcut)
         if ks.applicable:
-            assert ks.sw0_ks == sw0(lattice, group)
+            assert ks.sw0_ks == compute_report_from(lattice, group).sw0
             values.append(ks.sw0_ks)
         assert all(type(v) is Fraction for v in values)
 
@@ -249,7 +251,8 @@ class TestShortcutDifferential:
         assert {data.nu for data in samples} == set(range(6))
         for data in samples:
             lattice, group = pipeline(data)
+            table = torsion_table(lattice, group)
             last = next(reversed(list(group.elements())))
             for h in (group.identity, last):
                 assert seifert_torsion_shortcut(data, lattice, group, h) == \
-                    torsion_table(lattice, group, h).t_at_1, (data, h)
+                    table.at(group, h), (data, h)

@@ -1,8 +1,12 @@
-"""Only the two calls that build H take the |H| cap.
+"""Only the two calls that build H take the |H| cap; only four take a spin^c offset.
 
 The cap is checked once, on |det I|, where the group is built; every
 enumeration below that point runs over a group already known to be small
 enough, so no other callable may take a `max_order` parameter.
+
+The torsion transform is computed once, for the canonical structure, and a
+spin^c offset h_sigma is a point at which it is evaluated.  So `h_sigma` is a
+parameter only where it names that point, never of the transform itself.
 """
 
 import importlib
@@ -12,6 +16,10 @@ import pkgutil
 import swplumb
 
 CAP_TAKERS = {"swplumb.homology.homology_from_lattice", "swplumb.report.compute_report"}
+OFFSET_TAKERS = {"swplumb.torsion.swiden_consistency",
+                 "swplumb.seifert.seifert_torsion_shortcut",
+                 "swplumb.homology.spinc_quadratic",
+                 "swplumb.homology.spinc_conjugate"}
 
 
 def package_callables():
@@ -45,3 +53,12 @@ def test_only_the_group_builders_take_max_order():
     takers = {name for name, obj in names.items()
               if "max_order" in inspect.signature(obj).parameters}
     assert takers == CAP_TAKERS
+
+
+def test_only_the_evaluation_points_take_h_sigma():
+    names = dict(package_callables())
+    assert {"swplumb.torsion.torsion_table", "swplumb.torsion.TorsionTable.at",
+            "swplumb.torsion.fourier_average"} <= set(names)
+    takers = {name for name, obj in names.items()
+              if "h_sigma" in inspect.signature(obj).parameters}
+    assert takers == OFFSET_TAKERS

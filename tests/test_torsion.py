@@ -11,14 +11,18 @@ from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
 from swplumb.homology import homology_from_lattice, spinc_conjugate
 from swplumb.plumbing import build_lattice, casson_walker
 from swplumb.seifert import lens_chain, star_graph
-from swplumb.torsion import (WeightVector, conjecture_gap, delta_at_one_check,
-                             regularized_product, sw0, swiden_consistency,
-                             torsion_function, torsion_table, weight_vector)
+from swplumb.torsion import (WeightVector, delta_at_one_check,
+                             regularized_product, swiden_consistency,
+                             torsion_table, weight_vector)
 
 
 def pipeline(graph):
     lattice = build_lattice(graph)
     return lattice, homology_from_lattice(lattice)
+
+
+def graph_report(graph):
+    return report.compute_report_from(*pipeline(graph))
 
 
 class TestWeightVector:
@@ -133,17 +137,15 @@ class TestTorsionTable:
         assert torsion_table(lattice, group).t_at_1 == Fraction(8, 9)
 
     def test_symmetry_under_conjugation(self):
+        # T(h) = T(conjugate of h) for every h; by Fourier uniqueness this is
+        # R(chi) = chibar(c) * R(chibar) for every character
         for name, graph in standard_corpus():
             lattice, group = pipeline(graph)
             if not 1 < group.order <= 200:
                 continue
-            elems = list(group.elements())
-            for h in (group.identity, elems[-1]):
-                table = torsion_table(lattice, group, h)
-                conj = torsion_table(lattice, group,
-                                     spinc_conjugate(lattice, group, h))
-                for chi, val in table.entries.items():
-                    assert val == conj.entries[group.conjugate_character(chi)], name
+            tfun = torsion_table(lattice, group).invert(group)
+            for h, t in tfun.items():
+                assert t == tfun[spinc_conjugate(lattice, group, h)], (name, h)
 
 
 def small_corpus():
@@ -161,25 +163,11 @@ class TestFourierInversion:
             lam_over_h = casson_walker(lattice) / group.order
             rows = report.compute_report_from(lattice, group, all_spinc=True).spinc_table
             want = [(h, t - lam_over_h)
-                    for h, t in torsion_function(lattice, group).items()]
+                    for h, t in torsion_table(lattice, group).invert(group).items()]
             assert list(rows) == want, name
             if group.rank > 1:
                 noncyclic.add(name)
         assert {"D4", "3arm(m=2)", "polygonal(2^5)"} <= noncyclic
-
-    def test_twisted_table_inverts_to_the_shifted_spinc_row(self):
-        # chibar(h) * chibar(h_sigma) = chibar(h + h_sigma): inverting the table
-        # twisted by h_sigma reads the untwisted inversion shifted by h_sigma
-        for name, lattice, group in small_corpus():
-            lam_over_h = casson_walker(lattice) / group.order
-            rows = dict(report.compute_report_from(lattice, group,
-                                                   all_spinc=True).spinc_table)
-            elems = list(group.elements())
-            for h_sigma in (elems[1], elems[-1]):
-                values = torsion_table(lattice, group, h_sigma).invert(group)
-                assert list(values) == elems, name
-                for h, t in values.items():
-                    assert t - lam_over_h == rows[group.add(h_sigma, h)], (name, h)
 
     def test_all_spinc_runs_one_forward_transform(self, monkeypatch):
         calls = []
@@ -226,33 +214,28 @@ class TestOrderCapBeforeField:
 
 class TestMonopoleCount:
     def test_single_vertex(self):
-        lattice, group = pipeline(a_chain(2))
-        assert sw0(lattice, group) == Fraction(1, 8)
+        assert graph_report(a_chain(2)).sw0 == Fraction(1, 8)
 
     def test_three_arm_m3(self):
-        lattice, group = pipeline(star_graph(three_arm_family(3)))
-        assert sw0(lattice, group) == Fraction(5, 9) + Fraction(7, 36)
+        assert graph_report(star_graph(three_arm_family(3))).sw0 \
+            == Fraction(5, 9) + Fraction(7, 36)
 
     def test_dihedral(self):
         from swplumb.corpus import dn_seifert
-        lattice, group = pipeline(star_graph(dn_seifert(4)))
-        assert sw0(lattice, group) == Fraction(1, 2)
+        assert graph_report(star_graph(dn_seifert(4))).sw0 == Fraction(1, 2)
 
 
 class TestConjectureGap:
     def test_lens_chains_close(self):
         for p, q in [(2, 1), (5, 3), (11, 4), (12, 7)]:
-            lattice, group = pipeline(lens_chain(p, q))
-            assert conjecture_gap(lattice, group) == 0
+            assert graph_report(lens_chain(p, q)).conjecture_gap == 0
 
     def test_three_arm_family_closes(self):
         for m in (2, 4, 5):
-            lattice, group = pipeline(star_graph(three_arm_family(m)))
-            assert conjecture_gap(lattice, group) == 0
+            assert graph_report(star_graph(three_arm_family(m))).conjecture_gap == 0
 
     def test_nonstar_graph_gap_one(self):
-        lattice, group = pipeline(nonstar_13_vertex())
-        assert conjecture_gap(lattice, group) == 1
+        assert graph_report(nonstar_13_vertex()).conjecture_gap == 1
 
 
 class TestQuadraticIdentities:
