@@ -3,10 +3,10 @@
 Everything here is exact.  Rational numbers are `fractions.Fraction`, integer
 matrices keep arbitrary-precision entries, and elements of Q(zeta_N) are stored
 as integer coefficient vectors over a common denominator, reduced modulo the
-N-th cyclotomic polynomial.  No floating point is used in this module (the
-package's one floating-point check is `homology.gauss_sum_check`).  `CycNum`
-has ring operations only; the one inverse the torsion and the Dedekind sums
-need, 1/(zeta^a - 1), has a closed form in `CyclotomicField.inv_root_minus_one`.
+N-th cyclotomic polynomial: the reference arithmetic, never built by the torsion
+pipeline.  No floating point (the package's one such check is `homology.gauss_sum_check`).
+`CycNum` has ring operations only; 1/(zeta^a - 1), the one inverse the reference
+and the Dedekind sums need, has a closed form in `CyclotomicField.inv_root_minus_one`.
 """
 
 from __future__ import annotations

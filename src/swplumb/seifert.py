@@ -18,7 +18,7 @@ from .dedekind import dedekind_symbol, dr_sum
 from .errors import InternalInvariantViolated
 from .homology import FinAbGroup, GroupElement
 from .plumbing import LatticeData, PlumbingGraph
-from .torsion import fourier_average, regularized_factor_product
+from .torsion import orbit_table
 
 
 def hj_expand(alpha: int, omega: int):
@@ -140,9 +140,9 @@ def star_graph(data: SeifertData) -> PlumbingGraph:
 
 
 def star_vertex_ids(data: SeifertData):
-    """(center id, tuple of arm-end ids) in the layout used by star_graph."""
-    ends = tuple(f"a{i}v{len(hj_expand(a, w)) - 1}" for i, (a, w) in enumerate(data.arms))
-    return "c", ends
+    """(center id, arm-end ids...) in the layout used by star_graph."""
+    return ("c",) + tuple(f"a{i}v{len(hj_expand(a, w)) - 1}"
+                          for i, (a, w) in enumerate(data.arms))
 
 
 def lens_chain(p: int, q: int) -> PlumbingGraph:
@@ -269,23 +269,13 @@ def seifert_torsion_shortcut(data: SeifertData, lattice: LatticeData,
     """Torsion at h_sigma using only the central and arm-end generators.
 
     Factors (chi(g_center), nu - 2, alpha) and (chi(g_end_i), -1, alpha/alpha_i),
-    with the weights read off the Seifert data, go through the same regularized
-    product and Fourier average as the generic route; must agree with it on
-    every star graph.
+    with the weights read off the Seifert data, go through the same orbit
+    table as the generic route; must agree with it on every star graph.
     """
-    if h_sigma is None:
-        h_sigma = group.identity
-    center_id, end_ids = star_vertex_ids(data)
-    center = lattice.index_of(center_id)
-    ends = [lattice.index_of(i) for i in end_ids]
-    images = group.generator_images
-    arm_weights = [data.alpha // a for a, _ in data.arms]
-    products = []
-    for chi in group.characters():
-        if chi.is_trivial:
-            continue
-        factors = [(group.char_exponent(chi, images[center]), data.nu - 2, data.alpha)]
-        factors += [(group.char_exponent(chi, images[v]), -1, w)
-                    for v, w in zip(ends, arm_weights)]
-        products.append((chi, regularized_factor_product(group.field, factors)))
-    return fourier_average(group, products, h_sigma)
+    images = [group.generator_images[lattice.index_of(i)] for i in star_vertex_ids(data)]
+    powers = [(data.nu - 2, data.alpha)] + [(-1, data.alpha // a) for a, _ in data.arms]
+
+    def factors_of(chi):
+        return [(group.char_exponent(chi, g), p, w) for g, (p, w) in zip(images, powers)]
+
+    return orbit_table(group, factors_of).at(group, h_sigma or group.identity)

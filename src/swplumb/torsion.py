@@ -4,24 +4,20 @@ For a nontrivial character chi the transform is a finite product over vertices
 of (chi(g_v) - 1)^(deg v - 2), regularized when some chi(g_v) = 1 by an exact
 order count at t = 1: a factor t^(w_v) * chi(g_v) - 1 with chi(g_v) = 1 carries
 one order of (t - 1) and unit part w_v, where the weights w solve
-I w = -m e_(v0).  Everything stays in Q(zeta_N), N = exp(H); no numeric limits.
+I w = -m e_(v0).  No numeric limits.
 
-Every torsion value goes through two helpers: `regularized_factor_product`
-(the order-counted product of a factor list) and `fourier_average`
-((1/|H|) sum_chi chibar(h) * value, certified rational).  The generic route
-passes one factor per vertex with deg v != 2; the Seifert arm shortcut passes
-the center and the arm ends.
-
-The transform is computed once, for the canonical structure.  Every other
-spin^c structure is a translate of it, T_{h*sigma_can}(1) = T_{sigma_can}(h),
-so a spin^c offset is a point at which the one transform is evaluated.
+Since R(chi^u) = sigma_u(R(chi)), `orbit_table` takes one trace per Galois
+orbit, of R(chi) in Q[x]/(x^d - 1) against the Ramanujan sum c_d, d the order
+of chi; `regularized_product`, one Q(zeta_N) product per character, is the
+reference.  The transform is computed once, for the canonical structure:
+T_{h*sigma_can}(1) = T_{sigma_can}(h), so a spin^c offset is an evaluation point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import InternalInvariantViolated, InvalidBaseVertex
 from .exact import CycNum
@@ -65,69 +61,9 @@ def weight_vector(lattice: LatticeData, v0: int) -> WeightVector:
     return WeightVector(v0=v0, m=m, w=tuple(w))
 
 
-def regularized_factor_product(field, factors) -> CycNum:
-    """prod (t^w * zeta^e - 1)^d at t = 1 over the factors (e, d, w), exactly.
-
-    A factor with e = 0 carries d orders of (t - 1) and unit part w^d; any
-    other factor is (zeta^e - 1)^d.  Total order s > 0 gives 0, s = 0 gives
-    the closed-form product, s < 0 (an infinite limit) is an internal error.
-    """
-    order = sum(d for e, d, _ in factors if e == 0)
-    if order > 0:
-        return field.zero()
-    if order < 0:
-        raise InternalInvariantViolated(
-            "negative regularization order; the limit would be infinite")
-    scalar = Fraction(1)
-    value = None
-    inverse_exponents = []
-    for e, d, w in factors:
-        if e == 0:
-            scalar *= Fraction(w) ** d
-        elif d > 0:
-            factor = field.root_minus_one(e)
-            for _ in range(d):
-                value = factor if value is None else value * factor
-        else:
-            inverse_exponents.extend([e] * (-d))
-    for e in inverse_exponents:
-        factor = field.inv_root_minus_one(e)
-        value = factor if value is None else value * factor
-    if value is None:
-        value = field.one()
-    return value * scalar
-
-
-def fourier_average(group: FinAbGroup, values, h: GroupElement) -> Fraction:
-    """(1/|H|) sum_chi chibar(h) * value over the (chi, value) pairs, as a Fraction.
-
-    Raises NotRational unless the sum lies in Q.
-    """
-    field = group.field
-    total = field.zero()
-    for chi, value in values:
-        if value.is_zero:
-            continue
-        e = group.char_exponent(chi, h)
-        total = total + (value * field.root_of_unity(-e) if e else value)
-    return (total * Fraction(1, group.order)).as_rational()
-
-
-def _product_from_exponents(lattice, group, exps, wv: WeightVector) -> CycNum:
-    """Regularized product over vertices of (chi(g_v) - 1)^(deg v - 2).
-
-    `exps` lists the exponent of chi(g_v) against the fixed root of unity; the
-    vertices with deg v != 2 are the factors, with the weights of `wv`.
-    """
-    degrees = lattice.degrees
-    return regularized_factor_product(
-        group.field, [(exps[v], degrees[v] - 2, wv.w[v])
-                      for v in range(lattice.size) if degrees[v] != 2])
-
-
 def regularized_product(lattice: LatticeData, group: FinAbGroup,
                         chi: Character, wv: WeightVector) -> CycNum:
-    """Public regularized product for a nontrivial chi and admissible base vertex.
+    """Reference R(chi): the regularized vertex product, one element of Q(zeta_N).
 
     The base vertex must satisfy chi(g_v0) != 1 or have a neighbor u with
     chi(g_u) != 1; otherwise InvalidBaseVertex is raised.
@@ -138,7 +74,92 @@ def regularized_product(lattice: LatticeData, group: FinAbGroup,
     if exps[wv.v0] == 0 and all(exps[u] == 0 for u in lattice.neighbors[wv.v0]):
         raise InvalidBaseVertex(
             f"vertex {wv.v0} and all its neighbors are fixed by the character")
-    return _product_from_exponents(lattice, group, exps, wv)
+    field, degrees = group.field, lattice.degrees
+    order = sum(degrees[v] - 2 for v, e in enumerate(exps) if e == 0)
+    if order > 0:
+        return field.zero()
+    if order < 0:
+        raise InternalInvariantViolated(
+            "negative regularization order; the limit would be infinite")
+    value = field.one()
+    for v, e in enumerate(exps):
+        p = degrees[v] - 2
+        if e == 0:
+            value = value * Fraction(wv.w[v]) ** p
+        elif p:
+            factor = field.root_minus_one(e) if p > 0 else field.inv_root_minus_one(e)
+            for _ in range(abs(p)):
+                value = value * factor
+    return value
+
+
+def _moebius_terms(d: int) -> list:
+    """(q, mu(d/q)) for the q | d with d/q squarefree: c_d(n) = sum of mu(d/q) q over q | n."""
+    terms, rest, p = [(d, 1)], d, 2
+    while rest > 1:
+        p = p if p * p <= rest else rest
+        if rest % p == 0:
+            terms += [(q // p, -m) for q, m in terms]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return terms
+
+
+def _orbit_product(d: int, factors):
+    """prod (t^w * x^a - 1)^p at t = 1 in Q[x]/(x^d - 1) over the factors (a, p, w).
+
+    (numerators, denominator), equal to R(chi^u) at x = zeta_d^u for every unit u,
+    or None when R vanishes; a factor with a = 0 has p orders of (t - 1), unit part w^p.
+    """
+    order = sum(p for a, p, _ in factors if a == 0)
+    if order > 0:
+        return None
+    if order < 0:
+        raise InternalInvariantViolated(
+            "negative regularization order; the limit would be infinite")
+    scalar = prod((Fraction(w) ** p for a, p, w in factors if a == 0), start=Fraction(1))
+    f, den = [scalar.numerator] + [0] * (d - 1), scalar.denominator
+    for a, p, _ in factors:
+        if a == 0:
+            continue
+        for _ in range(p):          # times x^a - 1: shift and subtract
+            f = [x - y for x, y in zip(f[-a:] + f[:-a], f)]
+        for _ in range(-p):         # times 1/(x^a - 1) = (1/k) sum_{i<k} i x^(a i)
+            k, out = d // gcd(a, d), [0] * d
+            for r in range(d // k):     # one running sum along each coset r + <a>
+                run = [f[(r + a * i) % d] for i in range(k)]
+                # out[r] = sum_i i f[r - a i]; then out[t + a] = out[t] + sum(run) - k f[t + a]
+                value, total = sum((-i % k) * x for i, x in enumerate(run)), sum(run)
+                for i in range(k):
+                    out[(r + a * i) % d] = value
+                    value += total - k * run[(i + 1) % k]
+            f, den = out, den * k
+    return f, den
+
+
+def orbit_table(group: FinAbGroup, factors_of) -> TorsionTable:
+    """R(chi) of one character per Galois orbit, whose trace carries the whole orbit.
+
+    factors_of(chi) lists the factors (e, p, w) of R(chi): (t^w * zeta^e - 1)^p,
+    zeta the fixed primitive exp(H)-th root.
+    """
+    n, dims = group.exponent, group.invariant_factors
+    strides = [prod(dims[i + 1:]) for i in range(len(dims))]
+    seen = bytearray(group.order)     # visited characters, by lexicographic position
+    orbits, pos = [], 0               # the trivial character, at 0, contributes 0
+    while (pos := seen.find(0, pos + 1)) >= 0:
+        k = tuple(pos // s % m for s, m in zip(strides, dims))
+        d = lcm(*(m // gcd(m, x) for x, m in zip(k, dims)))    # the order of chi
+        for u in range(1, d):
+            if gcd(u, d) == 1:
+                seen[sum(u * x % m * s for x, m, s in zip(k, dims, strides))] = 1
+        chi = Character(k)
+        product = _orbit_product(d, [(e * d // n, p, w) for e, p, w in factors_of(chi)])
+        if product is not None:
+            orbits.append((chi, *product, _moebius_terms(d)))
+    table = TorsionTable(orbits=tuple(orbits), t_at_1=None)
+    return replace(table, t_at_1=table.at(group, group.identity))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,48 +170,32 @@ class TorsionTable:
     at h.  `at` reads one point, `invert` the whole function on H.
     """
 
-    entries: dict            # Character -> CycNum, trivial character -> 0
-    t_at_1: Fraction         # at(identity), certified rational
+    orbits: tuple    # (chi, numerators, denominator, Moebius terms of c_d) per orbit, R != 0
+    t_at_1: Fraction
 
     def at(self, group: FinAbGroup, h: GroupElement) -> Fraction:
-        """T(h) = (1/|H|) sum_chi chibar(h) * R(chi)."""
-        return fourier_average(group, self.entries.items(), h)
+        """(1/|H|) sum over the orbits of the trace sum_j f_j c_d(j - e), chi(h) = zeta_d^e."""
+        total = Fraction(0)
+        for chi, num, den, terms in self.orbits:
+            e = group.char_exponent(chi, h) * len(num) // group.exponent
+            total += Fraction(sum(m * q * sum(num[e % q::q]) for q, m in terms), den)
+        return total / group.order
 
     def invert(self, group: FinAbGroup) -> dict:
         """{h: T(h)} over H, lexicographic."""
         return {h: self.at(group, h) for h in group.elements()}
 
 
-def _transform_values(lattice, group):
-    """(chi, R(chi)) for every character: the regularized vertex product, 0 at chi = 1."""
-    n = lattice.size
-    images = group.generator_images
-    wv_cache = {}
-    out = []
-    for chi in group.characters():
-        if chi.is_trivial:
-            out.append((chi, group.field.zero()))
-            continue
-        exps = [group.char_exponent(chi, images[v]) for v in range(n)]
-        vstar = next(v for v in range(n) if exps[v])
-        wv = wv_cache.get(vstar)
-        if wv is None:
-            wv = weight_vector(lattice, vstar)
-            wv_cache[vstar] = wv
-        out.append((chi, _product_from_exponents(lattice, group, exps, wv)))
-    return out
-
-
 def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:
-    """All Fourier coefficients of the torsion of the canonical structure.
+    """R(chi) over the vertices with deg v != 2, weighted from the first vertex chi moves."""
+    images, degrees = group.generator_images, lattice.degrees
 
-    Entry at chi is the regularized vertex product at chi; the trivial
-    character contributes 0.  t_at_1 averages the entries and must come out
-    rational (a Galois-stability fact, asserted by construction).
-    """
-    entries = dict(_transform_values(lattice, group))
-    return TorsionTable(entries=entries,
-                        t_at_1=fourier_average(group, entries.items(), group.identity))
+    def factors_of(chi):
+        exps = [group.char_exponent(chi, g) for g in images]
+        w = weight_vector(lattice, next(v for v, e in enumerate(exps) if e)).w
+        return [(exps[v], degrees[v] - 2, w[v]) for v in range(lattice.size) if degrees[v] != 2]
+
+    return orbit_table(group, factors_of)
 
 
 def swiden_consistency(lattice: LatticeData, group: FinAbGroup,

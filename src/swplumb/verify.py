@@ -356,7 +356,7 @@ def torsion_props():
         if group.order == 1 or group.order > 200:
             continue
         # base-vertex and scale independence
-        wv_cache = {}
+        wv_cache, transform = {}, []
         for chi in group.characters():
             if chi.is_trivial:
                 continue
@@ -375,15 +375,20 @@ def torsion_props():
             total += 1
             if len(values) != 1:
                 failures.append(("independence", name, chi.exponents))
+            transform.append((chi, values.pop()))
         # conjugation symmetry: T(h) = T(conjugate of h) on all of H, which by
         # Fourier uniqueness is R(chi) = chibar(c) * R(chibar) for every chi
-        tfun = torsion_table(lattice, group).invert(group)
+        tfun, field = torsion_table(lattice, group).invert(group), group.field
         for h, t in tfun.items():
-            total += 1
+            total += 2
             if t != tfun[spinc_conjugate(lattice, group, h)]:
                 failures.append(("symmetry", name, h))
-    return [_summary("torsion transform: order counting, independence, symmetry",
-                     failures, total)]
+            reference = sum((field.root_of_unity(-group.char_exponent(chi, h)) * r
+                             for chi, r in transform), field.zero()) * Fraction(1, group.order)
+            if t != reference.as_rational():
+                failures.append(("reference", name, h))
+    return [_summary("torsion transform: order counting, independence, symmetry, "
+                     "reference", failures, total)]
 
 
 def swiden_family():

@@ -312,3 +312,18 @@ def test_internal_failure_exit_code(monkeypatch, capsys, error):
     code, _, err = run_cli(capsys, "lens", "7", "3")
     assert code == EXIT_MISMATCH
     assert error.__name__ in err
+
+
+@pytest.mark.parametrize("argv, order, matches", [
+    (("lens", "10007", "3"), 10007, 3),
+    (("seifert", "--b", "-3", "--arm", "2/1", "--arm", "3/1", "--arm", "7/1",
+      "--arm", "11/3"), 809, 4),
+])
+def test_large_order_closed_forms_match(capsys, argv, order, matches):
+    # one trace per Galois orbit: the cost follows |H|, not phi(N)^2 per character
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0].split() == ["|H|", str(order)]
+    flagged = [line for line in out.splitlines() if line.endswith("]")]
+    assert len(flagged) == matches
+    assert all(line.endswith("[MATCH]") for line in flagged)

@@ -1,9 +1,10 @@
-"""Roots of unity are built only where the torsion kernel and its oracles live.
+"""Roots of unity are built only in the reference arithmetic and its oracles.
 
-Every torsion character sum goes through the two helpers in `torsion.py`, so
-no other module builds zeta^a, zeta^a - 1 or its inverse itself.  The only
-other callers are the `Q(zeta_N)` code in `exact.py` and the two oracles that
-check it: `dedekind.fourier_identity_suite` and `verify.cyclotomic_props`.
+The torsion pipeline takes one trace per Galois orbit and builds no root of
+unity.  The only callers are the `Q(zeta_N)` code in `exact.py`, the reference
+product `torsion.regularized_product`, and the oracles that check them:
+`dedekind.fourier_identity_suite`, `verify.cyclotomic_props` and
+`verify.torsion_props`.
 """
 
 import ast
@@ -13,9 +14,9 @@ import swplumb
 
 SOURCES = sorted(Path(swplumb.__file__).parent.glob("*.py"))
 ROOT_BUILDERS = {"root_of_unity", "root_minus_one", "inv_root_minus_one"}
-ALLOWED = {"exact.py": None, "torsion.py": None,
+ALLOWED = {"exact.py": None, "torsion.py": {"regularized_product"},
            "dedekind.py": {"fourier_identity_suite"},
-           "verify.py": {"cyclotomic_props"}}
+           "verify.py": {"cyclotomic_props", "torsion_props"}}
 
 
 def root_calls(path):
@@ -32,13 +33,18 @@ def root_calls(path):
                 yield owner, name
 
 
-def test_scan_sees_the_kernel():
-    calls = {name for path in SOURCES if path.name == "torsion.py"
-             for _, name in root_calls(path)}
-    assert calls == ROOT_BUILDERS
+def test_scan_sees_the_reference():
+    calls = {call for path in SOURCES if path.name in ("torsion.py", "verify.py")
+             for call in root_calls(path)}
+    assert calls == {("regularized_product", "root_minus_one"),
+                     ("regularized_product", "inv_root_minus_one"),
+                     ("cyclotomic_props", "root_of_unity"),
+                     ("cyclotomic_props", "root_minus_one"),
+                     ("cyclotomic_props", "inv_root_minus_one"),
+                     ("torsion_props", "root_of_unity")}
 
 
-def test_root_builders_called_only_in_the_kernel_and_its_oracles():
+def test_root_builders_called_only_in_the_reference_and_its_oracles():
     stray = []
     for path in SOURCES:
         allowed = ALLOWED.get(path.name, set())

@@ -58,7 +58,7 @@ def test_only_the_group_builders_take_max_order():
 def test_only_the_evaluation_points_take_h_sigma():
     names = dict(package_callables())
     assert {"swplumb.torsion.torsion_table", "swplumb.torsion.TorsionTable.at",
-            "swplumb.torsion.fourier_average"} <= set(names)
+            "swplumb.torsion.orbit_table"} <= set(names)
     takers = {name for name, obj in names.items()
               if "h_sigma" in inspect.signature(obj).parameters}
     assert takers == OFFSET_TAKERS

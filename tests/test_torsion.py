@@ -1,6 +1,8 @@
 """Torsion transform: regularization, tables, monopole counts, identities."""
 
+import random
 from fractions import Fraction
+from math import floor, gcd
 
 import pytest
 
@@ -10,7 +12,8 @@ from swplumb.corpus import (a_chain, nonstar_13_vertex, standard_corpus,
 from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
 from swplumb.homology import homology_from_lattice, spinc_conjugate
 from swplumb.plumbing import build_lattice, casson_walker
-from swplumb.seifert import lens_chain, star_graph
+from swplumb.seifert import (SeifertData, lens_chain, seifert_torsion_shortcut,
+                             star_graph)
 from swplumb.torsion import (WeightVector, delta_at_one_check,
                              regularized_product, swiden_consistency,
                              torsion_table, weight_vector)
@@ -57,18 +60,26 @@ class TestRegularizedProduct:
         assert value == group.field.rational(Fraction(1, 4))
 
     def test_lens_product_shape(self):
+        # L(7,3) has one Galois orbit; its polynomial f at zeta^u is R(chi0^u),
+        # the product of the two end factors 1/(chi(g_v) - 1)
         lattice, group = pipeline(lens_chain(7, 3))
         field = group.field
-        table = torsion_table(lattice, group)
+        (chi0, num, den, _), = torsion_table(lattice, group).orbits
         ends = [v for v in range(lattice.size) if lattice.degrees[v] == 1]
         for chi in group.characters():
             if chi.is_trivial:
                 continue
+            u = chi.exponents[0] * pow(chi0.exponents[0], -1, 7) % 7
+            conjugate = [Fraction(0)] * 7
+            for j, x in enumerate(num):
+                conjugate[u * j % 7] += Fraction(x, den)
             exps = [group.char_exponent(chi, group.generator_images[v])
                     for v in ends]
             want = field.inv_root_minus_one(exps[0]) \
                 * field.inv_root_minus_one(exps[1])
-            assert table.entries[chi] == want
+            assert field.element(conjugate) == want
+            assert regularized_product(lattice, group, chi,
+                                       weight_vector(lattice, ends[0])) == want
 
     def test_inadmissible_base_vertex(self):
         # on the m=3 family some characters fix the whole central region
@@ -121,12 +132,13 @@ class TestRegularizedProduct:
 
 class TestTorsionTable:
     def test_single_vertex(self):
+        # one orbit, d = 2: 1/(x - 1)^2 = (x/2)^2 = 1/4 in Q[x]/(x^2 - 1)
         lattice, group = pipeline(a_chain(2))
         table = torsion_table(lattice, group)
-        chis = list(group.characters())
-        assert table.entries[chis[0]].is_zero
-        assert table.entries[chis[1]] == group.field.rational(Fraction(1, 4))
+        assert [(chi.exponents, num, den) for chi, num, den, _ in table.orbits] \
+            == [((1,), [1, 0], 4)]
         assert table.t_at_1 == Fraction(1, 8)
+        assert table.at(group, (1,)) == Fraction(-1, 8)
 
     def test_chain_three(self):
         lattice, group = pipeline(a_chain(3))
@@ -171,18 +183,100 @@ class TestFourierInversion:
 
     def test_all_spinc_runs_one_forward_transform(self, monkeypatch):
         calls = []
-        real = torsion._transform_values
+        real = torsion.orbit_table
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
         # wherever the transform can be reached from the report
-        monkeypatch.setattr(torsion, "_transform_values", counted)
-        monkeypatch.setattr(report, "_transform_values", counted, raising=False)
+        monkeypatch.setattr(torsion, "orbit_table", counted)
+        monkeypatch.setattr(report, "orbit_table", counted, raising=False)
         lattice, group = pipeline(star_graph(three_arm_family(2)))
         assert report.compute_report_from(lattice, group, all_spinc=True).spinc_table
         assert len(calls) == 1
+
+
+def reference_torsion(lattice, group):
+    """{h: T(h)} as (1/|H|) sum_chi chibar(h) * regularized_product(chi), in Q(zeta_N).
+
+    as_rational certifies that every value is rational.
+    """
+    field = group.field
+    transform = []
+    for chi in group.characters():
+        if not chi.is_trivial:
+            vstar = next(v for v, g in enumerate(group.generator_images)
+                         if group.char_exponent(chi, g))
+            wv = weight_vector(lattice, vstar)
+            transform.append((chi, regularized_product(lattice, group, chi, wv)))
+    return {h: (sum((field.root_of_unity(-group.char_exponent(chi, h)) * value
+                     for chi, value in transform), field.zero())
+                * Fraction(1, group.order)).as_rational()
+            for h in group.elements()}
+
+
+def seeded_seifert(count=150, max_order=60):
+    """Seeded normalized Seifert data with 0-5 arms and 1 < |H| <= max_order."""
+    rng = random.Random(2)
+    out = []
+    while len(out) < count:
+        arms = []
+        for _ in range(rng.randrange(6)):
+            a = rng.randrange(2, 7)
+            arms.append((a, rng.choice([w for w in range(1, a) if gcd(a, w) == 1])))
+        b = -floor(sum(Fraction(w, a) for a, w in arms)) - 1 - rng.randrange(2)
+        data = SeifertData(b, arms)
+        if 1 < data.order_h <= max_order:
+            out.append(data)
+    return out
+
+
+class TestOrbitTableAgainstReference:
+    # one trace per Galois orbit against one Q(zeta_N) product per character
+
+    def test_corpus(self):
+        groups = set()
+        for name, graph in standard_corpus():
+            lattice, group = pipeline(graph)
+            if 1 < group.order <= 120:
+                assert torsion_table(lattice, group).invert(group) \
+                    == reference_torsion(lattice, group), name
+                groups.add(group.invariant_factors)
+        assert {(12,), (25,), (2, 2), (3, 9), (4, 12), (2, 2, 2, 2)} <= groups
+
+    def test_seeded_seifert(self):
+        orders, noncyclic = set(), 0
+        for data in seeded_seifert():
+            lattice, group = pipeline(star_graph(data))
+            want = reference_torsion(lattice, group)
+            assert torsion_table(lattice, group).invert(group) == want, data
+            for h, t in want.items():
+                assert seifert_torsion_shortcut(data, lattice, group, h) == t, (data, h)
+            orders.add(group.order)
+            noncyclic += group.rank > 1
+        assert {8, 9, 12, 27, 36, 48} <= orders
+        assert noncyclic >= 10
+        assert {len(data.arms) for data in seeded_seifert()} == set(range(6))
+
+
+class TestPipelineBuildsNoField:
+    def test_no_cyclotomic_field(self, monkeypatch):
+        from swplumb import cli, exact
+
+        def refuse_field(self, conductor):
+            raise AssertionError(f"Q(zeta_{conductor}) built on the pipeline")
+
+        exact.cyclotomic_field.cache_clear()    # a cached field would skip __init__
+        monkeypatch.setattr(exact.CyclotomicField, "__init__", refuse_field)
+        noncyclic = dict(standard_corpus())["3arm(m=4)"]
+        for graph in (noncyclic, lens_chain(97, 5)):
+            assert report.compute_report(graph, all_spinc=True).spinc_table
+        data = three_arm_family(2)
+        argv = ["seifert", "--b", str(data.b)]
+        for alpha, omega in data.arms:
+            argv += ["--arm", f"{alpha}/{omega}"]
+        assert cli.main(argv) == cli.EXIT_OK
 
 
 def refuse(*args, **kwargs):
