@@ -157,12 +157,17 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     while t < min(r, c):
         best = None
         pi = pj = -1
-        for i in range(t, r):
+        for i in range(t, r):   # the first entry of least |value|; no unit is beaten
+            row = m[i]
             for j in range(t, c):
-                val = m[i][j]
+                val = row[j]
                 if val and (best is None or abs(val) < best):
                     best = abs(val)
                     pi, pj = i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if best is None:
             break
         if pi != t:
@@ -187,16 +192,17 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide the whole trailing block
+            # pivot must divide the whole trailing block (a unit always does)
             p = m[t][t]
             bad = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if m[i][j] % p:
-                        bad = j
+            if abs(p) != 1:
+                for i in range(t + 1, r):
+                    for j in range(t + 1, c):
+                        if m[i][j] % p:
+                            bad = j
+                            break
+                    if bad is not None:
                         break
-                if bad is not None:
-                    break
             if bad is None:
                 break
             add_col(t, bad, 1)

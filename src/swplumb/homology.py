@@ -158,14 +158,12 @@ def homology_from_lattice(lattice: LatticeData, *,
 # ---------------------------------------------------------------------------
 
 def _pairing(lattice: LatticeData, a_vec, b_vec) -> Fraction:
-    """The rational extension (a, b) = a^T I^{-1} b in the dual basis."""
-    iinv = lattice.Iinv
-    total = Fraction(0)
-    for v, av in enumerate(a_vec):
-        if av:
-            row = iinv[v]
-            total += av * sum(bw * row[w] for w, bw in enumerate(b_vec) if bw)
-    return total
+    """The rational extension (a, b) = a^T I^{-1} b = -(a^T adj(-I) b) / |det I|."""
+    adj = lattice.adj
+    support = [(w, bw) for w, bw in enumerate(b_vec) if bw]
+    total = sum(av * sum(bw * adj[v][w] for w, bw in support)
+                for v, av in enumerate(a_vec) if av)
+    return Fraction(-total, lattice.order_h)
 
 
 def linking_form(lattice: LatticeData, group: FinAbGroup,

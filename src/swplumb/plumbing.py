@@ -3,6 +3,15 @@
 A plumbing graph here is a decorated tree: vertices carry Euler numbers e_v,
 edges are unordered pairs.  The intersection matrix I (I_vv = e_v, I_vw = 1 on
 edges) must be negative definite; everything downstream assumes it.
+
+On a tree the inverse has a closed form (Eisenbud-Neumann): with [u, v] the
+path from u to v,
+
+    (-I)^{-1}_uv = det(-I | graph minus [u, v]) / det(-I),
+
+so the adjugate of -I is a table of subtree determinants, computed in O(n)
+integer operations per row, and every consumer sums integers over it and
+divides by |det I| once.
 """
 
 from __future__ import annotations
@@ -73,12 +82,16 @@ class PlumbingGraph:
 
 @dataclass(frozen=True, eq=False)
 class LatticeData:
-    """Intersection lattice of a plumbing graph, with its exact inverse."""
+    """Intersection lattice of a plumbing graph, with the adjugate of -I.
+
+    On a tree, adj(-I)_uv = det(-I | graph minus the path [u, v]), a positive
+    integer when I is negative definite, and I^{-1} = -adj / |det I|.
+    """
 
     graph: PlumbingGraph
     ids: tuple
     I: IntMatrix
-    Iinv: tuple            # rows of Fractions
+    adj: tuple             # rows of integers: the adjugate of -I
     det: int
     order_h: int           # |det I|
     degrees: tuple
@@ -95,40 +108,90 @@ class LatticeData:
         return self.ids.index(vertex_id)
 
 
-def _alternating_inverse(rows):
-    """Fraction-free Gauss-Jordan on [A|Id] for a negative definite A.
+def _bfs(neighbors, root, within, parent):
+    """The vertices below `within` reachable from root, breadth first.
 
-    Pivots are the leading principal minors; their signs must alternate
-    starting negative, which is exactly negative definiteness.  Returns
-    (minors, det, adjugate_rows).
+    Fills parent[x] for each of them, -1 at the root; on a forest the parent is
+    the only visited neighbor, so no other bookkeeping is needed.
     """
-    n = len(rows)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    minors = []
-    prev = 1
-    for k in range(n):
-        p = m[k][k]
-        if p == 0 or (p > 0) != (k % 2 == 1):
-            raise NotNegativeDefinite(k + 1, p)
-        minors.append(p)
-        mk = m[k]
-        for i in range(n):
-            if i == k:
-                continue
-            mi = m[i]
-            f = mi[k]
-            for j in range(2 * n):
-                if j != k:
-                    mi[j] = (p * mi[j] - f * mk[j]) // prev
-            mi[k] = 0
-        prev = p
-    det = prev
-    adj = [row[n:] for row in m]
-    return minors, det, adj
+    parent[root] = -1
+    order = [root]
+    for x in order:
+        for y in neighbors[x]:
+            if y < within and y != parent[x]:
+                parent[y] = x
+                order.append(y)
+    return order
+
+
+def _subtree_dets(diag, order, parent):
+    """D[x] = det(-I | T_x) and B[x], the product of D over the children of x.
+
+    Leaves first: D[x] = diag[x] B[x] - sum_c B[c] prod_{c' != c} D[c'], with
+    diag = -e.  The sum grows one child at a time, so no D is divided by and a
+    zero or negative D (indefinite input) is carried exactly.
+    """
+    n = len(diag)
+    dets, below, rest = [0] * n, [1] * n, [0] * n
+    for x in reversed(order):
+        d = dets[x] = diag[x] * below[x] - rest[x]
+        p = parent[x]
+        if p >= 0:
+            rest[p] = rest[p] * d + below[x] * below[p]
+            below[p] *= d
+    return dets, below
+
+
+def _first_failing_minor(diag, neighbors) -> NotNegativeDefinite:
+    """The first leading principal minor of I, in input order, of the wrong sign or zero.
+
+    The first k vertices span a forest, and det(-I) on it is the product of D
+    over the roots of its components.
+    """
+    n = len(diag)
+    for k in range(1, n + 1):
+        parent, order, roots = [None] * n, [], []
+        for root in range(k):
+            if parent[root] is None:
+                roots.append(root)
+                order += _bfs(neighbors, root, k, parent)
+        dets, _ = _subtree_dets(diag, order, parent)
+        minor = 1
+        for x in roots:
+            minor *= dets[x]
+        if minor <= 0:
+            return NotNegativeDefinite(k, (-1) ** k * minor)
+    raise InternalInvariantViolated("no leading minor fails, yet a subtree determinant does")
+
+
+def _adjugate(diag, neighbors):
+    """adj(-I) row by row: one rooting per row u, walked down from u.
+
+    adj_uu = B[u]; for v below its parent p, the path [u, v] removes v from the
+    component T_v of graph minus [u, p], so adj_uv = adj_up / D[v] * B[v].
+    """
+    n = len(diag)
+    parent = [-1] * n
+    rows = []
+    for u in range(n):
+        order = _bfs(neighbors, u, n, parent)
+        dets, below = _subtree_dets(diag, order, parent)
+        row = [0] * n
+        row[u] = below[u]
+        for v in order[1:]:
+            row[v] = row[parent[v]] // dets[v] * below[v]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def build_lattice(graph: PlumbingGraph) -> LatticeData:
-    """Assemble I, verify tree shape and negative definiteness, invert exactly."""
+    """Assemble I, verify tree shape and negative definiteness, invert exactly.
+
+    Negative definiteness is Sylvester's criterion in a leaves-first order of
+    the tree rooted at the first vertex: each leading block is a union of
+    subtrees, so every subtree determinant D[x] must be positive.  The
+    adjugate is certified by I * adj = -|det I| * Id, summed over neighbors.
+    """
     ids = graph.ids
     n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
@@ -165,15 +228,29 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
         rows[i][j] = 1
         rows[j][i] = 1
 
-    _, det, adj = _alternating_inverse(rows)
-    iinv = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+    diag = [-e for e in eulers]
+    parent = [-1] * n
+    order = _bfs(adjacency, 0, n, parent)
+    dets, _ = _subtree_dets(diag, order, parent)
+    if min(dets) <= 0:
+        raise _first_failing_minor(diag, adjacency)
+    order_h = dets[0]
+    adj = _adjugate(diag, adjacency)
+    for v in range(n):
+        total = [eulers[v] * x for x in adj[v]]
+        for u in adjacency[v]:
+            total = [x + y for x, y in zip(total, adj[u])]
+        total[v] += order_h
+        if any(total):
+            raise InternalInvariantViolated("I * adj(-I) != -|det I| * Id")
 
     degrees = tuple(len(a) for a in adjacency)
     if sum(degrees) != 2 * n - 2:
         raise InternalInvariantViolated("degree sum violates the tree identity")
 
     z = tuple(e + 2 for e in eulers)
-    r = tuple(sum(iinv[v][w] * z[w] for w in range(n) if z[w]) for v in range(n))
+    support = [w for w in range(n) if z[w]]
+    r = tuple(Fraction(-sum(row[w] * z[w] for w in support), order_h) for row in adj)
     # adjunction system check: I * r = z exactly
     for v in range(n):
         total = rows[v][v] * r[v] + sum(r[w] for w in adjacency[v])
@@ -184,9 +261,9 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
         graph=graph,
         ids=ids,
         I=IntMatrix(rows),
-        Iinv=iinv,
-        det=det,
-        order_h=abs(det),
+        adj=adj,
+        det=(-1) ** n * order_h,
+        order_h=order_h,
         degrees=degrees,
         neighbors=tuple(tuple(a) for a in adjacency),
         z=z,
@@ -199,28 +276,23 @@ def k2_plus_nv(lattice: LatticeData) -> Fraction:
     """The self-intersection of the canonical cycle plus the vertex count.
 
     Evaluated through the degree-weighted corner formula and cross-checked
-    against the full double sum over the inverse matrix.
+    against the full double sum over the inverse matrix, both in integers
+    over adj(-I) with one division by |det I| at the end.
     """
     n = lattice.size
-    iinv = lattice.Iinv
+    adj = lattice.adj
     degrees = lattice.degrees
     base = sum(lattice.graph.euler_numbers) + 3 * n
 
     special = [v for v in range(n) if degrees[v] != 2]
-    corner = Fraction(0)
-    for v in special:
-        cv = 2 - degrees[v]
-        row = iinv[v]
-        corner += cv * sum((2 - degrees[w]) * row[w] for w in special)
-    value = base + 2 + corner
+    corner = sum((2 - degrees[v]) * sum((2 - degrees[w]) * adj[v][w] for w in special)
+                 for v in special)
+    value = base + 2 - Fraction(corner, lattice.order_h)
 
     z = lattice.z
-    naive = Fraction(0)
     support = [v for v in range(n) if z[v]]
-    for v in support:
-        row = iinv[v]
-        naive += z[v] * sum(z[w] * row[w] for w in support)
-    naive += n
+    double = sum(z[v] * sum(z[w] * adj[v][w] for w in support) for v in support)
+    naive = n - Fraction(double, lattice.order_h)
     if value != naive:
         raise InternalInvariantViolated(
             f"corner formula {value} != double-sum formula {naive}")
@@ -230,10 +302,10 @@ def k2_plus_nv(lattice: LatticeData) -> Fraction:
 def casson_walker(lattice: LatticeData) -> Fraction:
     """Casson-Walker invariant (Lescop normalization) from the graph data."""
     n = lattice.size
-    total = sum(lattice.graph.euler_numbers) + 3 * n
-    total += sum((2 - lattice.degrees[v]) * lattice.Iinv[v][v] for v in range(n)
-                 if lattice.degrees[v] != 2)
-    return Fraction(-lattice.order_h, 24) * total
+    corner = sum((2 - d) * lattice.adj[v][v] for v, d in enumerate(lattice.degrees)
+                 if d != 2)
+    total = (sum(lattice.graph.euler_numbers) + 3 * n) * lattice.order_h - corner
+    return Fraction(-total, 24)
 
 
 def numerically_gorenstein(lattice: LatticeData) -> bool:

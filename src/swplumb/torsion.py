@@ -36,19 +36,16 @@ class WeightVector:
 
 
 def weight_vector(lattice: LatticeData, v0: int) -> WeightVector:
-    """Weights for base vertex v0: minus the v0-column of I^{-1}, cleared and primitive."""
+    """Weights for base vertex v0: the v0-column of adj(-I), made primitive.
+
+    I adj(-I) = -|det I| Id, so the column over its gcd g solves I w = -m e_(v0)
+    with m = |det I| / g.
+    """
     n = lattice.size
-    column = [lattice.Iinv[v][v0] for v in range(n)]
-    m = 1
-    for c in column:
-        m = m * c.denominator // gcd(m, c.denominator)
-    w = [int(-m * c) for c in column]
-    g = 0
-    for x in w:
-        g = gcd(g, x)
-    if g > 1:
-        w = [x // g for x in w]
-        m //= g
+    column = [row[v0] for row in lattice.adj]
+    g = gcd(*column)
+    w = [x // g for x in column]
+    m = lattice.order_h // g
     if any(x <= 0 for x in w):
         raise InternalInvariantViolated("weights must be positive on a connected graph")
     # re-verify I w = -m e_(v0)
@@ -198,31 +195,31 @@ def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:
     return orbit_table(group, factors_of)
 
 
-def swiden_consistency(lattice: LatticeData, group: FinAbGroup,
-                       h_sigma: GroupElement = None) -> bool:
+def swiden_consistency(lattice: LatticeData, group: FinAbGroup, offsets=None) -> bool:
     """Exhaustive check of the two torsion/quadratic-function identities.
 
+    For each structure h_sigma * sigma_can, h_sigma in `offsets` (by default
+    the canonical structure alone), with T its torsion function:
     (a) T(1) - T(g) - T(h) + T(g+h) = -b_M(g, h) mod Z for all g, h;
     (b) h -> T(1) - T(h) equals the quadratic function of the structure mod Z.
+    The canonical table is built and inverted once for all offsets.
     """
-    if h_sigma is None:
-        h_sigma = group.identity
     torsion = torsion_table(lattice, group).invert(group)
     elements = list(group.elements())
-    # the structure h_sigma * sigma_can has torsion h -> T(h_sigma + h)
-    tfun = {h: torsion[group.add(h_sigma, h)] for h in elements}
-    t0 = tfun[group.identity]
-
     bmat = linking_matrix(lattice, group)
-    for g in elements:
-        tg = tfun[g]
+    for h_sigma in (group.identity,) if offsets is None else offsets:
+        # the structure h_sigma * sigma_can has torsion h -> T(h_sigma + h)
+        tfun = {h: torsion[group.add(h_sigma, h)] for h in elements}
+        t0 = tfun[group.identity]
+        for g in elements:
+            tg = tfun[g]
+            for h in elements:
+                lhs = t0 - tg - tfun[h] + tfun[group.add(g, h)]
+                if (lhs + linking_pairing(bmat, g, h)) % 1 != 0:
+                    return False
         for h in elements:
-            lhs = t0 - tg - tfun[h] + tfun[group.add(g, h)]
-            if (lhs + linking_pairing(bmat, g, h)) % 1 != 0:
+            if (t0 - tfun[h] - spinc_quadratic(lattice, group, h_sigma, h)) % 1 != 0:
                 return False
-    for h in elements:
-        if (t0 - tfun[h] - spinc_quadratic(lattice, group, h_sigma, h)) % 1 != 0:
-            return False
     return True
 
 

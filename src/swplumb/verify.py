@@ -17,11 +17,12 @@ from .brieskorn import BrieskornSpec, brieskorn_seifert, classify, \
     closed_form_invariants
 from .corpus import (a_chain, dn_seifert, e_star, nonstar_13_vertex,
                      polygonal_seifert, standard_corpus, three_arm_family)
+from .errors import NotNegativeDefinite
 from .exact import IntMatrix, adjugate_inverse, cyclotomic_field, \
     cyclotomic_polynomial, invert_rational_matrix, smith_normal_form
 from .homology import gauss_sum_check, homology_from_lattice, \
     linking_matrix, linking_pairing, q_can, spinc_conjugate
-from .plumbing import blow_up_edge, blow_up_vertex, build_lattice, \
+from .plumbing import PlumbingGraph, blow_up_edge, blow_up_vertex, build_lattice, \
     casson_walker, k2_plus_nv, numerically_gorenstein
 from .report import compute_report_from
 from .seifert import SeifertData, ks_route, lens_chain, seifert_casson_walker, \
@@ -248,6 +249,23 @@ def snf_and_inverse_props():
     total += 1
     if smith_normal_form(fixed).diagonal != (1, 3):
         failures.append("fixed-chain")
+    trees = 0
+    while trees < 20:       # tree cofactors against the dense inverse
+        n = rng.randrange(1, 13)
+        order = rng.sample(range(n), n)
+        graph = PlumbingGraph([(f"v{i}", rng.randrange(-5, 0)) for i in range(n)],
+                              [(f"v{order[i]}", f"v{order[rng.randrange(i)]}")
+                               for i in range(1, n)])
+        try:
+            lattice = build_lattice(graph)
+        except NotNegativeDefinite:
+            continue
+        trees += 1
+        total += 1
+        scaled = tuple(tuple(-lattice.order_h * x for x in row)
+                       for row in invert_rational_matrix(lattice.I))
+        if lattice.adj != scaled or lattice.det != lattice.I.det():
+            failures.append(graph.to_dict())
     return [_summary("integer normal form and exact inverse oracles",
                      failures, total)]
 
@@ -400,10 +418,9 @@ def swiden_family():
         if group.order > 500 or group.order == 1:
             continue
         sample = [group.identity] + [h for h in group.elements()][-1:]
-        for h in sample:
-            total += 1
-            if not swiden_consistency(lattice, group, h):
-                failures.append((name, h))
+        total += len(sample)
+        if not swiden_consistency(lattice, group, sample):
+            failures.append((name, sample))
     return [_summary("torsion vs quadratic-function identities, |H| <= 500",
                      failures, total)]
 

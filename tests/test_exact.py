@@ -65,6 +65,38 @@ class TestSmithNormalForm:
         assert prod == abs(mat.det())
 
 
+class TestSmithPinned:
+    """U, D and V are pinned: the spin^c labels of `--all-spinc` are read off U."""
+
+    CASES = [
+        # D4 intersection matrix: unit pivots, then the (2, 2) block
+        (((-2, 1, 1, 1), (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2)),
+         ((1, 0, 0, 0), (0, 0, 1, 0), (2, 1, 3, 0), (-2, -1, -2, -1)),
+         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
+         ((0, 1, 0, 2), (1, 2, -1, 1), (0, 0, 0, 1), (0, 0, 1, 2))),
+        # L(25, 7) chain: unit pivots only
+        (((-4, 1, 0, 0), (1, -3, 1, 0), (0, 1, -2, 1), (0, 0, 1, -2)),
+         ((1, 0, 0, 0), (3, 1, 0, 0), (5, 2, 1, 0), (-7, -3, -2, -1)),
+         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 25)),
+         ((0, 0, 0, 1), (1, 0, 0, 4), (0, 1, 0, 11), (0, 0, 1, 18))),
+        # non-unit pivots, non-square
+        (((4, 6), (6, 4), (2, 8)),
+         ((0, 0, 1), (-1, 0, 2), (-2, 1, 1)),
+         ((2, 0), (0, 10), (0, 0)),
+         ((1, -4), (0, 1))),
+        # a pivot that fails to divide the trailing block
+        (((2, 0), (0, 3)),
+         ((-1, 1), (-3, 2)),
+         ((1, 0), (0, 6)),
+         ((1, -3), (1, -2))),
+    ]
+
+    @pytest.mark.parametrize("mat, u, d, v", CASES)
+    def test_pinned_decomposition(self, mat, u, d, v):
+        snf = smith_normal_form(IntMatrix(mat))
+        assert (snf.U.entries, snf.D.entries, snf.V.entries) == (u, d, v)
+
+
 class TestRationalInverse:
     def test_single(self):
         assert invert_rational_matrix(IntMatrix([[-2]])) == frac_rows([[Fraction(-1, 2)]])

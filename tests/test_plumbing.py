@@ -3,16 +3,20 @@
 from fractions import Fraction
 from math import gcd
 
-import pytest
+import random
 
-from swplumb.corpus import a_chain, chain_graph, standard_corpus, three_arm_family
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from swplumb.corpus import a_chain, chain_graph, e_star, standard_corpus, three_arm_family
 from swplumb.dedekind import dedekind_sum
 from swplumb.errors import NotATree, NotNegativeDefinite
+from swplumb.exact import IntMatrix, invert_rational_matrix
 from swplumb.homology import homology_from_lattice
 from swplumb.plumbing import (PlumbingGraph, blow_up_edge, blow_up_vertex,
                               build_lattice, casson_walker, k2_plus_nv,
                               numerically_gorenstein)
-from swplumb.report import compute_report_from
+from swplumb.report import compute_report, compute_report_from
 from swplumb.seifert import lens_chain, star_graph
 
 
@@ -26,8 +30,76 @@ def test_single_vertex_lattice():
 def test_chain_lattice():
     lattice = build_lattice(chain_graph([-2, -2]))
     assert lattice.det == 3
-    assert lattice.Iinv == ((Fraction(-2, 3), Fraction(-1, 3)),
-                            (Fraction(-1, 3), Fraction(-2, 3)))
+    assert lattice.adj == ((2, 1), (1, 2))
+
+
+@st.composite
+def trees(draw):
+    """Trees on at most 25 vertices in a shuffled input order, Euler numbers -6..1."""
+    n = draw(st.integers(1, 25))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    eulers = draw(st.lists(st.one_of(st.integers(-6, -2), st.integers(-6, 1)),
+                           min_size=n, max_size=n))
+    return PlumbingGraph([(f"v{i}", e) for i, e in enumerate(eulers)],
+                         [(f"v{a}", f"v{b}") for a, b in edges])
+
+
+def intersection_rows(graph):
+    index = {v: i for i, v in enumerate(graph.ids)}
+    rows = [[0] * len(index) for _ in index]
+    for i, e in enumerate(graph.euler_numbers):
+        rows[i][i] = e
+    for a, b in graph.edges:
+        rows[index[a]][index[b]] = rows[index[b]][index[a]] = 1
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(trees())
+def test_tree_cofactors_match_dense_oracles(graph):
+    """Definite: adj and det against the dense inverse.  Indefinite: the first
+    leading minor of the wrong sign or zero, against Bareiss determinants."""
+    rows = intersection_rows(graph)
+    n = len(rows)
+    failing = None
+    for k in range(1, n + 1):
+        minor = IntMatrix([row[:k] for row in rows[:k]]).det()
+        if minor == 0 or (minor > 0) != (k % 2 == 0):
+            failing = (k, minor)
+            break
+    if failing is not None:
+        with pytest.raises(NotNegativeDefinite) as info:
+            build_lattice(graph)
+        assert (info.value.size, info.value.minor) == failing
+        return
+    lattice = build_lattice(graph)
+    neg = IntMatrix([[-x for x in row] for row in rows])
+    det_neg = neg.det()
+    assert lattice.det == (-1) ** n * det_neg == minor
+    assert lattice.adj == tuple(tuple(det_neg * x for x in row)
+                                for row in invert_rational_matrix(neg))
+
+
+def test_blown_up_e8_report_and_certificate():
+    rng = random.Random(9)
+    graph = e_star(8)
+    while len(graph.ids) < 300:
+        new_id = f"b{len(graph.ids)}"
+        if rng.random() < 0.5:
+            graph = blow_up_vertex(graph, rng.choice(graph.ids), new_id)
+        else:
+            graph = blow_up_edge(graph, rng.choice(graph.edges), new_id)
+    lattice = build_lattice(graph)
+    # I * adj = -|det I| * Id, row by row over the nonzero entries of I
+    for v, row in enumerate(lattice.I.entries):
+        total = [0] * lattice.size
+        for u, x in enumerate(row):
+            if x:
+                total = [t + x * a for t, a in zip(total, lattice.adj[u])]
+        assert total == [-lattice.order_h * (w == v) for w in range(lattice.size)]
+    assert compute_report_from(lattice, homology_from_lattice(lattice)) == \
+        compute_report(e_star(8))
 
 
 def test_positive_vertex_rejected():
@@ -41,6 +113,14 @@ def test_indefinite_rejected_with_failing_minor():
     with pytest.raises(NotNegativeDefinite) as info:
         build_lattice(chain_graph([-2, 0]))
     assert info.value.size == 2
+
+
+def test_singular_rejected_with_zero_minor():
+    # (-1, -1) chain: every subtree determinant from the first vertex is >= 0,
+    # but the whole determinant vanishes
+    with pytest.raises(NotNegativeDefinite) as info:
+        build_lattice(chain_graph([-1, -1]))
+    assert (info.value.size, info.value.minor) == (2, 0)
 
 
 def test_cycle_rejected():

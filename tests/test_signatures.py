@@ -1,4 +1,4 @@
-"""Only the two calls that build H take the |H| cap; only four take a spin^c offset.
+"""Only the two calls that build H take the |H| cap; only three take a spin^c offset.
 
 The cap is checked once, on |det I|, where the group is built; every
 enumeration below that point runs over a group already known to be small
@@ -16,8 +16,7 @@ import pkgutil
 import swplumb
 
 CAP_TAKERS = {"swplumb.homology.homology_from_lattice", "swplumb.report.compute_report"}
-OFFSET_TAKERS = {"swplumb.torsion.swiden_consistency",
-                 "swplumb.seifert.seifert_torsion_shortcut",
+OFFSET_TAKERS = {"swplumb.seifert.seifert_torsion_shortcut",
                  "swplumb.homology.spinc_quadratic",
                  "swplumb.homology.spinc_conjugate"}
 
