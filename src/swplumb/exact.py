@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 from .errors import ConductorMismatch, NotRational, SingularMatrix
@@ -24,12 +25,29 @@ from .errors import ConductorMismatch, NotRational, SingularMatrix
 # ---------------------------------------------------------------------------
 
 class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries (immutable)."""
+    """Dense integer matrix with arbitrary-precision entries (immutable).
+
+    Every entry must be an `int` (not a `bool`): input is rejected, never coerced.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
+        for row in rows:
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(f"matrix entry {x!r} is not an integer")
+        self._set(rows)
+
+    @classmethod
+    def _of_rows(cls, rows) -> "IntMatrix":
+        """Wrap rows of `int`s built by this package, without checking each entry."""
+        self = cls.__new__(cls)
+        self._set(tuple(map(tuple, rows)))
+        return self
+
+    def _set(self, rows):
         if not rows or not rows[0]:
             raise ValueError("matrix must have positive dimensions")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -40,7 +58,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._of_rows(_identity_rows(n))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -52,8 +70,8 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         bt = list(zip(*other.entries))
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.entries])
+        return IntMatrix._of_rows([[sum(a * b for a, b in zip(row, col)) for col in bt]
+                                   for row in self.entries])
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.entries == other.entries)
@@ -116,96 +134,113 @@ class SmithDecomposition:
         return tuple(self.D[i, i] for i in range(n))
 
 
+def _identity_rows(n):
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def _nonzeros(row):
+    """The (index, value) pairs of the nonzero entries."""
+    return list(compress(enumerate(row), row))
+
+
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form over Z, with smallest-|pivot| selection.
 
     Total on any integer matrix; for singular input the zero diagonal entries
     come last (the divisibility chain d_i | d_{i+1} still holds).
+
+    The arithmetic skips zeros but not steps: every swap and every row or
+    column addition of the dense elimination happens, in the same order, so
+    U, D and V do not depend on the sparsity.  V is kept as its transpose
+    `vt`, so a column operation on V is a row operation on `vt`.  Rows above
+    the pivot t are finished (zero off the diagonal), so column operations on
+    m touch only rows t and below.
     """
     r, c = A.rows, A.cols
     m = [list(row) for row in A.entries]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    u, vt = _identity_rows(r), _identity_rows(c)
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row[dst] += q * row[src]
-        if q:
-            md, ms = m[dst], m[src]
-            for j in range(c):
-                md[j] += q * ms[j]
-            ud, us = u[dst], u[src]
-            for j in range(r):
-                ud[j] += q * us[j]
-
-    def add_col(dst, src, q):  # col[dst] += q * col[src]
-        if q:
-            for row in m:
-                row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
+    def swap_cols(j):  # columns t and j
+        for row in m[t:]:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
 
     t = 0
     while t < min(r, c):
-        best = None
-        pi = pj = -1
-        for i in range(t, r):   # the first entry of least |value|; no unit is beaten
-            row = m[i]
-            for j in range(t, c):
-                val = row[j]
-                if val and (best is None or abs(val) < best):
-                    best = abs(val)
-                    pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
+        # the first entry of least |value| in the block below and right of
+        # (t, t), a unit if there is one; columns left of t are zero there,
+        # so whole rows are scanned
+        for pi in range(t, r):
+            row = m[pi]
+            if 1 in row or -1 in row:
+                pj = min(row.index(x) for x in (1, -1) if x in row)
                 break
-        if best is None:
-            break
+        else:
+            least = min(((abs(x), i, j) for i in range(t, r) for j, x in _nonzeros(m[i])),
+                        default=None)
+            if least is None:
+                break
+            _, pi, pj = least
         if pi != t:
-            swap_rows(t, pi)
+            m[t], m[pi] = m[pi], m[t]
+            u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            swap_cols(t, pj)
+            swap_cols(pj)
         while True:
             dirty = False
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    add_row(i, t, -(m[i][t] // m[t][t]))
-                    if m[i][t]:  # remainder beats the pivot; swap it in
-                        swap_rows(t, i)
-                        dirty = True
+            # rows: row[i] += q * row[t], over the nonzeros of row t of m and U
+            mt, ut = m[t], u[t]
+            m_nz, u_nz = _nonzeros(mt), _nonzeros(ut)
+            for i in [i for i in range(t + 1, r) if m[i][t]]:
+                mi = m[i]
+                q = -(mi[t] // mt[t])
+                if q:
+                    for j, x in m_nz:
+                        mi[j] += q * x
+                    ui = u[i]
+                    for j, x in u_nz:
+                        ui[j] += q * x
+                if mi[t]:  # remainder beats the pivot; swap it in
+                    m[t], m[i] = mi, mt
+                    u[t], u[i] = u[i], ut
+                    mt, ut = m[t], u[t]
+                    m_nz, u_nz = _nonzeros(mt), _nonzeros(ut)
+                    dirty = True
             if dirty:
                 continue
-            for j in range(t + 1, c):
-                if m[t][j]:
-                    add_col(j, t, -(m[t][j] // m[t][t]))
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
+            # columns: col[j] += q * col[t], over the nonzeros of column t of m and V
+            mt = m[t]
+            col_nz = [(row, row[t]) for row in m[t:] if row[t]]
+            v_nz = _nonzeros(vt[t])
+            for j in [j for j in range(t + 1, c) if mt[j]]:
+                q = -(mt[j] // mt[t])
+                if q:
+                    for row, x in col_nz:
+                        row[j] += q * x
+                    vj = vt[j]
+                    for k, x in v_nz:
+                        vj[k] += q * x
+                if mt[j]:
+                    swap_cols(j)
+                    col_nz = [(row, row[t]) for row in m[t:] if row[t]]
+                    v_nz = _nonzeros(vt[t])
+                    dirty = True
             if dirty:
                 continue
-            # pivot must divide the whole trailing block (a unit always does)
+            # pivot must divide the whole trailing block (a unit always does);
+            # row t and column t are zero there, so whole rows are scanned
             p = m[t][t]
             bad = None
             if abs(p) != 1:
-                for i in range(t + 1, r):
-                    for j in range(t + 1, c):
-                        if m[i][j] % p:
-                            bad = j
-                            break
+                for row in m[t + 1:]:
+                    bad = next((j for j, x in enumerate(row) if x % p), None)
                     if bad is not None:
                         break
             if bad is None:
                 break
-            add_col(t, bad, 1)
+            for row in m[t:]:       # col[t] += col[bad]
+                row[t] += row[bad]
+            vt[t] = [x + y for x, y in zip(vt[t], vt[bad])]
         t += 1
 
     for i in range(min(r, c)):
@@ -213,7 +248,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
 
-    return SmithDecomposition(IntMatrix(u), IntMatrix(m), IntMatrix(v))
+    return SmithDecomposition(IntMatrix._of_rows(u), IntMatrix._of_rows(m),
+                              IntMatrix._of_rows(zip(*vt)))
 
 
 def invert_rational_matrix(A: IntMatrix):

@@ -260,7 +260,7 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
     return LatticeData(
         graph=graph,
         ids=ids,
-        I=IntMatrix(rows),
+        I=IntMatrix._of_rows(rows),
         adj=adj,
         det=(-1) ** n * order_h,
         order_h=order_h,

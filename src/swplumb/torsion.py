@@ -22,7 +22,7 @@ from math import gcd, lcm, prod
 from .errors import InternalInvariantViolated, InvalidBaseVertex
 from .exact import CycNum
 from .homology import (Character, FinAbGroup, GroupElement, linking_matrix,
-                       linking_pairing, spinc_quadratic)
+                       spinc_quadratic)
 from .plumbing import LatticeData
 
 
@@ -207,18 +207,25 @@ def swiden_consistency(lattice: LatticeData, group: FinAbGroup, offsets=None) ->
     torsion = torsion_table(lattice, group).invert(group)
     elements = list(group.elements())
     bmat = linking_matrix(lattice, group)
+    # (a) in integers: T and b scaled by the lcm of their denominators
+    den = lcm(*(x.denominator for x in torsion.values()),
+              *(b.denominator for row in bmat for b in row))
+    scaled = {h: x.numerator * (den // x.denominator) for h, x in torsion.items()}
+    bcols = list(zip(*([b.numerator * (den // b.denominator) for b in row] for row in bmat)))
     for h_sigma in (group.identity,) if offsets is None else offsets:
         # the structure h_sigma * sigma_can has torsion h -> T(h_sigma + h)
-        tfun = {h: torsion[group.add(h_sigma, h)] for h in elements}
+        tfun = {h: scaled[group.add(h_sigma, h)] for h in elements}
         t0 = tfun[group.identity]
         for g in elements:
-            tg = tfun[g]
+            tg = t0 - tfun[g]
+            gb = [sum(x * bj for x, bj in zip(g, col)) for col in bcols]
             for h in elements:
-                lhs = t0 - tg - tfun[h] + tfun[group.add(g, h)]
-                if (lhs + linking_pairing(bmat, g, h)) % 1 != 0:
+                pairing = sum(x * y for x, y in zip(gb, h))
+                if (tg - tfun[h] + tfun[group.add(g, h)] + pairing) % den:
                     return False
         for h in elements:
-            if (t0 - tfun[h] - spinc_quadratic(lattice, group, h_sigma, h)) % 1 != 0:
+            if (Fraction(t0 - tfun[h], den)
+                    - spinc_quadratic(lattice, group, h_sigma, h)) % 1 != 0:
                 return False
     return True
 

@@ -216,6 +216,31 @@ def brieskorn_corpus():
 
 # -- property families --------------------------------------------------------
 
+def _smith_holds(mat) -> bool:
+    """U * A * V = D, U and V unimodular, d_i | d_(i+1), zeros last."""
+    snf = smith_normal_form(mat)
+    diag = snf.diagonal
+    chain_ok = all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1)
+                   if diag[i])
+    zeros_last = all(diag[j] == 0 for j in range(len(diag))
+                     if any(diag[i] == 0 for i in range(j + 1)))
+    return (snf.U * mat * snf.V == snf.D
+            and abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
+            and chain_ok and zeros_last)
+
+
+def _blown_up(graph, size, rng):
+    """Seeded vertex and edge blowups of `graph` until it has `size` vertices."""
+    k = 0
+    while len(graph.ids) < size:
+        if graph.edges and rng.random() < 0.5:
+            graph = blow_up_edge(graph, rng.choice(graph.edges), f"b{k}")
+        else:
+            graph = blow_up_vertex(graph, rng.choice(graph.ids), f"b{k}")
+        k += 1
+    return graph
+
+
 def snf_and_inverse_props():
     rng = random.Random(20240901)
     failures = []
@@ -225,16 +250,8 @@ def snf_and_inverse_props():
         cols = rng.randrange(1, 5)
         mat = IntMatrix([[rng.randrange(-6, 7) for _ in range(cols)]
                          for _ in range(rows)])
-        snf = smith_normal_form(mat)
         total += 1
-        diag = snf.diagonal
-        chain_ok = all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1)
-                       if diag[i])
-        zeros_last = all(diag[j] == 0 for j in range(len(diag))
-                         if any(diag[i] == 0 for i in range(j + 1)))
-        if not (snf.U * mat * snf.V == snf.D
-                and abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
-                and chain_ok and zeros_last):
+        if not _smith_holds(mat):
             failures.append(mat.entries)
     for _ in range(25):
         n = rng.randrange(1, 6)
@@ -265,6 +282,13 @@ def snf_and_inverse_props():
         scaled = tuple(tuple(-lattice.order_h * x for x in row)
                        for row in invert_rational_matrix(lattice.I))
         if lattice.adj != scaled or lattice.det != lattice.I.det():
+            failures.append(graph.to_dict())
+    # intersection matrices of blown-up trees: the pivot sequences of real input
+    for base, size in ((star_graph(dn_seifert(6)), 40), (e_star(7), 47),
+                       (nonstar_13_vertex(), 54), (lens_chain(25, 7), 60)):
+        graph = _blown_up(base, size, rng)
+        total += 1
+        if not _smith_holds(build_lattice(graph).I):
             failures.append(graph.to_dict())
     return [_summary("integer normal form and exact inverse oracles",
                      failures, total)]

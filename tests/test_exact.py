@@ -65,6 +65,25 @@ class TestSmithNormalForm:
         assert prod == abs(mat.det())
 
 
+class TestIntMatrixInput:
+    """Entries are rejected, never coerced: only `int`, and not `bool`."""
+
+    @pytest.mark.parametrize("bad", [2.0, 2.7, True, False, "3", Fraction(3), Fraction(1, 2)])
+    def test_non_int_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix([[1, 0], [bad, 1]])
+
+    def test_int_entries_kept(self):
+        mat = IntMatrix([[10 ** 30, -1], (0, 2)])
+        assert mat.entries == ((10 ** 30, -1), (0, 2))
+        assert (mat.rows, mat.cols) == (2, 2)
+
+    @pytest.mark.parametrize("bad", [[], [[]], [[1, 2], [3]]])
+    def test_shape_rejected(self, bad):
+        with pytest.raises(ValueError):
+            IntMatrix(bad)
+
+
 class TestSmithPinned:
     """U, D and V are pinned: the spin^c labels of `--all-spinc` are read off U."""
 

@@ -346,6 +346,23 @@ class TestQuadraticIdentities:
         lattice, group = pipeline(star_graph(dn_seifert(4)))
         assert swiden_consistency(lattice, group)
 
+    @pytest.mark.parametrize("graph", [lens_chain(25, 7), lens_chain(12, 5)])
+    def test_one_torsion_value_off_by_one_over_order(self, graph, monkeypatch):
+        """The integer-scaled check still sees a change of 1/|H| in one value of T."""
+        lattice, group = pipeline(graph)
+        assert swiden_consistency(lattice, group, list(group.elements()))
+        invert = torsion.TorsionTable.invert
+        target = next(h for h in group.elements() if any(h))
+
+        def shifted(table, grp):
+            values = invert(table, grp)
+            values[target] += Fraction(1, grp.order)
+            return values
+
+        monkeypatch.setattr(torsion.TorsionTable, "invert", shifted)
+        assert not swiden_consistency(lattice, group)
+        assert not swiden_consistency(lattice, group, [target])
+
 
 class TestOrderCountAtOne:
     def test_single_vertex(self):
