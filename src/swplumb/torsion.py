@@ -217,11 +217,11 @@ def swiden_consistency(lattice: LatticeData, group: FinAbGroup, offsets=None) ->
         tfun = {h: scaled[group.add(h_sigma, h)] for h in elements}
         t0 = tfun[group.identity]
         for g in elements:
-            tg = t0 - tfun[g]
+            lhs_g = t0 - tfun[g]
             gb = [sum(x * bj for x, bj in zip(g, col)) for col in bcols]
             for h in elements:
                 pairing = sum(x * y for x, y in zip(gb, h))
-                if (tg - tfun[h] + tfun[group.add(g, h)] + pairing) % den:
+                if (lhs_g - tfun[h] + tfun[group.add(g, h)] + pairing) % den:
                     return False
         for h in elements:
             if (Fraction(t0 - tfun[h], den)
