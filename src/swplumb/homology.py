@@ -15,8 +15,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import InternalInvariantViolated, OrderCapExceeded
-from .exact import CyclotomicField, IntMatrix, cyclotomic_field, \
-    invert_rational_matrix, smith_normal_form
+from .exact import CyclotomicField, IntMatrix, cyclotomic_field, smith_normal_form
 from .plumbing import LatticeData
 
 DEFAULT_ORDER_CAP = 10 ** 6
@@ -38,14 +37,16 @@ class Character:
 class FinAbGroup:
     """Finite abelian group in invariant-factor form, with meridian images."""
 
-    def __init__(self, invariant_factors, generator_images, umat: IntMatrix, kept):
+    def __init__(self, invariant_factors, generator_images, umat: IntMatrix, kept,
+                 imat: IntMatrix, vmat: IntMatrix):
         self.invariant_factors = tuple(invariant_factors)
         self.generator_images = tuple(generator_images)
         self.order = prod(self.invariant_factors) if self.invariant_factors else 1
         self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
         self._umat = umat
         self._kept = tuple(kept)
-        self._uinv = None
+        self._imat, self._vmat = imat, vmat     # U I V = D, for the lift
+        self._lift_columns = None
         self._lift_cache = {}
         self._field = None
 
@@ -106,18 +107,24 @@ class FinAbGroup:
         return tuple(w[i] % d for i, d in zip(self._kept, self.invariant_factors))
 
     def lift(self, h: GroupElement):
-        """An integer vector in the dual vertex basis whose class is h."""
+        """An integer vector in the dual vertex basis whose class is h.
+
+        The kept columns of U^{-1}, combined by h.  U I V = D gives
+        U^{-1} e_i = I V e_i / d_i, so no inverse is taken.
+        """
         hit = self._lift_cache.get(h)
         if hit is not None:
             return hit
-        if self._uinv is None:
-            inv = invert_rational_matrix(self._umat)
-            self._uinv = tuple(tuple(int(x) for x in row) for row in inv)
-        y = [0] * self._umat.rows
-        for i, x in zip(self._kept, h):
-            y[i] = x
-        vec = tuple(sum(row[j] * y[j] for j in range(len(y)) if y[j])
-                    for row in self._uinv)
+        if self._lift_columns is None:
+            columns = []
+            for i, d in zip(self._kept, self.invariant_factors):
+                image = self._imat.mul_vector([row[i] for row in self._vmat.entries])
+                if any(x % d for x in image):
+                    raise InternalInvariantViolated(f"I V e_{i} is not divisible by d_{i} = {d}")
+                columns.append([x // d for x in image])
+            self._lift_columns = columns
+        vec = tuple(sum(x * column[v] for x, column in zip(h, self._lift_columns) if x)
+                    for v in range(self._umat.rows))
         self._lift_cache[h] = vec
         return vec
 
@@ -146,7 +153,7 @@ def homology_from_lattice(lattice: LatticeData, *,
     images = tuple(
         tuple(u[i, v] % diag[i] for i in kept) for v in range(n)
     )
-    group = FinAbGroup(factors, images, u, kept)
+    group = FinAbGroup(factors, images, u, kept, lattice.I, snf.V)
     if group.order != lattice.order_h:
         raise InternalInvariantViolated(
             f"|H| = {group.order} but |det I| = {lattice.order_h}")
@@ -158,11 +165,8 @@ def homology_from_lattice(lattice: LatticeData, *,
 # ---------------------------------------------------------------------------
 
 def _pairing(lattice: LatticeData, a_vec, b_vec) -> Fraction:
-    """The rational extension (a, b) = a^T I^{-1} b = -(a^T adj(-I) b) / |det I|."""
-    adj = lattice.adj
-    support = [(w, bw) for w, bw in enumerate(b_vec) if bw]
-    total = sum(av * sum(bw * adj[v][w] for w, bw in support)
-                for v, av in enumerate(a_vec) if av)
+    """The rational extension (a, b) = a^T I^{-1} b = -(a . adj(-I) b) / |det I|."""
+    total = sum(av * y for av, y in zip(a_vec, lattice.solve(b_vec)) if av)
     return Fraction(-total, lattice.order_h)
 
 

@@ -9,15 +9,20 @@ path from u to v,
 
     (-I)^{-1}_uv = det(-I | graph minus [u, v]) / det(-I),
 
-so the adjugate of -I is a table of subtree determinants, computed in O(n)
-integer operations per row, and every consumer sums integers over it and
-divides by |det I| once.
+so the adjugate of -I is a table of subtree determinants.  The invariants read
+only a few exact numbers from it, each in O(n) integer operations over one
+rooting: adj(-I) b for a vector b (a tree solve, leaves first then root
+first), the diagonal and the entries on edges (one root-first rerooting pass
+over the directed-edge determinants).  Every consumer sums integers and
+divides by |det I| once.  The whole table is built only when read: it is the
+oracle that tests and `swplumb verify` compare the tree solves against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InternalInvariantViolated, NotATree, NotNegativeDefinite
 from .exact import IntMatrix
@@ -82,23 +87,31 @@ class PlumbingGraph:
 
 @dataclass(frozen=True, eq=False)
 class LatticeData:
-    """Intersection lattice of a plumbing graph, with the adjugate of -I.
+    """Intersection lattice of a plumbing graph, read through tree solves.
 
     On a tree, adj(-I)_uv = det(-I | graph minus the path [u, v]), a positive
-    integer when I is negative definite, and I^{-1} = -adj / |det I|.
+    integer when I is negative definite, and I^{-1} = -adj / |det I|.  The tree
+    is rooted at vertex 0: `order` is breadth first, `parent` is -1 at the
+    root, D[x] = det(-I | T_x) over the subtree below x and B[x] is the product
+    of D over the children of x.  `solve` applies adj(-I) to a vector, and
+    `adj_diagonal` holds its entries adj_vv.  `adj`, the whole table, is built
+    only when read.
     """
 
     graph: PlumbingGraph
     ids: tuple
     I: IntMatrix
-    adj: tuple             # rows of integers: the adjugate of -I
     det: int
     order_h: int           # |det I|
     degrees: tuple
     neighbors: tuple       # adjacency lists of vertex indices
     z: tuple               # e_v + 2 (the anti-canonical data on the dual side)
     k_vec: tuple           # -e_v - 2
-    r: tuple               # rational coefficients solving the adjunction system
+    order: tuple           # vertices breadth first from the root, vertex 0
+    parent: tuple          # parent vertex, -1 at the root
+    D: tuple               # D[x] = det(-I | T_x)
+    B: tuple               # B[x] = product of D over the children of x
+    adj_diagonal: tuple    # adj(-I)_vv
 
     @property
     def size(self) -> int:
@@ -106,6 +119,37 @@ class LatticeData:
 
     def index_of(self, vertex_id: str) -> int:
         return self.ids.index(vertex_id)
+
+    def solve(self, b) -> list:
+        """adj(-I) b in integers, certified by I y = -|det I| b over the neighbor lists."""
+        y = _tree_solve(self.order, self.parent, self.D, self.B, b)
+        eulers = self.graph.euler_numbers
+        for v, around in enumerate(self.neighbors):
+            if eulers[v] * y[v] + sum(y[u] for u in around) != -self.order_h * b[v]:
+                raise InternalInvariantViolated("tree solve: I y != -|det I| b")
+        return y
+
+    @cached_property
+    def r(self) -> tuple:
+        """The rational coefficients r = I^{-1} z solving the adjunction system."""
+        return tuple(Fraction(-y, self.order_h) for y in self.solve(self.z))
+
+    @cached_property
+    def adj(self) -> tuple:
+        """The whole adjugate of -I, as rows of integers: the oracle of the tree solves.
+
+        Certified by I * adj = -|det I| * Id, summed over neighbors.
+        """
+        eulers = self.graph.euler_numbers
+        adj = _adjugate([-e for e in eulers], self.neighbors)
+        for v in range(self.size):
+            total = [eulers[v] * x for x in adj[v]]
+            for u in self.neighbors[v]:
+                total = [x + y for x, y in zip(total, adj[u])]
+            total[v] += self.order_h
+            if any(total):
+                raise InternalInvariantViolated("I * adj(-I) != -|det I| * Id")
+        return adj
 
 
 def _bfs(neighbors, root, within, parent):
@@ -184,13 +228,84 @@ def _adjugate(diag, neighbors):
     return tuple(rows)
 
 
+def _tree_solve(order, parent, dets, below, b):
+    """adj(-I) b over the rooting (order, parent) with subtree determinants D, B.
+
+    Leaves first, S[x] = B[x] b_x + sum_c S[c] prod_{c' != c} D[c'] over the
+    children c of x, grown one child at a time as in _subtree_dets, so that
+    D[x] y_x = N S[x] + B[x] y_(parent x) with N = D[root] = det(-I).  Root
+    first, y_root = S[root] and every other y_x is an exact quotient.
+    """
+    n = len(order)
+    s, sofar = list(b), [1] * n
+    for x in reversed(order):
+        p = parent[x]
+        if p >= 0:
+            s[p] = s[p] * dets[x] + s[x] * sofar[p]
+            sofar[p] *= dets[x]
+    root = order[0]
+    det = dets[root]
+    y = [0] * n
+    y[root] = s[root]
+    for x in order[1:]:
+        y[x] = (det * s[x] + below[x] * y[parent[x]]) // dets[x]
+    return y
+
+
+def _diagonal_and_edges(diag, neighbors, order, parent, dets, below):
+    """adj(-I)_vv and adj(-I)_(v, parent v) (0 at the root), from directed-edge determinants.
+
+    Cutting the edge from c to its parent p leaves p in a component with
+    determinant up[c]; upb[c] is the product of the determinants of the pieces
+    of that component once p is removed too.  The pieces at p are the children
+    k other than c, with (Y, X) = (D[k], B[k]), and the side beyond p's parent,
+    with (up[p], upb[p]); then up[c] = diag[p] prod Y - sum_k X_k prod_(k' != k) Y
+    and upb[c] = prod Y.  Prefix and suffix sums keep this O(deg p) at p with no
+    division.  adj_vv = B[v] up[v] and adj_(v, parent v) = B[v] upb[v].  Row v
+    of I adj(-I) = -|det I| Id certifies them at every vertex, and Jacobi's
+    identity for the 2 x 2 minor of adj(-I) on each edge (v, p), whose
+    complementary minor of -I is adj_vp itself, at every edge.
+    """
+    n = len(diag)
+    up, upb = [1] * n, [0] * n
+    for p in order:
+        kids = [k for k in neighbors[p] if k != parent[p]]
+        pieces = [(dets[k], below[k]) for k in kids]
+        if parent[p] >= 0:
+            pieces.append((up[p], upb[p]))
+        # (prod Y, sum_k X_k prod_(k' != k) Y) over pieces[:i] and pieces[i:]
+        prefix, suffix = [(1, 0)], [(1, 0)]
+        for y, x in pieces:
+            a, b = prefix[-1]
+            prefix.append((a * y, b * y + x * a))
+        for y, x in reversed(pieces):
+            a, b = suffix[-1]
+            suffix.append((a * y, b * y + x * a))
+        suffix.reverse()
+        for i, c in enumerate(kids):
+            (a1, b1), (a2, b2) = prefix[i], suffix[i + 1]
+            up[c] = diag[p] * a1 * a2 - b1 * a2 - b2 * a1
+            upb[c] = a1 * a2
+    diagonal = tuple(b * u for b, u in zip(below, up))
+    edges = tuple(b * u for b, u in zip(below, upb))
+    det = dets[order[0]]
+    for v in range(n):
+        total = sum(edges[u] if parent[u] == v else edges[v] for u in neighbors[v])
+        if total - diag[v] * diagonal[v] != -det:
+            raise InternalInvariantViolated("diagonal of adj(-I) fails row v of I adj = -|det I| Id")
+        p = parent[v]
+        if p >= 0 and diagonal[v] * diagonal[p] - edges[v] ** 2 != det * edges[v]:
+            raise InternalInvariantViolated("adj(-I) fails Jacobi's identity on an edge")
+    return diagonal, edges
+
+
 def build_lattice(graph: PlumbingGraph) -> LatticeData:
-    """Assemble I, verify tree shape and negative definiteness, invert exactly.
+    """Assemble I, verify tree shape and negative definiteness, root the tree.
 
     Negative definiteness is Sylvester's criterion in a leaves-first order of
     the tree rooted at the first vertex: each leading block is a union of
-    subtrees, so every subtree determinant D[x] must be positive.  The
-    adjugate is certified by I * adj = -|det I| * Id, summed over neighbors.
+    subtrees, so every subtree determinant D[x] must be positive.  The same
+    rooting carries the tree solves and the certified diagonal of adj(-I).
     """
     ids = graph.ids
     n = len(ids)
@@ -231,67 +346,49 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
     diag = [-e for e in eulers]
     parent = [-1] * n
     order = _bfs(adjacency, 0, n, parent)
-    dets, _ = _subtree_dets(diag, order, parent)
+    dets, below = _subtree_dets(diag, order, parent)
     if min(dets) <= 0:
         raise _first_failing_minor(diag, adjacency)
-    order_h = dets[0]
-    adj = _adjugate(diag, adjacency)
-    for v in range(n):
-        total = [eulers[v] * x for x in adj[v]]
-        for u in adjacency[v]:
-            total = [x + y for x, y in zip(total, adj[u])]
-        total[v] += order_h
-        if any(total):
-            raise InternalInvariantViolated("I * adj(-I) != -|det I| * Id")
+    adj_diagonal, _ = _diagonal_and_edges(diag, adjacency, order, parent, dets, below)
 
     degrees = tuple(len(a) for a in adjacency)
     if sum(degrees) != 2 * n - 2:
         raise InternalInvariantViolated("degree sum violates the tree identity")
 
-    z = tuple(e + 2 for e in eulers)
-    support = [w for w in range(n) if z[w]]
-    r = tuple(Fraction(-sum(row[w] * z[w] for w in support), order_h) for row in adj)
-    # adjunction system check: I * r = z exactly
-    for v in range(n):
-        total = rows[v][v] * r[v] + sum(r[w] for w in adjacency[v])
-        if total != z[v]:
-            raise InternalInvariantViolated("adjunction system solution failed")
-
+    order_h = dets[0]
     return LatticeData(
         graph=graph,
         ids=ids,
         I=IntMatrix._of_rows(rows),
-        adj=adj,
         det=(-1) ** n * order_h,
         order_h=order_h,
         degrees=degrees,
         neighbors=tuple(tuple(a) for a in adjacency),
-        z=z,
+        z=tuple(e + 2 for e in eulers),
         k_vec=tuple(-e - 2 for e in eulers),
-        r=r,
+        order=tuple(order),
+        parent=tuple(parent),
+        D=tuple(dets),
+        B=tuple(below),
+        adj_diagonal=adj_diagonal,
     )
 
 
 def k2_plus_nv(lattice: LatticeData) -> Fraction:
     """The self-intersection of the canonical cycle plus the vertex count.
 
-    Evaluated through the degree-weighted corner formula and cross-checked
-    against the full double sum over the inverse matrix, both in integers
-    over adj(-I) with one division by |det I| at the end.
+    Evaluated through the degree-weighted corner formula c^T adj(-I) c, with
+    c_v = 2 - deg v, from one tree solve, and cross-checked against the full
+    double sum z^T adj(-I) z = -|det I| (z . r).
     """
     n = lattice.size
-    adj = lattice.adj
-    degrees = lattice.degrees
-    base = sum(lattice.graph.euler_numbers) + 3 * n
+    corner_vec = [2 - d for d in lattice.degrees]
+    corner = sum(c * y for c, y in zip(corner_vec, lattice.solve(corner_vec)) if c)
+    value = sum(lattice.graph.euler_numbers) + 3 * n + 2 - Fraction(corner, lattice.order_h)
 
-    special = [v for v in range(n) if degrees[v] != 2]
-    corner = sum((2 - degrees[v]) * sum((2 - degrees[w]) * adj[v][w] for w in special)
-                 for v in special)
-    value = base + 2 - Fraction(corner, lattice.order_h)
-
-    z = lattice.z
-    support = [v for v in range(n) if z[v]]
-    double = sum(z[v] * sum(z[w] * adj[v][w] for w in support) for v in support)
+    # z^T adj(-I) z = -|det I| (z . r), in integers over r in lowest terms
+    double = -sum(zv * rv.numerator * (lattice.order_h // rv.denominator)
+                  for zv, rv in zip(lattice.z, lattice.r) if zv)
     naive = n - Fraction(double, lattice.order_h)
     if value != naive:
         raise InternalInvariantViolated(
@@ -302,7 +399,7 @@ def k2_plus_nv(lattice: LatticeData) -> Fraction:
 def casson_walker(lattice: LatticeData) -> Fraction:
     """Casson-Walker invariant (Lescop normalization) from the graph data."""
     n = lattice.size
-    corner = sum((2 - d) * lattice.adj[v][v] for v, d in enumerate(lattice.degrees)
+    corner = sum((2 - d) * lattice.adj_diagonal[v] for v, d in enumerate(lattice.degrees)
                  if d != 2)
     total = (sum(lattice.graph.euler_numbers) + 3 * n) * lattice.order_h - corner
     return Fraction(-total, 24)

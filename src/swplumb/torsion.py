@@ -38,11 +38,11 @@ class WeightVector:
 def weight_vector(lattice: LatticeData, v0: int) -> WeightVector:
     """Weights for base vertex v0: the v0-column of adj(-I), made primitive.
 
-    I adj(-I) = -|det I| Id, so the column over its gcd g solves I w = -m e_(v0)
-    with m = |det I| / g.
+    I adj(-I) = -|det I| Id, so the column adj(-I) e_(v0), one tree solve, over
+    its gcd g solves I w = -m e_(v0) with m = |det I| / g.
     """
     n = lattice.size
-    column = [row[v0] for row in lattice.adj]
+    column = lattice.solve([int(v == v0) for v in range(n)])
     g = gcd(*column)
     w = [x // g for x in column]
     m = lattice.order_h // g
@@ -186,10 +186,14 @@ class TorsionTable:
 def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:
     """R(chi) over the vertices with deg v != 2, weighted from the first vertex chi moves."""
     images, degrees = group.generator_images, lattice.degrees
+    weights = {}    # one weight vector per base vertex, shared by the orbits
 
     def factors_of(chi):
         exps = [group.char_exponent(chi, g) for g in images]
-        w = weight_vector(lattice, next(v for v, e in enumerate(exps) if e)).w
+        v0 = next(v for v, e in enumerate(exps) if e)
+        w = weights.get(v0)
+        if w is None:
+            w = weights[v0] = weight_vector(lattice, v0).w
         return [(exps[v], degrees[v] - 2, w[v]) for v in range(lattice.size) if degrees[v] != 2]
 
     return orbit_table(group, factors_of)

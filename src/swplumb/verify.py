@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import dedekind
 from .brieskorn import BrieskornSpec, brieskorn_seifert, classify, \
@@ -21,7 +21,7 @@ from .errors import NotNegativeDefinite
 from .exact import IntMatrix, adjugate_inverse, cyclotomic_field, \
     cyclotomic_polynomial, invert_rational_matrix, smith_normal_form
 from .homology import gauss_sum_check, homology_from_lattice, \
-    linking_matrix, linking_pairing, q_can, spinc_conjugate
+    linking_matrix, q_can, spinc_conjugate
 from .plumbing import PlumbingGraph, blow_up_edge, blow_up_vertex, build_lattice, \
     casson_walker, k2_plus_nv, numerically_gorenstein
 from .report import compute_report_from
@@ -267,7 +267,7 @@ def snf_and_inverse_props():
     if smith_normal_form(fixed).diagonal != (1, 3):
         failures.append("fixed-chain")
     trees = 0
-    while trees < 20:       # tree cofactors against the dense inverse
+    while trees < 20:       # tree cofactors and tree solves against the dense inverse
         n = rng.randrange(1, 13)
         order = rng.sample(range(n), n)
         graph = PlumbingGraph([(f"v{i}", rng.randrange(-5, 0)) for i in range(n)],
@@ -281,7 +281,10 @@ def snf_and_inverse_props():
         total += 1
         scaled = tuple(tuple(-lattice.order_h * x for x in row)
                        for row in invert_rational_matrix(lattice.I))
-        if lattice.adj != scaled or lattice.det != lattice.I.det():
+        b = [v % 7 - 3 for v in range(n)]     # fixed, so the draws below do not depend on it
+        if (lattice.adj != scaled or lattice.det != lattice.I.det()
+                or lattice.solve(b) != [sum(a * x for a, x in zip(row, b)) for row in scaled]
+                or lattice.adj_diagonal != tuple(scaled[v][v] for v in range(n))):
             failures.append(graph.to_dict())
     # intersection matrices of blown-up trees: the pivot sequences of real input
     for base, size in ((star_graph(dn_seifert(6)), 40), (e_star(7), 47),
@@ -461,17 +464,24 @@ def quadratic_function_family():
         elements = list(group.elements())
         qvals = {h: q_can(lattice, group, h) for h in elements}
         bmat = linking_matrix(lattice, group)
+        # q and b in integers: scaled by the lcm of their denominators
+        den = lcm(*(q.denominator for q in qvals.values()),
+                  *(b.denominator for row in bmat for b in row))
+        qint = {h: q.numerator * (den // q.denominator) for h, q in qvals.items()}
+        bcols = list(zip(*([b.numerator * (den // b.denominator) for b in row]
+                           for row in bmat)))
 
-        def bform(g, h):
-            return linking_pairing(bmat, g, h) % 1
+        def bform_row(g):
+            """h -> den * b_M(g, h) mod den, over the elements."""
+            gb = [sum(x * bj for x, bj in zip(g, col)) for col in bcols]
+            return [sum(x * y for x, y in zip(gb, h)) % den for h in elements]
 
         # quadratic-function law against the linking form
         for g in elements:
-            qg = qvals[g]
-            for h in elements:
+            qg = qint[g]
+            for h, b in zip(elements, bform_row(g)):
                 total += 1
-                lhs = (qvals[group.add(g, h)] - qg - qvals[h]) % 1
-                if lhs != bform(g, h):
+                if (qint[group.add(g, h)] - qg - qint[h] - b) % den:
                     failures.append(("law", name, g, h))
                     break
         # lift independence: shift a lift by a column of the intersection matrix
@@ -497,7 +507,7 @@ def quadratic_function_family():
             if twice != h:
                 failures.append(("involution", name, h))
         # linking form nondegeneracy
-        rows = {tuple(bform(g, h) for h in elements) for g in elements}
+        rows = {tuple(bform_row(g)) for g in elements}
         total += 1
         if len(rows) != group.order:
             failures.append(("nondegenerate", name))

@@ -1,17 +1,21 @@
 """Group structure, characters, linking form and quadratic functions."""
 
 from fractions import Fraction
+import random
+
 import pytest
 
 from swplumb import homology
 from swplumb.brieskorn import BrieskornSpec, brieskorn_seifert
-from swplumb.corpus import a_chain, standard_corpus
-from swplumb.errors import OrderCapExceeded
+from swplumb.corpus import a_chain, dn_seifert, standard_corpus
+from swplumb.errors import InternalInvariantViolated, OrderCapExceeded
+from swplumb.exact import IntMatrix, invert_rational_matrix
 from swplumb.homology import (gauss_sum_check, homology_from_lattice,
                               linking_form, q_can, spinc_canonical_class,
                               spinc_conjugate, spinc_quadratic)
 from swplumb.plumbing import build_lattice, numerically_gorenstein
 from swplumb.seifert import lens_chain, star_graph
+from swplumb.verify import _blown_up
 
 
 def pipeline(graph):
@@ -108,6 +112,27 @@ class TestCharacters:
         with pytest.raises(OrderCapExceeded) as exc:
             homology_from_lattice(lattice, max_order=10)
         assert (exc.value.order, exc.value.cap) == (4001, 10)
+
+
+class TestLift:
+    def test_columns_equal_the_inverse_of_u(self):
+        """lift(e_i) = I V e_i / d_i against the rational inverse of U."""
+        graphs = [graph for _, graph in standard_corpus()]
+        graphs.append(_blown_up(star_graph(dn_seifert(6)), 40, random.Random(4)))
+        for graph in graphs:
+            _, group = pipeline(graph)
+            uinv = invert_rational_matrix(group._umat)
+            for i, k in enumerate(group._kept):
+                unit = tuple(int(j == i) for j in range(group.rank))
+                assert group.lift(unit) == tuple(row[k] for row in uinv)
+                assert group.class_of_vector(group.lift(unit)) == unit
+
+    def test_inexact_division_raises(self):
+        lattice, group = pipeline(a_chain(3))
+        n = lattice.size
+        group._vmat = IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+        with pytest.raises(InternalInvariantViolated):
+            group.lift((1,))
 
 
 class TestLinkingForm:

@@ -1,5 +1,7 @@
 """Lattice-level invariants from the plumbing graph."""
 
+import dataclasses
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -8,16 +10,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swplumb.corpus import a_chain, chain_graph, e_star, standard_corpus, three_arm_family
+from swplumb import cli, plumbing
+from swplumb.corpus import (a_chain, chain_graph, dn_seifert, e_star, standard_corpus,
+                            three_arm_family)
 from swplumb.dedekind import dedekind_sum
-from swplumb.errors import NotATree, NotNegativeDefinite
+from swplumb.errors import InternalInvariantViolated, NotATree, NotNegativeDefinite
 from swplumb.exact import IntMatrix, invert_rational_matrix
-from swplumb.homology import homology_from_lattice
+from swplumb.homology import homology_from_lattice, linking_matrix
 from swplumb.plumbing import (PlumbingGraph, blow_up_edge, blow_up_vertex,
                               build_lattice, casson_walker, k2_plus_nv,
                               numerically_gorenstein)
 from swplumb.report import compute_report, compute_report_from
 from swplumb.seifert import lens_chain, star_graph
+from swplumb.verify import _blown_up
 
 
 def test_single_vertex_lattice():
@@ -56,10 +61,11 @@ def intersection_rows(graph):
 
 
 @settings(max_examples=120, deadline=None)
-@given(trees())
-def test_tree_cofactors_match_dense_oracles(graph):
-    """Definite: adj and det against the dense inverse.  Indefinite: the first
-    leading minor of the wrong sign or zero, against Bareiss determinants."""
+@given(trees(), st.data())
+def test_tree_cofactors_match_dense_oracles(graph, data):
+    """Definite: adj and det against the dense inverse, and solve(b), the
+    diagonal, the edge entries and the corner against adj.  Indefinite: the
+    first leading minor of the wrong sign or zero, against Bareiss determinants."""
     rows = intersection_rows(graph)
     n = len(rows)
     failing = None
@@ -77,8 +83,99 @@ def test_tree_cofactors_match_dense_oracles(graph):
     neg = IntMatrix([[-x for x in row] for row in rows])
     det_neg = neg.det()
     assert lattice.det == (-1) ** n * det_neg == minor
-    assert lattice.adj == tuple(tuple(det_neg * x for x in row)
-                                for row in invert_rational_matrix(neg))
+    adj = lattice.adj
+    assert adj == tuple(tuple(det_neg * x for x in row)
+                        for row in invert_rational_matrix(neg))
+    b = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    assert lattice.solve(b) == [sum(a * x for a, x in zip(row, b)) for row in adj]
+    assert lattice.adj_diagonal == tuple(adj[v][v] for v in range(n))
+    diag = [-e for e in graph.euler_numbers]
+    _, edges = plumbing._diagonal_and_edges(diag, lattice.neighbors, lattice.order,
+                                            lattice.parent, lattice.D, lattice.B)
+    assert all(edges[v] == adj[v][lattice.parent[v]] for v in range(n) if lattice.parent[v] >= 0)
+    c = [2 - d for d in lattice.degrees]
+    corner = sum(cv * a * cw for cv, row in zip(c, adj) for a, cw in zip(row, c))
+    assert sum(x * y for x, y in zip(c, lattice.solve(c))) == corner
+    assert (lattice.r, k2_plus_nv(lattice), casson_walker(lattice)) == \
+        adjugate_oracles(lattice)
+
+
+def adjugate_oracles(lattice):
+    """r, K^2 + #V and lambda summed over the whole adjugate: the tree solves' oracle."""
+    adj, n, order_h = lattice.adj, lattice.size, lattice.order_h
+    z, degrees = lattice.z, lattice.degrees
+    r = tuple(Fraction(-sum(a * zw for a, zw in zip(row, z)), order_h) for row in adj)
+    double = sum(zv * a * zw for zv, row in zip(z, adj) for a, zw in zip(row, z))
+    k2 = n - Fraction(double, order_h)
+    corner = sum((2 - d) * adj[v][v] for v, d in enumerate(degrees) if d != 2)
+    lam = Fraction(-((sum(lattice.graph.euler_numbers) + 3 * n) * order_h - corner), 24)
+    return r, k2, lam
+
+
+class TestTreeSolveCertificates:
+    """A wrong subtree determinant or solve result is caught, never returned."""
+
+    def lattice(self):
+        return build_lattice(_blown_up(e_star(8), 30, random.Random(2)))
+
+    def test_corrupted_subtree_determinant(self):
+        lattice = self.lattice()
+        # D[v] enters the diagonal through its siblings' pieces: take v with one
+        children = [sum(p == x for p in lattice.parent) for x in range(lattice.size)]
+        v = next(v for v in lattice.order[1:] if children[lattice.parent[v]] > 1)
+        dets = list(lattice.D)
+        dets[v] += 1
+        with pytest.raises(InternalInvariantViolated):
+            dataclasses.replace(lattice, D=tuple(dets)).solve([1] * lattice.size)
+        diag = [-e for e in lattice.graph.euler_numbers]
+        with pytest.raises(InternalInvariantViolated):
+            plumbing._diagonal_and_edges(diag, lattice.neighbors, lattice.order,
+                                         lattice.parent, dets, lattice.B)
+
+    def test_corrupted_solve_result(self, monkeypatch):
+        real = plumbing._tree_solve
+
+        def off_by_one(*args):
+            y = real(*args)
+            y[-1] += 1
+            return y
+
+        lattice = self.lattice()
+        monkeypatch.setattr(plumbing, "_tree_solve", off_by_one)
+        with pytest.raises(InternalInvariantViolated):
+            lattice.solve([1] * lattice.size)
+        with pytest.raises(InternalInvariantViolated):
+            compute_report(e_star(8))
+
+
+def test_report_path_builds_no_adjugate(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the full adjugate was built on the report path")
+
+    monkeypatch.setattr(plumbing, "_adjugate", refuse)
+    big = _blown_up(star_graph(dn_seifert(6)), 60, random.Random(3))
+    for graph in (dict(standard_corpus())["3arm(m=4)"], lens_chain(25, 7), big):
+        assert compute_report(graph, all_spinc=True).spinc_table
+        lattice = build_lattice(graph)
+        linking_matrix(lattice, homology_from_lattice(lattice))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(big.to_dict()))
+    for extra in ([], ["--all-spinc", "--format", "json"]):
+        assert cli.main(["graph", str(path)] + extra) == cli.EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(AssertionError):
+        build_lattice(big).adj
+
+
+@pytest.mark.parametrize("base", [e_star(8), star_graph(dn_seifert(6))], ids=["E8", "D6"])
+def test_400_vertex_blown_up_report_matches_the_oracle(base):
+    graph = _blown_up(base, 400, random.Random(4))
+    lattice = build_lattice(graph)
+    report = compute_report_from(lattice, homology_from_lattice(lattice))
+    r, k2, lam = adjugate_oracles(lattice)
+    assert lattice.r == r
+    assert (report.k2_plus_nv, report.casson_walker) == (k2, lam)
+    assert report == compute_report(base)
 
 
 def test_blown_up_e8_report_and_certificate():
