@@ -1,5 +1,11 @@
 """Exact arithmetic kernel: integer matrices, Smith normal form, cyclotomic fields.
 
+The Smith normal form has one elimination loop, `smith_elimination`, over
+sparse rows.  It returns the diagonal and logs every row and column operation.
+Replayed forwards, the logs give the exact U and V of `smith_normal_form`, the
+oracle.  Replayed backwards, they give chosen rows of U or columns of V, mod a
+modulus if one is given: `homology` reads only those.
+
 Everything here is exact.  Rational numbers are `fractions.Fraction`, integer
 matrices keep arbitrary-precision entries, and elements of Q(zeta_N) are stored
 as integer coefficient vectors over a common denominator, reduced modulo the
@@ -110,12 +116,6 @@ class IntMatrix:
             prev = p
         return sign * m[n - 1][n - 1]
 
-    def mul_vector(self, vec):
-        """Matrix times integer/rational column vector, as a tuple."""
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
@@ -143,113 +143,188 @@ def _nonzeros(row):
     return list(compress(enumerate(row), row))
 
 
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over Z, with smallest-|pivot| selection.
+@dataclass(frozen=True)
+class SmithLog:
+    """The Smith diagonal of a matrix A and the operations that reach it.
 
-    Total on any integer matrix; for singular input the zero diagonal entries
-    come last (the divisibility chain d_i | d_{i+1} still holds).
-
-    The arithmetic skips zeros but not steps: every swap and every row or
-    column addition of the dense elimination happens, in the same order, so
-    U, D and V do not depend on the sparsity.  V is kept as its transpose
-    `vt`, so a column operation on V is a row operation on `vt`.  Rows above
-    the pivot t are finished (zero off the diagonal), so column operations on
-    m touch only rows t and below.
+    `row_ops` and `col_ops` list the operations in the order they happen, in
+    logical indices: (a, b, q) adds q times b to a, so (a, a, -2) negates a,
+    and (a, b, 0) swaps a and b.  Applied forwards to the identity they give U
+    and the transpose of V, with U A V = D.  Every d_i | d_(i+1); zeros come
+    last.
     """
-    r, c = A.rows, A.cols
-    m = [list(row) for row in A.entries]
-    u, vt = _identity_rows(r), _identity_rows(c)
+
+    diagonal: tuple
+    row_ops: list
+    col_ops: list
+
+
+def smith_elimination(rows, cols: int) -> SmithLog:
+    """Smith normal form over Z of a sparse matrix, as a diagonal and two logs.
+
+    `rows` are {column: nonzero} dicts and are consumed.  The pivot is the
+    first unit in row-major order, else the first entry of least |value|;
+    rows below the pivot are cleared, then the columns right of it, with a
+    remainder that beats the pivot swapped in, and a pivot that does not
+    divide the block below it takes a column with an entry it does not divide.
+    Every choice reads logical indices, so the operations do not depend on the
+    sparsity.  A column swap exchanges two logical labels of the dict keys, and
+    the arithmetic runs over nonzeros only.  Rows above the pivot t are
+    finished and rows from t on are zero left of t, so whole rows are scanned.
+    """
+    r, c = len(rows), cols
+    m = rows
+    key = list(range(c))        # key[j]: the dict key of logical column j
+    where = list(range(c))      # where[key[j]] = j
+    row_ops, col_ops = [], []
 
     def swap_cols(j):  # columns t and j
-        for row in m[t:]:
-            row[t], row[j] = row[j], row[t]
-        vt[t], vt[j] = vt[j], vt[t]
+        key[t], key[j] = key[j], key[t]
+        where[key[t]], where[key[j]] = t, j
+        col_ops.append((t, j, 0))
 
     t = 0
     while t < min(r, c):
-        # the first entry of least |value| in the block below and right of
-        # (t, t), a unit if there is one; columns left of t are zero there,
-        # so whole rows are scanned
+        # the first unit in row-major order, else the least (|value|, i, j)
         for pi in range(t, r):
             row = m[pi]
-            if 1 in row or -1 in row:
-                pj = min(row.index(x) for x in (1, -1) if x in row)
+            values = row.values()
+            if 1 in values or -1 in values:
+                pj = min(where[k] for k, x in row.items() if x == 1 or x == -1)
                 break
         else:
-            least = min(((abs(x), i, j) for i in range(t, r) for j, x in _nonzeros(m[i])),
+            least = min(((abs(x), i, where[k]) for i in range(t, r) for k, x in m[i].items()),
                         default=None)
             if least is None:
                 break
             _, pi, pj = least
         if pi != t:
             m[t], m[pi] = m[pi], m[t]
-            u[t], u[pi] = u[pi], u[t]
+            row_ops.append((t, pi, 0))
         if pj != t:
             swap_cols(pj)
         while True:
             dirty = False
-            # rows: row[i] += q * row[t], over the nonzeros of row t of m and U
-            mt, ut = m[t], u[t]
-            m_nz, u_nz = _nonzeros(mt), _nonzeros(ut)
-            for i in [i for i in range(t + 1, r) if m[i][t]]:
+            # rows: row[i] += q * row[t]
+            kt, mt = key[t], m[t]
+            for i in [i for i in range(t + 1, r) if kt in m[i]]:
                 mi = m[i]
-                q = -(mi[t] // mt[t])
+                q = -(mi[kt] // mt[kt])
                 if q:
-                    for j, x in m_nz:
-                        mi[j] += q * x
-                    ui = u[i]
-                    for j, x in u_nz:
-                        ui[j] += q * x
-                if mi[t]:  # remainder beats the pivot; swap it in
+                    for k, x in mt.items():
+                        y = mi.get(k, 0) + q * x
+                        if y:
+                            mi[k] = y
+                        else:
+                            del mi[k]
+                    row_ops.append((i, t, q))
+                if kt in mi:  # remainder beats the pivot; swap it in
                     m[t], m[i] = mi, mt
-                    u[t], u[i] = u[i], ut
-                    mt, ut = m[t], u[t]
-                    m_nz, u_nz = _nonzeros(mt), _nonzeros(ut)
+                    row_ops.append((t, i, 0))
+                    mt = mi
                     dirty = True
             if dirty:
                 continue
-            # columns: col[j] += q * col[t], over the nonzeros of column t of m and V
-            mt = m[t]
-            col_nz = [(row, row[t]) for row in m[t:] if row[t]]
-            v_nz = _nonzeros(vt[t])
-            for j in [j for j in range(t + 1, c) if mt[j]]:
-                q = -(mt[j] // mt[t])
+            # columns: col[j] += q * col[t], over the rows nonzero in column t
+            # (only row t, until a column swap brings in another column)
+            column = [mt]
+            for j in sorted(where[k] for k in mt if where[k] > t):
+                kj = key[j]
+                q = -(mt[kj] // mt[kt])
                 if q:
-                    for row, x in col_nz:
-                        row[j] += q * x
-                    vj = vt[j]
-                    for k, x in v_nz:
-                        vj[k] += q * x
-                if mt[j]:
+                    for row in column:
+                        y = row.get(kj, 0) + q * row[kt]
+                        if y:
+                            row[kj] = y
+                        else:
+                            del row[kj]
+                    col_ops.append((j, t, q))
+                if kj in mt:
                     swap_cols(j)
-                    col_nz = [(row, row[t]) for row in m[t:] if row[t]]
-                    v_nz = _nonzeros(vt[t])
+                    kt = key[t]
+                    column = [row for row in m[t:] if kt in row]
                     dirty = True
             if dirty:
                 continue
-            # pivot must divide the whole trailing block (a unit always does);
-            # row t and column t are zero there, so whole rows are scanned
-            p = m[t][t]
+            # pivot must divide the whole trailing block (a unit always does)
+            p = mt[kt]
             bad = None
             if abs(p) != 1:
                 for row in m[t + 1:]:
-                    bad = next((j for j, x in enumerate(row) if x % p), None)
+                    bad = min((where[k] for k, x in row.items() if x % p), default=None)
                     if bad is not None:
                         break
             if bad is None:
                 break
+            kb = key[bad]
             for row in m[t:]:       # col[t] += col[bad]
-                row[t] += row[bad]
-            vt[t] = [x + y for x, y in zip(vt[t], vt[bad])]
+                if kb in row:
+                    y = row.get(kt, 0) + row[kb]
+                    if y:
+                        row[kt] = y
+                    else:
+                        del row[kt]
+            col_ops.append((t, bad, 1))
         t += 1
 
+    diagonal = []
     for i in range(min(r, c)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
+        d = m[i].get(key[i], 0)
+        if d < 0:
+            row_ops.append((i, i, -2))
+        diagonal.append(abs(d))
+    return SmithLog(tuple(diagonal), row_ops, col_ops)
 
-    return SmithDecomposition(IntMatrix._of_rows(u), IntMatrix._of_rows(m),
-                              IntMatrix._of_rows(zip(*vt)))
+
+def replay_forward(ops, size: int):
+    """The operations applied in order to the rows of the size x size identity."""
+    rows = _identity_rows(size)
+    for a, b, q in ops:
+        if q:
+            target = rows[a]
+            for j, x in _nonzeros(rows[b]):
+                target[j] += q * x
+        else:
+            rows[a], rows[b] = rows[b], rows[a]
+    return rows
+
+
+def replay_backward(ops, size: int, picked, modulus=None):
+    """Rows `picked` of the row-log product U, or columns `picked` of the column-log V.
+
+    x = e_i^T R_k ... R_1 and V e_i = C_1 ... C_k e_i run the log backwards,
+    and both turn "a += q b" into x_b += q x_a.  Returned as x[v], the list of
+    the picked vectors' entries at v, each reduced mod `modulus` if one is given.
+    """
+    x = [[0] * len(picked) for _ in range(size)]
+    for s, i in enumerate(picked):
+        x[i][s] = 1
+    for a, b, q in reversed(ops):
+        if not q:
+            x[a], x[b] = x[b], x[a]
+        elif any(x[a]):
+            if modulus:
+                x[b] = [(y + q * z) % modulus for z, y in zip(x[a], x[b])]
+            else:
+                x[b] = [y + q * z for z, y in zip(x[a], x[b])]
+    return x
+
+
+def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form over Z, with smallest-|pivot| selection: the exact oracle.
+
+    Total on any integer matrix; for singular input the zero diagonal entries
+    come last (the divisibility chain d_i | d_(i+1) still holds).  The logs of
+    `smith_elimination` are replayed forwards into U and V.
+    """
+    r, c = A.rows, A.cols
+    log = smith_elimination([dict(_nonzeros(row)) for row in A.entries], c)
+    d = [[0] * c for _ in range(r)]
+    for i, x in enumerate(log.diagonal):
+        d[i][i] = x
+    return SmithDecomposition(IntMatrix._of_rows(replay_forward(log.row_ops, r)),
+                              IntMatrix._of_rows(d),
+                              IntMatrix._of_rows(zip(*replay_forward(log.col_ops, c))))
 
 
 def invert_rational_matrix(A: IntMatrix):

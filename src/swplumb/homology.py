@@ -4,6 +4,11 @@ H is the cokernel of the intersection matrix, kept in invariant-factor
 coordinates.  The meridian classes g_v (one per vertex) generate H and bridge
 group language and graph language; characters are exponent tuples evaluated
 as powers of a fixed primitive root of unity of order exp(H).
+
+The group is read off the sparse Smith elimination of I (`exact.smith_elimination`)
+without forming U, V or the dense I: the meridian images U[kept] mod d_i come
+from the row log, replayed backwards mod |det I| and then dropped, and are
+certified against I itself.  `lift` replays the column log in exact integers.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import InternalInvariantViolated, OrderCapExceeded
-from .exact import CyclotomicField, IntMatrix, cyclotomic_field, smith_normal_form
+from .exact import CyclotomicField, cyclotomic_field, replay_backward, smith_elimination
 from .plumbing import LatticeData
 
 DEFAULT_ORDER_CAP = 10 ** 6
@@ -35,17 +40,21 @@ class Character:
 
 
 class FinAbGroup:
-    """Finite abelian group in invariant-factor form, with meridian images."""
+    """Finite abelian group in invariant-factor form, with meridian images.
 
-    def __init__(self, invariant_factors, generator_images, umat: IntMatrix, kept,
-                 imat: IntMatrix, vmat: IntMatrix):
+    The images are the kept rows of the Smith transform U, reduced mod d_i;
+    `lift` reads the lattice and the column log of the elimination.
+    """
+
+    def __init__(self, invariant_factors, generator_images, lattice: LatticeData, kept,
+                 col_ops):
         self.invariant_factors = tuple(invariant_factors)
         self.generator_images = tuple(generator_images)
         self.order = prod(self.invariant_factors) if self.invariant_factors else 1
         self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
-        self._umat = umat
+        self._lattice = lattice
         self._kept = tuple(kept)
-        self._imat, self._vmat = imat, vmat     # U I V = D, for the lift
+        self._col_ops = col_ops
         self._lift_columns = None
         self._lift_cache = {}
         self._field = None
@@ -103,8 +112,11 @@ class FinAbGroup:
 
     def class_of_vector(self, vec) -> GroupElement:
         """Class in H of an integer vector written in the dual vertex basis."""
-        w = self._umat.mul_vector(vec)
-        return tuple(w[i] % d for i, d in zip(self._kept, self.invariant_factors))
+        total = [0] * self.rank
+        for x, image in zip(vec, self.generator_images):
+            if x:
+                total = [t + x * y for t, y in zip(total, image)]
+        return tuple(t % d for t, d in zip(total, self.invariant_factors))
 
     def lift(self, h: GroupElement):
         """An integer vector in the dual vertex basis whose class is h.
@@ -116,15 +128,10 @@ class FinAbGroup:
         if hit is not None:
             return hit
         if self._lift_columns is None:
-            columns = []
-            for i, d in zip(self._kept, self.invariant_factors):
-                image = self._imat.mul_vector([row[i] for row in self._vmat.entries])
-                if any(x % d for x in image):
-                    raise InternalInvariantViolated(f"I V e_{i} is not divisible by d_{i} = {d}")
-                columns.append([x // d for x in image])
-            self._lift_columns = columns
+            self._lift_columns = _lift_columns(self._lattice, self._col_ops, self._kept,
+                                               self.invariant_factors)
         vec = tuple(sum(x * column[v] for x, column in zip(h, self._lift_columns) if x)
-                    for v in range(self._umat.rows))
+                    for v in range(self._lattice.size))
         self._lift_cache[h] = vec
         return vec
 
@@ -132,31 +139,56 @@ class FinAbGroup:
         return f"FinAbGroup({list(self.invariant_factors)})"
 
 
+def _lift_columns(lattice: LatticeData, col_ops, kept, factors, modulus=None):
+    """I V e_i / d_i for the kept i, with the division checked.
+
+    The columns of V come from the column log, run backwards; with a modulus M
+    they are taken mod M * exp(H), so the quotients are right mod M.
+    """
+    if not kept:
+        return []
+    v = replay_backward(col_ops, lattice.size, kept, modulus * factors[-1] if modulus else None)
+    columns = []
+    for s, (i, d) in enumerate(zip(kept, factors)):
+        image = lattice.times([x[s] for x in v])
+        if any(x % d for x in image):
+            raise InternalInvariantViolated(f"I V e_{i} is not divisible by d_{i} = {d}")
+        columns.append([x // d for x in image])
+    return columns
+
+
 def homology_from_lattice(lattice: LatticeData, *,
                           max_order: int = DEFAULT_ORDER_CAP) -> FinAbGroup:
-    """H = coker(I) via Smith normal form, with the meridian generator images.
+    """H = coker(I) via the sparse Smith elimination, with the meridian generator images.
 
     |H| = |det I| bounds every enumeration downstream (elements, characters,
-    the torsion transform), so the cap is checked here, before the Smith
-    normal form: a group over the cap is never built.
+    the torsion transform), so the cap is checked here, before the
+    elimination: a group over the cap is never built.  The images are the kept
+    rows of U mod d_i, replayed from the row log mod N = |det I|.  They are
+    certified without the logs: every column of I dies in H, each generator
+    has a lift whose class is itself, and prod d_i = N, so the images give an
+    isomorphism from coker(I).
     """
-    if lattice.order_h > max_order:
-        raise OrderCapExceeded(lattice.order_h, max_order)
-    snf = smith_normal_form(lattice.I)
-    diag = snf.diagonal
-    if any(d == 0 for d in diag):
+    order = lattice.order_h
+    if order > max_order:
+        raise OrderCapExceeded(order, max_order)
+    log = smith_elimination(lattice.sparse_rows(), lattice.size)
+    diag = log.diagonal
+    if 0 in diag:
         raise InternalInvariantViolated("intersection matrix is singular")
     kept = [i for i, d in enumerate(diag) if d > 1]
-    factors = tuple(diag[i] for i in kept)
-    u = snf.U
-    n = lattice.size
-    images = tuple(
-        tuple(u[i, v] % diag[i] for i in kept) for v in range(n)
-    )
-    group = FinAbGroup(factors, images, u, kept, lattice.I, snf.V)
-    if group.order != lattice.order_h:
-        raise InternalInvariantViolated(
-            f"|H| = {group.order} but |det I| = {lattice.order_h}")
+    factors = [diag[i] for i in kept]
+    images = [tuple(x % d for x, d in zip(row, factors))
+              for row in replay_backward(log.row_ops, lattice.size, kept, order)]
+    group = FinAbGroup(factors, images, lattice, kept, log.col_ops)
+    if group.order != order:
+        raise InternalInvariantViolated(f"|H| = {group.order} but |det I| = {order}")
+    for s, d in enumerate(factors):
+        if any(x % d for x in lattice.times([image[s] for image in group.generator_images])):
+            raise InternalInvariantViolated(f"a column of I does not die in Z/{d}")
+    for s, column in enumerate(_lift_columns(lattice, log.col_ops, kept, factors, order)):
+        if group.class_of_vector(column) != tuple(int(j == s) for j in range(group.rank)):
+            raise InternalInvariantViolated(f"generator {s} is not the class of its lift")
     return group
 
 

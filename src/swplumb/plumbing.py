@@ -15,7 +15,9 @@ rooting: adj(-I) b for a vector b (a tree solve, leaves first then root
 first), the diagonal and the entries on edges (one root-first rerooting pass
 over the directed-edge determinants).  Every consumer sums integers and
 divides by |det I| once.  The whole table is built only when read: it is the
-oracle that tests and `swplumb verify` compare the tree solves against.
+oracle that tests and `swplumb verify` compare the tree solves against.  So is
+the dense I: the invariants apply I over the edges, and the Smith elimination
+reads its rows as sparse dicts.
 """
 
 from __future__ import annotations
@@ -94,13 +96,13 @@ class LatticeData:
     is rooted at vertex 0: `order` is breadth first, `parent` is -1 at the
     root, D[x] = det(-I | T_x) over the subtree below x and B[x] is the product
     of D over the children of x.  `solve` applies adj(-I) to a vector, and
-    `adj_diagonal` holds its entries adj_vv.  `adj`, the whole table, is built
-    only when read.
+    `adj_diagonal` holds its entries adj_vv.  `times` applies I itself.  `adj`,
+    the whole table, and `I`, the dense matrix, are built only when read.
     """
 
     graph: PlumbingGraph
     ids: tuple
-    I: IntMatrix
+    eulers: tuple          # e_v
     det: int
     order_h: int           # |det I|
     degrees: tuple
@@ -120,14 +122,38 @@ class LatticeData:
     def index_of(self, vertex_id: str) -> int:
         return self.ids.index(vertex_id)
 
+    def times(self, x) -> list:
+        """I x, over the edges (v, parent v)."""
+        out = [e * y for e, y in zip(self.eulers, x)]
+        parent = self.parent
+        for v in self.order[1:]:
+            p = parent[v]
+            out[v] += x[p]
+            out[p] += x[v]
+        return out
+
+    def sparse_rows(self) -> list:
+        """The rows of I as fresh {column: nonzero} dicts."""
+        rows = []
+        for v, (e, around) in enumerate(zip(self.eulers, self.neighbors)):
+            row = dict.fromkeys(around, 1)
+            row[v] = e
+            rows.append(row)
+        return rows
+
     def solve(self, b) -> list:
-        """adj(-I) b in integers, certified by I y = -|det I| b over the neighbor lists."""
+        """adj(-I) b in integers, certified by I y = -|det I| b over the edges."""
         y = _tree_solve(self.order, self.parent, self.D, self.B, b)
-        eulers = self.graph.euler_numbers
-        for v, around in enumerate(self.neighbors):
-            if eulers[v] * y[v] + sum(y[u] for u in around) != -self.order_h * b[v]:
-                raise InternalInvariantViolated("tree solve: I y != -|det I| b")
+        if self.times(y) != [-self.order_h * x for x in b]:
+            raise InternalInvariantViolated("tree solve: I y != -|det I| b")
         return y
+
+    @cached_property
+    def I(self) -> IntMatrix:
+        """The dense intersection matrix, built only when read (oracles and tests)."""
+        n = self.size
+        return IntMatrix._of_rows([[row.get(j, 0) for j in range(n)]
+                                   for row in self.sparse_rows()])
 
     @cached_property
     def r(self) -> tuple:
@@ -140,7 +166,7 @@ class LatticeData:
 
         Certified by I * adj = -|det I| * Id, summed over neighbors.
         """
-        eulers = self.graph.euler_numbers
+        eulers = self.eulers
         adj = _adjugate([-e for e in eulers], self.neighbors)
         for v in range(self.size):
             total = [eulers[v] * x for x in adj[v]]
@@ -335,14 +361,6 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
         raise NotATree("graph is disconnected")
 
     eulers = graph.euler_numbers
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = eulers[i]
-    for a, b in graph.edges:
-        i, j = index[a], index[b]
-        rows[i][j] = 1
-        rows[j][i] = 1
-
     diag = [-e for e in eulers]
     parent = [-1] * n
     order = _bfs(adjacency, 0, n, parent)
@@ -359,7 +377,7 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
     return LatticeData(
         graph=graph,
         ids=ids,
-        I=IntMatrix._of_rows(rows),
+        eulers=eulers,
         det=(-1) ** n * order_h,
         order_h=order_h,
         degrees=degrees,
@@ -384,7 +402,7 @@ def k2_plus_nv(lattice: LatticeData) -> Fraction:
     n = lattice.size
     corner_vec = [2 - d for d in lattice.degrees]
     corner = sum(c * y for c, y in zip(corner_vec, lattice.solve(corner_vec)) if c)
-    value = sum(lattice.graph.euler_numbers) + 3 * n + 2 - Fraction(corner, lattice.order_h)
+    value = sum(lattice.eulers) + 3 * n + 2 - Fraction(corner, lattice.order_h)
 
     # z^T adj(-I) z = -|det I| (z . r), in integers over r in lowest terms
     double = -sum(zv * rv.numerator * (lattice.order_h // rv.denominator)
@@ -401,7 +419,7 @@ def casson_walker(lattice: LatticeData) -> Fraction:
     n = lattice.size
     corner = sum((2 - d) * lattice.adj_diagonal[v] for v, d in enumerate(lattice.degrees)
                  if d != 2)
-    total = (sum(lattice.graph.euler_numbers) + 3 * n) * lattice.order_h - corner
+    total = (sum(lattice.eulers) + 3 * n) * lattice.order_h - corner
     return Fraction(-total, 24)
 
 

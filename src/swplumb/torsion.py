@@ -51,10 +51,8 @@ def weight_vector(lattice: LatticeData, v0: int) -> WeightVector:
     # re-verify I w = -m e_(v0)
     target = [0] * n
     target[v0] = -m
-    for v in range(n):
-        total = lattice.I[v, v] * w[v] + sum(w[u] for u in lattice.neighbors[v])
-        if total != target[v]:
-            raise InternalInvariantViolated("weight system verification failed")
+    if lattice.times(w) != target:
+        raise InternalInvariantViolated("weight system verification failed")
     return WeightVector(v0=v0, m=m, w=tuple(w))
 
 

@@ -216,9 +216,8 @@ def brieskorn_corpus():
 
 # -- property families --------------------------------------------------------
 
-def _smith_holds(mat) -> bool:
+def _smith_holds(mat, snf) -> bool:
     """U * A * V = D, U and V unimodular, d_i | d_(i+1), zeros last."""
-    snf = smith_normal_form(mat)
     diag = snf.diagonal
     chain_ok = all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1)
                    if diag[i])
@@ -251,7 +250,7 @@ def snf_and_inverse_props():
         mat = IntMatrix([[rng.randrange(-6, 7) for _ in range(cols)]
                          for _ in range(rows)])
         total += 1
-        if not _smith_holds(mat):
+        if not _smith_holds(mat, smith_normal_form(mat)):
             failures.append(mat.entries)
     for _ in range(25):
         n = rng.randrange(1, 6)
@@ -286,12 +285,20 @@ def snf_and_inverse_props():
                 or lattice.solve(b) != [sum(a * x for a, x in zip(row, b)) for row in scaled]
                 or lattice.adj_diagonal != tuple(scaled[v][v] for v in range(n))):
             failures.append(graph.to_dict())
-    # intersection matrices of blown-up trees: the pivot sequences of real input
+    # intersection matrices of blown-up trees: the pivot sequences of real input,
+    # and the report path's factors and meridian images (U[kept] mod d_i)
     for base, size in ((star_graph(dn_seifert(6)), 40), (e_star(7), 47),
                        (nonstar_13_vertex(), 54), (lens_chain(25, 7), 60)):
         graph = _blown_up(base, size, rng)
         total += 1
-        if not _smith_holds(build_lattice(graph).I):
+        lattice = build_lattice(graph)
+        snf = smith_normal_form(lattice.I)
+        kept = [i for i, d in enumerate(snf.diagonal) if d > 1]
+        group = homology_from_lattice(lattice)
+        if (not _smith_holds(lattice.I, snf)
+                or group.invariant_factors != tuple(snf.diagonal[i] for i in kept)
+                or group.generator_images != tuple(tuple(snf.U[i, v] % snf.diagonal[i] for i in kept)
+                                                   for v in range(lattice.size))):
             failures.append(graph.to_dict())
     return [_summary("integer normal form and exact inverse oracles",
                      failures, total)]

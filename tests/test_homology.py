@@ -9,7 +9,7 @@ from swplumb import homology
 from swplumb.brieskorn import BrieskornSpec, brieskorn_seifert
 from swplumb.corpus import a_chain, dn_seifert, standard_corpus
 from swplumb.errors import InternalInvariantViolated, OrderCapExceeded
-from swplumb.exact import IntMatrix, invert_rational_matrix
+from swplumb.exact import invert_rational_matrix, smith_normal_form
 from swplumb.homology import (gauss_sum_check, homology_from_lattice,
                               linking_form, q_can, spinc_canonical_class,
                               spinc_conjugate, spinc_quadratic)
@@ -103,12 +103,12 @@ class TestCharacters:
 
     def test_order_cap(self, monkeypatch):
         # the cap is checked on |det I| once, before the group (and so any
-        # character) exists: the Smith normal form is never reached
-        def refuse(matrix):
-            raise AssertionError("Smith normal form reached above the cap")
+        # character) exists: the Smith elimination is never reached
+        def refuse(rows, cols):
+            raise AssertionError("Smith elimination reached above the cap")
 
         lattice = build_lattice(lens_chain(4001, 2))
-        monkeypatch.setattr(homology, "smith_normal_form", refuse)
+        monkeypatch.setattr(homology, "smith_elimination", refuse)
         with pytest.raises(OrderCapExceeded) as exc:
             homology_from_lattice(lattice, max_order=10)
         assert (exc.value.order, exc.value.cap) == (4001, 10)
@@ -120,17 +120,21 @@ class TestLift:
         graphs = [graph for _, graph in standard_corpus()]
         graphs.append(_blown_up(star_graph(dn_seifert(6)), 40, random.Random(4)))
         for graph in graphs:
-            _, group = pipeline(graph)
-            uinv = invert_rational_matrix(group._umat)
-            for i, k in enumerate(group._kept):
+            lattice, group = pipeline(graph)
+            snf = smith_normal_form(lattice.I)
+            kept = [i for i, d in enumerate(snf.diagonal) if d > 1]
+            uinv = invert_rational_matrix(snf.U)
+            for i, k in enumerate(kept):
                 unit = tuple(int(j == i) for j in range(group.rank))
                 assert group.lift(unit) == tuple(row[k] for row in uinv)
                 assert group.class_of_vector(group.lift(unit)) == unit
 
     def test_inexact_division_raises(self):
-        lattice, group = pipeline(a_chain(3))
-        n = lattice.size
-        group._vmat = IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+        _, group = pipeline(a_chain(3))
+        # V e_1 = (1, 2) and I V e_1 = (0, -3); with col[1] += 3 col[0] instead,
+        # V e_1 = (1, 3) and I V e_1 = (1, -5), which 3 does not divide
+        assert group._col_ops == [(0, 1, 0), (1, 0, 2)]
+        group._col_ops[1] = (1, 0, 3)
         with pytest.raises(InternalInvariantViolated):
             group.lift((1,))
 

@@ -1,0 +1,174 @@
+"""The report path's Smith layer: the operation log, its replays and its certificate.
+
+`homology_from_lattice` never forms U, V or the dense I: it replays the row log
+backwards into the kept rows of U mod |det I|, and `lift` replays the column
+log into the kept columns of V.  `smith_normal_form` replays the same logs
+forwards and is the oracle here.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+
+import swplumb
+from swplumb import cli, exact, homology, plumbing
+from swplumb.corpus import dn_seifert, standard_corpus
+from swplumb.errors import InternalInvariantViolated
+from swplumb.exact import IntMatrix, replay_backward, smith_elimination, smith_normal_form
+from swplumb.homology import FinAbGroup, homology_from_lattice, linking_matrix
+from swplumb.plumbing import PlumbingGraph, build_lattice
+from swplumb.report import compute_report
+from swplumb.seifert import lens_chain, star_graph
+from swplumb.verify import _blown_up
+
+from test_plumbing import intersection_rows, trees
+
+
+def exact_images(snf, kept):
+    """U[kept] mod d_i at every vertex, read off the exact decomposition."""
+    return tuple(tuple(snf.U[i, v] % snf.diagonal[i] for i in kept) for v in range(snf.U.rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees())
+def test_replays_match_the_exact_decomposition(graph):
+    """Backwards, the logs give U^T and V; definite trees also give U[kept] mod N and the images."""
+    mat = IntMatrix(intersection_rows(graph))
+    n = mat.rows
+    snf = smith_normal_form(mat)
+    log = smith_elimination([{j: x for j, x in enumerate(row) if x} for row in mat.entries], n)
+    assert log.diagonal == snf.diagonal
+    assert replay_backward(log.row_ops, n, range(n)) == [list(col) for col in zip(*snf.U.entries)]
+    assert replay_backward(log.col_ops, n, range(n)) == [list(row) for row in snf.V.entries]
+    try:
+        lattice = build_lattice(graph)
+    except swplumb.NotNegativeDefinite:
+        return
+    order = lattice.order_h
+    kept = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    assert replay_backward(log.row_ops, n, kept, order) == \
+        [[snf.U[i, v] % order for i in kept] for v in range(n)]
+    group = homology_from_lattice(lattice, max_order=order)
+    assert group.invariant_factors == tuple(snf.diagonal[i] for i in kept)
+    assert group.generator_images == exact_images(snf, kept)
+
+
+def certified_lattice():
+    """D6 blown up to 30 vertices: H = Z2 + Z2, so both coordinates are checked."""
+    lattice = build_lattice(_blown_up(star_graph(dn_seifert(6)), 30, random.Random(4)))
+    assert homology_from_lattice(lattice).invariant_factors == (2, 2)
+    return lattice
+
+
+def test_corrupted_image_raises(monkeypatch):
+    lattice = certified_lattice()
+    right = homology_from_lattice(lattice).generator_images
+    for v in range(lattice.size):
+        for s in range(2):
+            def corrupt(factors, images, *rest):
+                images = [list(image) for image in images]
+                images[v][s] = (images[v][s] + 1) % factors[s]
+                return FinAbGroup(factors, map(tuple, images), *rest)
+
+            monkeypatch.setattr(homology, "FinAbGroup", corrupt)
+            with pytest.raises(InternalInvariantViolated):
+                homology_from_lattice(lattice)
+    monkeypatch.undo()
+    assert homology_from_lattice(lattice).generator_images == right
+
+
+def test_corrupted_row_log_entry_raises_or_changes_nothing(monkeypatch):
+    """q + 1 in any one row addition: the group is refused unless the images are unchanged."""
+    lattice = certified_lattice()
+    right = homology_from_lattice(lattice).generator_images
+    log = smith_elimination(lattice.sparse_rows(), lattice.size)
+    additions = [k for k, (_, _, q) in enumerate(log.row_ops) if q]
+    raised = 0
+    for k in additions:
+        def corrupt(rows, cols):
+            log = exact.smith_elimination(rows, cols)
+            a, b, q = log.row_ops[k]
+            log.row_ops[k] = (a, b, q + 1)
+            return log
+
+        monkeypatch.setattr(homology, "smith_elimination", corrupt)
+        try:
+            group = homology_from_lattice(lattice)
+        except InternalInvariantViolated:
+            raised += 1
+        else:
+            assert group.generator_images == right
+    assert raised
+
+
+def test_report_path_builds_no_dense_matrix(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the exact Smith form or the dense I was built on the report path")
+
+    monkeypatch.setattr(exact, "smith_normal_form", refuse)
+    monkeypatch.setattr(swplumb, "smith_normal_form", refuse)
+    monkeypatch.setattr(plumbing.LatticeData, "I", property(refuse))
+    big = _blown_up(star_graph(dn_seifert(6)), 60, random.Random(3))
+    for graph in (dict(standard_corpus())["3arm(m=4)"], lens_chain(25, 7), big):
+        assert compute_report(graph).order_h > 1
+        assert compute_report(graph, all_spinc=True).spinc_table
+        lattice = build_lattice(graph)
+        linking_matrix(lattice, homology_from_lattice(lattice))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(big.to_dict()))
+    for extra in ([], ["--all-spinc", "--format", "json"]):
+        assert cli.main(["graph", str(path)] + extra) == cli.EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(AssertionError):
+        build_lattice(big).I
+
+
+# A copy of the benchmark's graph builders, so this test does not import them.
+
+def star(center, arms):
+    """Central curve `center`; each arm a chain of the given Euler numbers."""
+    eulers, edges = [center], []
+    for arm in arms:
+        prev = 0
+        for e in arm:
+            eulers.append(e)
+            edges.append((prev, len(eulers) - 1))
+            prev = len(eulers) - 1
+    return eulers, edges
+
+
+def blow_up(rng, eulers, edges, size):
+    """Seeded vertex and edge blowups until the graph has `size` vertices."""
+    eulers, edges = list(eulers), list(edges)
+    while len(eulers) < size:
+        new = len(eulers)
+        if not edges or rng.random() < 0.5:
+            v = rng.randrange(new)
+            eulers[v] -= 1
+            edges.append((v, new))
+        else:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            eulers[a] -= 1
+            eulers[b] -= 1
+            edges += [(a, new), (new, b)]
+        eulers.append(-1)
+    return eulers, edges
+
+
+def plumbing_graph(eulers, edges):
+    return PlumbingGraph([(f"v{i}", e) for i, e in enumerate(eulers)],
+                         [(f"v{a}", f"v{b}") for a, b in edges])
+
+
+def test_e6_blown_up_to_400_vertices():
+    """A tree whose exact Smith form takes minutes (entries of U reach 78654 bits).
+
+    The report path never forms U: it replays the row log mod |det I|.
+    """
+    rng = random.Random("big/1")
+    rng.randrange(1, 11), rng.randrange(1, 13), rng.randrange(4, 10)   # the draws of the other bases
+    e6 = star(-2, [[-2], [-2] * 2, [-2] * 2])
+    graph = plumbing_graph(*blow_up(rng, *e6, 400))
+    assert compute_report(graph) == compute_report(plumbing_graph(*e6))
