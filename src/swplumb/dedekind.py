@@ -1,15 +1,18 @@
 """Dedekind and Dedekind-Rademacher sums, with reciprocity-based fast evaluation.
 
 The shifted sum s(h, k; x, y) is evaluated two ways: a direct O(k) summation
-straight from the definition (the oracle), and a Euclid-speed path that
-alternates argument reduction with the reciprocity law.  Rational shifts only;
-that is all the geometry ever needs.
+straight from the definition (the oracle), and one Euclid loop that alternates
+argument reduction with the reciprocity law.  The loop works in integers: with
+x = X/D and y = Y/D over the lcm D of the shift denominators, each reciprocity
+step adds one fraction over 12 h k D^2, so it builds O(log k) fractions.
+Rational shifts only, given as int or Fraction; that is all the geometry ever
+needs, and anything else is rejected rather than coerced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exact import CycNum, cyclotomic_field
 
@@ -25,15 +28,9 @@ def dedekind_symbol(x) -> Fraction:
     return (x % 1) - _HALF
 
 
-def bernoulli2_periodic(x) -> Fraction:
-    """B2({x}) = {x}^2 - {x} + 1/6, the periodic second Bernoulli polynomial."""
-    f = Fraction(x) % 1
-    return f * f - f + Fraction(1, 6)
-
-
 def dr_sum_direct(h: int, k: int, x=0, y=0) -> Fraction:
     """s(h, k; x, y) summed term by term; the definition-level oracle."""
-    _check_args(h, k)
+    _check_args(h, k, x, y)
     x = Fraction(x)
     y = Fraction(y)
     total = _ZERO
@@ -44,9 +41,44 @@ def dr_sum_direct(h: int, k: int, x=0, y=0) -> Fraction:
 
 
 def dr_sum(h: int, k: int, x=0, y=0) -> Fraction:
-    """s(h, k; x, y) by Euclid-style reduction and the reciprocity laws."""
-    _check_args(h, k)
-    return _dr(h, k, Fraction(x) % 1, Fraction(y) % 1)
+    """s(h, k; x, y) by one Euclid loop over the reciprocity law, in integers.
+
+    A step reduces h mod k (x += (h // k) y) and applies
+    s(h, k; x, y) + s(k, h; y, x) = ((x))((y))
+        + (h^2 B2({y}) + B2({h y + k x}) + k^2 B2({x})) / (2 h k),
+    or -1/4 + (h^2 + k^2 + 1) / (12 h k) when x and y are integers (D = 1).  With
+    x = X/D and y = Y/D, X and Y reduced mod D, ((Z/D)) = sigma(Z) / 2D and
+    B2({Z/D}) = beta(Z) / 6D^2, where sigma(Z) = 2Z - D (0 at Z = 0) and
+    beta(Z) = 6Z^2 - 6ZD + D^2; so the right side is one fraction over 12 h k D^2.
+    The loop ends at h = 0 with ((x))((y)).
+    """
+    _check_args(h, k, x, y)
+    x, y = Fraction(x), Fraction(y)
+    D = lcm(x.denominator, y.denominator)
+    X = x.numerator * (D // x.denominator) % D
+    Y = y.numerator * (D // y.denominator) % D
+
+    def sigma(z):
+        return 2 * z - D if z else 0
+
+    def beta(z):
+        return 6 * z * z - 6 * z * D + D * D
+
+    sign, total = 1, _ZERO
+    if h < 0:               # s(-h, k; -x, y) = -s(h, k; x, y)
+        sign, h, X = -1, -h, -X % D
+    while True:
+        m, h = divmod(h, k)             # s(h, k; x, y) = s(h - mk, k; x + my, y)
+        X = (X + m * Y) % D
+        if h == 0:
+            return total + Fraction(sign * sigma(X) * sigma(Y), 4 * D * D)
+        if D == 1:                      # x and y integers throughout
+            step = h * h + k * k + 1 - 3 * h * k
+        else:
+            step = (3 * h * k * sigma(X) * sigma(Y) + h * h * beta(Y)
+                    + beta((h * Y + k * X) % D) + k * k * beta(X))
+        total += Fraction(sign * step, 12 * h * k * D * D)
+        sign, h, k, X, Y = -sign, k, h, Y, X
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -54,32 +86,17 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return dr_sum(h, k)
 
 
-def _check_args(h, k):
+def _check_args(h, k, *shifts):
+    for name, value in (("h", h), ("k", k)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name}={value!r} is not an integer")
+    for value in shifts:
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            raise ValueError(f"shift {value!r} is not an integer or a Fraction")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if gcd(h, k) != 1:
         raise ValueError(f"h={h} and k={k} must be coprime")
-
-
-def _dr(h: int, k: int, x: Fraction, y: Fraction) -> Fraction:
-    if k == 1:
-        return dedekind_symbol(y) * dedekind_symbol(h * y + x)
-    if h < 0:
-        return -_dr(-h, k, (-x) % 1, y)
-    m = h // k
-    if m:  # s(h,k;x,y) = s(h - mk, k; x + my, y)
-        h -= m * k
-        x = (x + m * y) % 1
-    if h == 0:
-        return dedekind_symbol(x) * dedekind_symbol(y)
-    if x.denominator == 1 and y.denominator == 1:
-        rhs = Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k)
-    else:
-        rhs = (dedekind_symbol(x) * dedekind_symbol(y)
-               + (h * h * bernoulli2_periodic(y)
-                  + bernoulli2_periodic(h * y + k * x)
-                  + k * k * bernoulli2_periodic(x)) / (2 * h * k))
-    return rhs - _dr(k, h, y, x)
 
 
 # ---------------------------------------------------------------------------

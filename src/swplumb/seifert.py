@@ -225,27 +225,35 @@ def ks_route(data: SeifertData) -> KSReport:
     Enumerates the bundle multiples j with 0 < |j*ell - kappa/2| <= kappa/2 and
     sorts them by the sign of the shifted degree.  The route applies when
     rho0 is nonzero and every selected component is zero dimensional.
+
+    The degrees are integers scaled by L = lcm(alpha_i), so that E = ell*L
+    and K = kappa*L are integers: L*deg is j*E - sum ((j*w_i) mod a_i) L/a_i
+    on the plus side and K - j*E - sum ((a_i - 1 - j*w_i) mod a_i) L/a_i on
+    the minus side.  Cost: kappa/(2|e|) integer steps per side, with no cap.
     """
     ell, kappa = data.ell, data.kappa
     s_plus, s_minus = [], []
     plus_dims, minus_dims = [], []
     if kappa > 0:
+        L = data.alpha
+        E, K = int(ell * L), int(kappa * L)
+        arms = [(a, w, L // a) for a, w in data.arms]
         # j*ell in [0, kappa/2): negative shift; j*ell in (kappa/2, kappa]: positive
-        for j in _int_range(kappa / (2 * ell), Fraction(0), include_lo=False, include_hi=True):
-            deg = j * ell - sum((Fraction(j * w, a)) % 1 for a, w in data.arms)
-            if deg.denominator != 1:
-                raise InternalInvariantViolated("smooth degree must be an integer")
-            if deg >= 0:
-                s_plus.append(j)
-                plus_dims.append(int(deg))
-        for j in _int_range(kappa / ell, kappa / (2 * ell), include_lo=True, include_hi=False):
-            deg = (kappa - j * ell) - sum(Fraction((a - 1 - j * w) % a, a)
-                                          for a, w in data.arms)
-            if deg.denominator != 1:
-                raise InternalInvariantViolated("smooth degree must be an integer")
-            if deg >= 0:
-                s_minus.append(j)
-                minus_dims.append(int(deg))
+        plus = ((j, j * E - sum(j * w % a * s for a, w, s in arms))
+                for j in _int_range(kappa / (2 * ell), Fraction(0),
+                                    include_lo=False, include_hi=True))
+        minus = ((j, K - j * E - sum((a - 1 - j * w) % a * s for a, w, s in arms))
+                 for j in _int_range(kappa / ell, kappa / (2 * ell),
+                                     include_lo=True, include_hi=False))
+        for side, dims, multiples in ((s_plus, plus_dims, plus),
+                                      (s_minus, minus_dims, minus)):
+            for j, scaled in multiples:
+                deg, rest = divmod(scaled, L)
+                if rest:
+                    raise InternalInvariantViolated("smooth degree must be an integer")
+                if deg >= 0:
+                    side.append(j)
+                    dims.append(deg)
     ks = _ks_invariant(data)
     # rho0 = 0 would need the positive-curvature branch, which only spherical
     # bases could certify -- and normalized three-arm spherical data never has

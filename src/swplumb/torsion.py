@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import InternalInvariantViolated, InvalidBaseVertex
@@ -168,13 +169,23 @@ class TorsionTable:
     orbits: tuple    # (chi, numerators, denominator, Moebius terms of c_d) per orbit, R != 0
     t_at_1: Fraction
 
+    @cached_property
+    def _scales(self):
+        """(common, scales): the lcm of the orbit denominators, and common // den per orbit."""
+        common = lcm(*(den for _, _, den, _ in self.orbits))
+        return common, tuple(common // den for _, _, den, _ in self.orbits)
+
     def at(self, group: FinAbGroup, h: GroupElement) -> Fraction:
-        """(1/|H|) sum over the orbits of the trace sum_j f_j c_d(j - e), chi(h) = zeta_d^e."""
-        total = Fraction(0)
-        for chi, num, den, terms in self.orbits:
+        """(1/|H|) sum over the orbits of the trace sum_j f_j c_d(j - e), chi(h) = zeta_d^e.
+
+        The traces are summed as integers over the common denominator.
+        """
+        common, scales = self._scales
+        total = 0
+        for (chi, num, _, terms), scale in zip(self.orbits, scales):
             e = group.char_exponent(chi, h) * len(num) // group.exponent
-            total += Fraction(sum(m * q * sum(num[e % q::q]) for q, m in terms), den)
-        return total / group.order
+            total += scale * sum(m * q * sum(num[e % q::q]) for q, m in terms)
+        return Fraction(total, common * group.order)
 
     def invert(self, group: FinAbGroup) -> dict:
         """{h: T(h)} over H, lexicographic."""

@@ -1,6 +1,7 @@
 """Dedekind-Rademacher sums: definition oracle, reciprocity, root-of-unity sums."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -91,6 +92,73 @@ def test_argument_validation():
         dr_sum(2, 4)
     with pytest.raises(ValueError):
         dr_sum(1, 0)
+
+
+@pytest.mark.parametrize("fn", [dr_sum, dr_sum_direct])
+@pytest.mark.parametrize("args", [
+    (2, 3, "1/2"),          # read as 1/2 before
+    (True, 3),              # read as h = 1 before
+    (1, True),
+    (1, 3, 0.1),            # the binary float 0.1 before
+    (1.0, 3),               # a TypeError before
+    (1, 3.0),
+    (1, 3, 0, True),
+    (1, 3, 0, None),
+    (Fraction(2), 3),
+])
+def test_rejects_malformed_input(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("h, k", [(True, 3), (2.0, 3), (2, "3"), (2, False)])
+def test_dedekind_sum_rejects_non_integers(h, k):
+    with pytest.raises(ValueError, match="not an integer"):
+        dedekind_sum(h, k)
+
+
+def test_integer_and_fraction_shifts_agree():
+    assert dr_sum(3, 7, 1, -2) == dr_sum(3, 7, Fraction(1), Fraction(-2)) == dr_sum(3, 7)
+
+
+def test_long_euclid_chain():
+    # consecutive Fibonacci numbers: one Euclid step per index, 1100 steps here
+    fib = [0, 1, 1]
+    while len(fib) < 1103:
+        fib.append(fib[-1] + fib[-2])
+    h, k = fib[1101], fib[1102]
+    assert len(str(h)) == 230
+
+    def rhs(a, b):
+        return Fraction(-1, 4) + Fraction(a * a + b * b + 1, 12 * a * b)
+
+    # s(F_n, F_(n+1)) + s(F_(n-1), F_n) = rhs(F_n, F_(n+1)), s(F_1, F_2) = s(1, 1) = 0
+    want = Fraction(0)
+    for n in range(2, 1102):
+        want = rhs(fib[n], fib[n + 1]) - want
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)     # the default
+    try:
+        value = dr_sum(h, k)
+        back = dr_sum(k, h)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == want
+    assert value + back == rhs(h, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 90), st.data())
+def test_negative_h_one_integral_shift(k, data):
+    h = -data.draw(st.integers(1, 3 * k))
+    if gcd(h, k) != 1:
+        return
+    integral = data.draw(st.integers(-5, 5))
+    shift = Fraction(data.draw(st.integers(-200, 200)), data.draw(st.integers(1, 60)))
+    if shift.denominator == 1:
+        shift += Fraction(1, 60)
+    x, y = (integral, shift) if data.draw(st.booleans()) else (shift, integral)
+    assert dr_sum(h, k, x, y) == dr_sum_direct(h, k, x, y)
 
 
 class TestRootOfUnitySums:

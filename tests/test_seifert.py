@@ -3,15 +3,18 @@
 from fractions import Fraction
 
 import random
-from math import gcd
+from math import floor, gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from swplumb import seifert
 from swplumb.corpus import dn_seifert, polygonal_seifert, three_arm_family
+from swplumb.errors import InternalInvariantViolated
 from swplumb.homology import homology_from_lattice
 from swplumb.plumbing import build_lattice, casson_walker, k2_plus_nv
 from swplumb.report import compute_report_from
-from swplumb.seifert import (SeifertData, hj_expand, ks_route, lens_chain,
+from swplumb.seifert import (KSReport, SeifertData, hj_expand, ks_route, lens_chain,
                              seifert_casson_walker, seifert_k2nv,
                              seifert_torsion_shortcut, star_graph)
 from swplumb.torsion import torsion_table
@@ -169,6 +172,75 @@ class TestEtaRoute:
             report = ks_route(data)
             assert report.applicable
             assert report.sw0_ks == compute_report_from(*pipeline(data)).sw0
+
+
+def reference_ks_route(data):
+    """The eta route with every degree a Fraction: one j at a time over the
+    multiples with 0 <= j*ell <= kappa, sorted by where j*ell falls."""
+    ell, kappa = data.ell, data.kappa
+    s_plus, s_minus, dims = [], [], []
+    if kappa > 0:
+        for j in range(floor(kappa / ell), 1):
+            t = j * ell
+            if 0 <= t < kappa / 2:
+                side = s_plus
+                deg = t - sum(Fraction(j * w, a) % 1 for a, w in data.arms)
+            elif kappa / 2 < t <= kappa:
+                side = s_minus
+                deg = (kappa - t) - sum(Fraction((a - 1 - j * w) % a, a)
+                                        for a, w in data.arms)
+            else:
+                continue
+            if deg.denominator != 1:
+                raise InternalInvariantViolated("smooth degree must be an integer")
+            if deg >= 0:
+                side.append(j)
+                dims.append(deg)
+    ks = seifert._ks_invariant(data)
+    applicable = data.rho0 != 0 and all(d == 0 for d in dims)
+    return KSReport(ks=ks, s0_plus=tuple(s_plus), s0_minus=tuple(s_minus),
+                    applicable=applicable,
+                    sw0_ks=ks / 8 + len(s_plus) + len(s_minus) if applicable else None)
+
+
+@st.composite
+def seifert_data(draw, max_alpha=13):
+    """Normalized Seifert data with 3-5 arms of order <= max_alpha and e < 0."""
+    arms = draw(st.lists(st.integers(2, max_alpha).flatmap(lambda a: st.tuples(
+        st.just(a), st.sampled_from([w for w in range(1, a) if gcd(a, w) == 1]))),
+        min_size=3, max_size=5))
+    b = -floor(sum(Fraction(w, a) for a, w in arms)) - 1 - draw(st.integers(0, 2))
+    return SeifertData(b, arms)
+
+
+class TestEtaRouteAgainstFractions:
+    """ks_route's integer enumeration against the Fraction reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seifert_data())
+    @example(SeifertData(-2, [(2, 1), (3, 1), (5, 1)]))      # kappa < 0
+    @example(SeifertData(-2, [(2, 1), (3, 1), (6, 1)]))      # kappa = 0
+    @example(SeifertData(-2, [(3, 1), (5, 4), (7, 6)]))      # rho0 = 0, 17 multiples
+    @example(SeifertData(-1, [(2, 1), (6, 1), (7, 2)]))      # rho0 = 0
+    @example(SeifertData(-3, [(2, 1), (3, 1), (5, 2), (8, 7), (9, 8)]))  # 311 per side
+    def test_whole_report(self, data):
+        assert ks_route(data) == reference_ks_route(data)
+
+    def test_examples_cover_the_branches(self):
+        kappa_nonpositive = SeifertData(-2, [(2, 1), (3, 1), (6, 1)])
+        assert kappa_nonpositive.kappa == 0
+        rho0_zero = SeifertData(-2, [(3, 1), (5, 4), (7, 6)])
+        assert rho0_zero.kappa > 0 and rho0_zero.rho0 == 0
+        report = ks_route(rho0_zero)
+        assert not report.applicable and report.sw0_ks is None
+
+    @pytest.mark.parametrize("route", [ks_route, reference_ks_route])
+    def test_non_integral_degree_raises(self, route):
+        # ell off by -1/L: L * deg moves by -j, not a multiple of L for 0 < |j| < L
+        data = SeifertData(-2, [(3, 1), (5, 4), (7, 6)])
+        object.__setattr__(data, "e", data.e - Fraction(1, data.alpha))
+        with pytest.raises(InternalInvariantViolated, match="integer"):
+            route(data)
 
 
 class TestArmShortcut:

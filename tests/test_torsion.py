@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import floor, gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from swplumb import report, torsion
-from swplumb.corpus import (a_chain, nonstar_13_vertex, standard_corpus,
+from swplumb.corpus import (a_chain, e_star, nonstar_13_vertex, standard_corpus,
                             three_arm_family)
 from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
 from swplumb.homology import homology_from_lattice, spinc_conjugate
@@ -258,6 +259,51 @@ class TestOrbitTableAgainstReference:
         assert {8, 9, 12, 27, 36, 48} <= orders
         assert noncyclic >= 10
         assert {len(data.arms) for data in seeded_seifert()} == set(range(6))
+
+
+def per_orbit_torsion(table, group, h):
+    """T(h) as a sum of one Fraction per orbit, each trace over its own denominator."""
+    total = Fraction(0)
+    for chi, num, den, terms in table.orbits:
+        e = group.char_exponent(chi, h) * len(num) // group.exponent
+        total += Fraction(sum(m * q * sum(num[e % q::q]) for q, m in terms), den)
+    return total / group.order
+
+
+@st.composite
+def small_stars(draw):
+    """Seifert stars with 3-5 arms of order <= 7 and 1 < |H| <= 60."""
+    arms = draw(st.lists(st.integers(2, 7).flatmap(lambda a: st.tuples(
+        st.just(a), st.sampled_from([w for w in range(1, a) if gcd(a, w) == 1]))),
+        min_size=3, max_size=5))
+    b = -floor(sum(Fraction(w, a) for a, w in arms)) - 1 - draw(st.integers(0, 1))
+    data = SeifertData(b, arms)
+    assume(1 < data.order_h <= 60)
+    return data
+
+
+class TestCommonDenominator:
+    """`at` sums integer traces over the lcm of the orbit denominators."""
+
+    def test_trivial_group(self):
+        for graph in (e_star(8), star_graph(SeifertData(-2, [(2, 1), (3, 2), (5, 4)]))):
+            lattice, group = pipeline(graph)
+            table = torsion_table(lattice, group)
+            assert group.order == 1 and table.orbits == ()
+            assert table._scales == (1, ())
+            assert table.at(group, group.identity) == table.t_at_1 == 0
+            assert type(table.t_at_1) is Fraction
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_stars())
+    def test_random_stars(self, data):
+        lattice, group = pipeline(star_graph(data))
+        table = torsion_table(lattice, group)
+        common, scales = table._scales
+        assert all(common == scale * den for scale, (_, _, den, _) in zip(scales, table.orbits))
+        want = reference_torsion(lattice, group)
+        for h in group.elements():
+            assert table.at(group, h) == per_orbit_torsion(table, group, h) == want[h], h
 
 
 class TestPipelineBuildsNoField:
