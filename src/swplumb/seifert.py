@@ -232,8 +232,7 @@ def ks_route(data: SeifertData) -> KSReport:
     the minus side.  Cost: kappa/(2|e|) integer steps per side, with no cap.
     """
     ell, kappa = data.ell, data.kappa
-    s_plus, s_minus = [], []
-    plus_dims, minus_dims = [], []
+    s_plus, s_minus, dims = [], [], []
     if kappa > 0:
         L = data.alpha
         E, K = int(ell * L), int(kappa * L)
@@ -245,8 +244,7 @@ def ks_route(data: SeifertData) -> KSReport:
         minus = ((j, K - j * E - sum((a - 1 - j * w) % a * s for a, w, s in arms))
                  for j in _int_range(kappa / ell, kappa / (2 * ell),
                                      include_lo=True, include_hi=False))
-        for side, dims, multiples in ((s_plus, plus_dims, plus),
-                                      (s_minus, minus_dims, minus)):
+        for side, multiples in ((s_plus, plus), (s_minus, minus)):
             for j, scaled in multiples:
                 deg, rest = divmod(scaled, L)
                 if rest:
@@ -260,9 +258,7 @@ def ks_route(data: SeifertData) -> KSReport:
     # rho0 = 0 (the patterns (2,2,n), (2,3,3), (2,3,4), (2,3,5) all fail
     # integrality), while lens spaces (at most two arms) can.  The torsion
     # route is the fallback.
-    applicable = (data.rho0 != 0
-                  and all(d == 0 for d in plus_dims)
-                  and all(d == 0 for d in minus_dims))
+    applicable = data.rho0 != 0 and all(d == 0 for d in dims)
     sw0_ks = ks / 8 + len(s_plus) + len(s_minus) if applicable else None
     return KSReport(ks=ks, s0_plus=tuple(s_plus), s0_minus=tuple(s_minus),
                     applicable=applicable, sw0_ks=sw0_ks)
