@@ -1,11 +1,10 @@
 """Command-line interface: graph ingestion, manifold builders, verification runs.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 the |H| cap (--max-order,
-checked on |det I| before the group is built) was exceeded, 3 a route
-cross-check disagreed, a verify fixture failed or an internal invariant
-failed.  Rational values are printed as exact fractions; JSON output carries
-num/den pairs.  The one floating-point surface (the Gauss-sum cross-check) is
-labelled as such.
+Exit codes: 0 success, 1 invalid input or usage (a --max-order below 1
+included), 2 the |H| cap (--max-order, checked on |det I| before the group is
+built) was exceeded, 3 a route cross-check disagreed, a verify fixture failed
+or an internal invariant failed.  Rational values are printed as exact
+fractions; JSON output carries num/den pairs.
 """
 
 from __future__ import annotations
@@ -50,6 +49,17 @@ def _match(tag: str, lhs, rhs) -> str:
 def _verdict(lines) -> int:
     """EXIT_MISMATCH when any route cross-check line is flagged, else EXIT_OK."""
     return EXIT_MISMATCH if any(line.endswith("[MISMATCH]") for line in lines) else EXIT_OK
+
+
+def _max_order(text: str) -> int:
+    """A --max-order value: a positive integer, else a usage error (EXIT_INPUT)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -225,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
+        p.add_argument("--max-order", type=_max_order, default=DEFAULT_ORDER_CAP,
                        help="cap on |H| for character sums (default 10^6)")
         p.add_argument("--all-spinc", action="store_true",
                        help="also list sw0 for every spin-c offset")

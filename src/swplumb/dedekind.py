@@ -14,30 +14,37 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import CycNum, cyclotomic_field
+from .torsion import _moebius_terms, _orbit_product
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
 def dedekind_symbol(x) -> Fraction:
-    """((x)): the sawtooth {x} - 1/2 away from the integers, 0 on them."""
-    x = Fraction(x)
+    """((x)): the sawtooth {x} - 1/2 away from the integers, 0 on them; x an int or a Fraction."""
+    _check_rational(x, "argument")
     if x.denominator == 1:
         return _ZERO
     return (x % 1) - _HALF
 
 
 def dr_sum_direct(h: int, k: int, x=0, y=0) -> Fraction:
-    """s(h, k; x, y) summed term by term; the definition-level oracle."""
+    """s(h, k; x, y) = sum_mu ((t)) ((h t + x)), t = (mu + y)/k, term by term: the oracle.
+
+    No reciprocity.  Over M = k D, D the lcm of the shift denominators, both
+    arguments are integers Z/M, and 2M ((Z/M)) = 2 (Z mod M) - M, or 0 when M | Z.
+    """
     _check_args(h, k, x, y)
-    x = Fraction(x)
-    y = Fraction(y)
-    total = _ZERO
-    for mu in range(k):
-        t = Fraction(mu + y, k)
-        total += dedekind_symbol(t) * dedekind_symbol(h * t + x)
-    return total
+    x, y = Fraction(x), Fraction(y)
+    D = lcm(x.denominator, y.denominator)
+    M = k * D
+    X, Y = x.numerator * (D // x.denominator), y.numerator * (D // y.denominator)
+
+    def saw(z):
+        return 2 * (z % M) - M if z % M else 0
+
+    total = sum(saw(mu * D + Y) * saw(h * (mu * D + Y) + k * X) for mu in range(k))
+    return Fraction(total, 4 * M * M)
 
 
 def dr_sum(h: int, k: int, x=0, y=0) -> Fraction:
@@ -91,63 +98,61 @@ def _check_args(h, k, *shifts):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name}={value!r} is not an integer")
     for value in shifts:
-        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-            raise ValueError(f"shift {value!r} is not an integer or a Fraction")
+        _check_rational(value, "shift")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if gcd(h, k) != 1:
         raise ValueError(f"h={h} and k={k} must be coprime")
 
 
+def _check_rational(value, what):
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an integer or a Fraction")
+
+
 # ---------------------------------------------------------------------------
 # Character sums over the p-th roots of unity, against their Dedekind values
 # ---------------------------------------------------------------------------
 
+def _root_sum(p: int, t: int, factors) -> Fraction:
+    """(1/p) sum_{j=1}^{p-1} zeta_p^(jt) prod (zeta_p^(ja) - 1)^k over the factors (a, k).
+
+    The j for which zeta_p^j has order d form one Galois orbit, so their terms
+    sum to a trace: one product in Q[x]/(x^d - 1) (`torsion._orbit_product`)
+    against the Ramanujan sum c_d at -t, as `TorsionTable.at` reads it.  A
+    factor with d | a vanishes, and so does its term.
+    """
+    total = _ZERO
+    for d in (d for d in range(2, p + 1) if p % d == 0):
+        product = _orbit_product(d, [(a % d, k, 1) for a, k in factors])
+        if product is not None:
+            num, den = product
+            trace = sum(m * c * sum(num[-t % c::c]) for c, m in _moebius_terms(d))
+            total += Fraction(trace, den)
+    return total / p
+
+
 def fourier_identity_suite(p: int, q: int, t: int = 0):
     """Exact (lhs, rhs) pairs for the root-of-unity sums that reduce to Dedekind sums.
 
-    Each lhs is a sum over the nontrivial p-th roots of unity, evaluated in
-    Q(zeta_p) and certified rational; each rhs is the matching closed form.
-    Returns a list of (name, lhs, rhs).
+    Each lhs is a sum over the nontrivial p-th roots of unity, evaluated as
+    rational traces over Galois orbits (`_root_sum`); each rhs is the matching
+    closed form.  Returns a list of (name, lhs, rhs).
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
     if gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
-    field = cyclotomic_field(p)
-
-    def rational(total: CycNum) -> Fraction:
-        return (total * Fraction(1, p)).as_rational()
-
-    single = field.zero()
-    twisted = field.zero()
-    plain = field.zero()
-    absq = field.zero()
-    cotangent = field.zero()
-    cot = {}
-    for a in range(1, p):
-        cot[a] = (field.root_of_unity(a) + 1) * field.inv_root_minus_one(a)
-    for j in range(1, p):
-        jq = (j * q) % p
-        inv_j = field.inv_root_minus_one(j)
-        pair = inv_j * field.inv_root_minus_one(jq)
-        zt = field.root_of_unity((j * t) % p)
-        single = single - zt * inv_j  # 1/(1 - zeta) = -1/(zeta - 1)
-        twisted = twisted + zt * pair
-        plain = plain + pair
-        absq = absq + inv_j * field.inv_root_minus_one((-j) % p)
-        cotangent = cotangent + cot[j] * cot[jq]
-
-    results = [
-        ("single_factor", rational(single),
+    return [
+        ("single_factor", -_root_sum(p, t, [(1, -1)]),     # 1/(1 - zeta) = -1/(zeta - 1)
          dedekind_symbol(Fraction(2 * t - 1, 2 * p))),
-        ("double_factor_twisted", rational(twisted),
+        ("double_factor_twisted", _root_sum(p, t, [(1, -1), (q, -1)]),
          -dr_sum(q, p, Fraction(q + 1 - 2 * t, 2 * p), Fraction(-1, 2))),
-        ("double_factor", rational(plain),
+        ("double_factor", _root_sum(p, 0, [(1, -1), (q, -1)]),
          -dr_sum(q, p) + Fraction(p - 1, 4 * p)),
-        ("absolute_square", rational(absq),
+        ("absolute_square", _root_sum(p, 0, [(1, -1), (-1, -1)]),
          Fraction(p, 12) - Fraction(1, 12 * p)),
-        ("cotangent_product", rational(cotangent),
+        # cot = (zeta + 1)/(zeta - 1) = (zeta^2 - 1)/(zeta - 1)^2
+        ("cotangent_product", _root_sum(p, 0, [(2, 1), (1, -2), (2 * q, 1), (q, -2)]),
          -4 * dr_sum(q, p)),
     ]
-    return results

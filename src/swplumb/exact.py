@@ -6,13 +6,14 @@ Replayed forwards, the logs give the exact U and V of `smith_normal_form`, the
 oracle.  Replayed backwards, they give chosen rows of U or columns of V, mod a
 modulus if one is given: `homology` reads only those.
 
-Everything here is exact.  Rational numbers are `fractions.Fraction`, integer
-matrices keep arbitrary-precision entries, and elements of Q(zeta_N) are stored
-as integer coefficient vectors over a common denominator, reduced modulo the
-N-th cyclotomic polynomial: the reference arithmetic, never built by the torsion
-pipeline.  No floating point (the package's one such check is `homology.gauss_sum_check`).
-`CycNum` has ring operations only; 1/(zeta^a - 1), the one inverse the reference
-and the Dedekind sums need, has a closed form in `CyclotomicField.inv_root_minus_one`.
+Everything here is exact, as everywhere in the package: no floating point.
+Rational numbers are `fractions.Fraction`, integer matrices keep
+arbitrary-precision entries, and elements of Q(zeta_N) are integer coefficient
+vectors over a common denominator, reduced modulo the N-th cyclotomic
+polynomial: the reference arithmetic of `torsion.regularized_product`, `verify`
+and the Gauss-sum check, never built by the torsion pipeline.  `CycNum` has +,
+* and == only; 1/(zeta^a - 1), the one inverse the reference needs, has a
+closed form in `CyclotomicField.inv_root_minus_one`.
 """
 
 from __future__ import annotations
@@ -476,7 +477,7 @@ class CyclotomicField:
         return CycNum(self, vec, q.denominator)
 
     def element(self, coeffs) -> "CycNum":
-        """Element from rational coefficients in powers of zeta (any length < N)."""
+        """Element from rational coefficients in powers of zeta; powers are read mod N."""
         coeffs = [Fraction(c) for c in coeffs]
         den = 1
         for c in coeffs:
@@ -532,12 +533,6 @@ class CyclotomicField:
                         out[i] += c * t
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and other.conductor == self.conductor
-
-    def __hash__(self):
-        return hash(("CyclotomicField", self.conductor))
-
     def __repr__(self):
         return f"CyclotomicField({self.conductor})"
 
@@ -576,15 +571,13 @@ class CycNum:
     # -- helpers ---------------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, CycNum):
-            if other.field.conductor != self.field.conductor:
-                raise ConductorMismatch(
-                    f"conductors {self.field.conductor} and {other.field.conductor}; "
-                    "embed into the lcm conductor first")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
-        return None
+        if not isinstance(other, CycNum):
+            return None
+        if other.field.conductor != self.field.conductor:
+            raise ConductorMismatch(
+                f"conductors {self.field.conductor} and {other.field.conductor}; "
+                "embed into the lcm conductor first")
+        return other
 
     @property
     def is_zero(self) -> bool:
@@ -604,23 +597,6 @@ class CycNum:
                       [a * da + b * db for a, b in zip(self.num, o.num)],
                       self.den * da)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycNum(self.field, [-x for x in self.num], self.den, _normalized=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -638,8 +614,6 @@ class CycNum:
                     if y:
                         conv[i + j] += x * y
         return CycNum(self.field, self.field._reduce(conv), self.den * o.den)
-
-    __rmul__ = __mul__
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction; raises NotRational unless it lies in Q."""

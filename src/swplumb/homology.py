@@ -13,17 +13,17 @@ certified against I itself.  `lift` replays the column log in exact integers.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import prod
+from math import isqrt, lcm, prod
 
 from .errors import InternalInvariantViolated, OrderCapExceeded
 from .exact import CyclotomicField, cyclotomic_field, replay_backward, smith_elimination
 from .plumbing import LatticeData
 
 DEFAULT_ORDER_CAP = 10 ** 6
+GAUSS_ORDER_CAP = 500       # |H| bound of gauss_sum_check, whose cost grows like L phi(L)
 
 GroupElement = tuple
 
@@ -216,14 +216,23 @@ def linking_matrix(lattice: LatticeData, group: FinAbGroup):
                  for gi in gens)
 
 
-def linking_pairing(bmat, g: GroupElement, h: GroupElement) -> Fraction:
-    """sum_ij g_i b_ij h_j for the linking matrix b; congruent to b_M(g, h) mod 1."""
-    k = len(bmat)
-    total = Fraction(0)
-    for i in range(k):
-        if g[i]:
-            total += g[i] * sum(bmat[i][j] * h[j] for j in range(k) if h[j])
-    return total
+def linking_rows(lattice: LatticeData, group: FinAbGroup, den: int = 1):
+    """The linking form in integers: (D, row), row(g) = [D b_M(g, h) mod D for h in H].
+
+    D is the lcm of `den` and the denominators of the linking matrix, so a
+    caller scales its own rationals by D and compares in integers.  The h run
+    over `group.elements()`.
+    """
+    bmat = linking_matrix(lattice, group)
+    den = lcm(den, *(b.denominator for r in bmat for b in r))
+    bcols = list(zip(*([b.numerator * (den // b.denominator) for b in r] for r in bmat)))
+    elements = list(group.elements())
+
+    def row(g):
+        gb = [sum(x * bj for x, bj in zip(g, col)) for col in bcols]
+        return [sum(x * y for x, y in zip(gb, h)) % den for h in elements]
+
+    return den, row
 
 
 def q_can(lattice: LatticeData, group: FinAbGroup, h: GroupElement,
@@ -264,21 +273,35 @@ def spinc_conjugate(lattice: LatticeData, group: FinAbGroup,
 
 
 def gauss_sum_check(lattice: LatticeData, group: FinAbGroup):
-    """Both sides of the Gauss-sum identity for the discriminant quadratic function.
+    """Both sides of sum_x e(q(x)) = sqrt|H| e((-n - (k,k))/8), exactly, in Q(zeta_L).
 
-    Computes |H|^(-1/2) * sum_x exp(2 pi i q(x)) with q(x) = (1/2)(d + k, d) mod 1
-    (k the characteristic vector -e_v - 2) and the predicted eighth root of
-    unity exp(i pi / 4 * (signature - (k,k))).  Floating point by design; this
-    is the package's only non-exact surface.
+    The identity is van der Blij's and Milgram's: e(y) = exp(2 pi i y), q(x) =
+    (1/2)(d + k, d) mod 1 for a lift d of x, k the characteristic vector
+    -e_v - 2, n the number of vertices.  L is the lcm of the denominators
+    involved, and each side is one integer vector in Z[x]/(x^L - 1): the left
+    counts the values L q(x) mod L; sqrt|H| = s prod sqrt(p) for |H| =
+    s^2 prod p, with sqrt 2 = zeta_8 + zeta_8^-1 and sqrt p = sum_a zeta_p^(a^2)
+    for p = 1 mod 4, -i times that sum for p = 3 mod 4 (Gauss).  The cost is
+    about L phi(L), so a group over GAUSS_ORDER_CAP is refused before any field.
     """
+    if group.order > GAUSS_ORDER_CAP:
+        raise OrderCapExceeded(group.order, GAUSS_ORDER_CAP)
     k_vec = lattice.k_vec
-    total = 0j
-    for h in group.elements():
-        d = group.lift(h)
-        shifted = tuple(x + kx for x, kx in zip(d, k_vec))
-        qval = (Fraction(1, 2) * _pairing(lattice, shifted, d)) % 1
-        total += cmath.exp(2j * cmath.pi * float(qval))
-    computed = total / (group.order ** 0.5)
-    k2 = _pairing(lattice, k_vec, k_vec)
-    predicted = cmath.exp(1j * cmath.pi / 4 * float(-lattice.size - k2))
-    return computed, predicted
+    values = [Fraction(1, 2) * _pairing(lattice, [x + kx for x, kx in zip(d, k_vec)], d) % 1
+              for d in map(group.lift, group.elements())]
+    phase = Fraction(-lattice.size - _pairing(lattice, k_vec, k_vec), 8) % 1
+    s = max(s for s in range(1, isqrt(group.order) + 1) if group.order % (s * s) == 0)
+    r = group.order // (s * s)
+    primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % x for x in range(2, p))]
+    L = lcm(phase.denominator, *(v.denominator for v in values),
+            *(8 if p == 2 else p * (4 if p % 4 == 3 else 1) for p in primes))
+    lhs, rhs = [0] * L, [0] * L
+    for v in values:
+        lhs[v.numerator * (L // v.denominator)] += 1
+    rhs[phase.numerator * (L // phase.denominator)] = s
+    for p in primes:
+        turn = 3 * L // 4 if p % 4 == 3 else 0      # -i = e(3/4)
+        exps = (L // 8, -(L // 8)) if p == 2 else [a * a % p * (L // p) + turn for a in range(p)]
+        rhs = [sum(rhs[(i - e) % L] for e in exps) for i in range(L)]
+    field = cyclotomic_field(L)
+    return field.element(lhs), field.element(rhs)

@@ -1,9 +1,8 @@
 """Acceptance fixture suite: every numbered criterion as a runnable family.
 
 Each fixture family returns (name, passed, detail) triples; the `run` entry
-point prints one line per check and reports overall success.  All equalities
-are exact rational comparisons except the Gauss-sum family, which is the
-package's single floating-point check (tolerance 1e-9).
+point prints one line per check and reports overall success.  Every equality
+is exact: rationals as Fractions, root-of-unity sums in Q(zeta_N).
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from .corpus import (a_chain, dn_seifert, e_star, nonstar_13_vertex,
 from .errors import NotNegativeDefinite
 from .exact import IntMatrix, adjugate_inverse, cyclotomic_field, \
     cyclotomic_polynomial, invert_rational_matrix, smith_normal_form
-from .homology import gauss_sum_check, homology_from_lattice, \
-    linking_matrix, q_can, spinc_conjugate
+from .homology import GAUSS_ORDER_CAP, gauss_sum_check, homology_from_lattice, \
+    linking_rows, q_can, spinc_conjugate
 from .plumbing import PlumbingGraph, blow_up_edge, blow_up_vertex, build_lattice, \
     casson_walker, k2_plus_nv, numerically_gorenstein
 from .report import compute_report_from
@@ -470,18 +469,10 @@ def quadratic_function_family():
             continue
         elements = list(group.elements())
         qvals = {h: q_can(lattice, group, h) for h in elements}
-        bmat = linking_matrix(lattice, group)
         # q and b in integers: scaled by the lcm of their denominators
-        den = lcm(*(q.denominator for q in qvals.values()),
-                  *(b.denominator for row in bmat for b in row))
+        den, bform_row = linking_rows(lattice, group,
+                                      lcm(*(q.denominator for q in qvals.values())))
         qint = {h: q.numerator * (den // q.denominator) for h, q in qvals.items()}
-        bcols = list(zip(*([b.numerator * (den // b.denominator) for b in row]
-                           for row in bmat)))
-
-        def bform_row(g):
-            """h -> den * b_M(g, h) mod den, over the elements."""
-            gb = [sum(x * bj for x, bj in zip(g, col)) for col in bcols]
-            return [sum(x * y for x, y in zip(gb, h)) % den for h in elements]
 
         # quadratic-function law against the linking form
         for g in elements:
@@ -518,15 +509,15 @@ def quadratic_function_family():
         total += 1
         if len(rows) != group.order:
             failures.append(("nondegenerate", name))
-    # eighth-root-of-unity Gauss sums (floating point, labelled)
+    # Gauss sums against sqrt|H| times an eighth root of unity, in Q(zeta_L)
     for name, graph in standard_corpus():
         lattice = build_lattice(graph)
         group = homology_from_lattice(lattice)
-        if group.order > 500:
+        if group.order > GAUSS_ORDER_CAP:
             continue
         total += 1
         computed, predicted = gauss_sum_check(lattice, group)
-        if abs(computed - predicted) >= 1e-9:
+        if computed != predicted:
             failures.append(("gauss", name))
     return [_summary("quadratic functions, linking form, Gauss sums",
                      failures, total)]

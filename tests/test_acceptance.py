@@ -1,9 +1,9 @@
 """Acceptance gate: every numbered criterion, one test each, printed pass/fail.
 
-All equalities are exact rational identities (tolerance zero) except the
-Gauss-sum family inside criterion 10, which is floating point at 1e-9 by
-design.  The fixture bodies live in swplumb.verify so the installed tool can
-re-run the same gate via its command line.
+All equalities are exact (tolerance zero): rational identities, and the
+Gauss sums of criterion 10 in a cyclotomic field.  The fixture bodies live in
+swplumb.verify so the installed tool can re-run the same gate via its command
+line.
 """
 
 from swplumb import verify

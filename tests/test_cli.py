@@ -266,6 +266,29 @@ def test_order_cap_fires_before_the_field(capsys):
     assert "4001" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["graph", "lens", "seifert", "brieskorn"])
+def test_nonpositive_max_order_is_bad_input(tmp_path, capsys, command, cap):
+    # before, "--max-order -5" reached the cap and exited EXIT_CAP (2)
+    argv = {"graph": ["graph", write_graph(tmp_path, GOOD)],
+            "lens": ["lens", "7", "3"],
+            "seifert": ["seifert", "--b", "-2", "--arm", "2/1", "--arm", "3/1",
+                        "--arm", "5/1"],
+            "brieskorn": ["brieskorn", "2", "3", "5"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-order", cap])
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --max-order: {cap} is not a positive integer" in captured.err
+
+
+def test_max_order_of_one_is_a_cap(capsys):
+    code, _, err = run_cli(capsys, "lens", "7", "3", "--max-order", "1")
+    assert code == EXIT_CAP
+    assert "group order 7 exceeds the cap 1" in err
+
+
 def skew(monkeypatch, name):
     """Shift a closed-form route used by the CLI so its cross-check disagrees."""
     real = getattr(cli, name)

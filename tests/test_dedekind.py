@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from swplumb.dedekind import (dedekind_sum, dedekind_symbol, dr_sum,
                               dr_sum_direct, fourier_identity_suite)
+from swplumb.exact import cyclotomic_field
 
 
 def test_symbol_values():
@@ -17,6 +18,20 @@ def test_symbol_values():
     assert dedekind_symbol(3) == 0
     assert dedekind_symbol(Fraction(7, 4)) == Fraction(1, 4)
     assert dedekind_symbol(Fraction(-1, 3)) == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("bad", [
+    0.1,            # the binary float 0.1 before
+    "1/3",          # parsed as 1/3 before
+    True,           # read as 1, so ((1)) = 0, before
+    False,
+    1.0,
+    None,
+    1j,
+])
+def test_symbol_rejects_malformed_input(bad):
+    with pytest.raises(ValueError, match="not an integer or a Fraction"):
+        dedekind_symbol(bad)
 
 
 def test_classical_values():
@@ -71,6 +86,24 @@ def test_fast_path_matches_direct(k, data):
     x = Fraction(data.draw(st.integers(-10, 10)), data.draw(st.integers(1, 10)))
     y = Fraction(data.draw(st.integers(-10, 10)), data.draw(st.integers(1, 10)))
     assert dr_sum(h, k, x, y) == dr_sum_direct(h, k, x, y)
+
+
+def fraction_dr_sum_direct(h, k, x=0, y=0):
+    """The definition in Fractions, through the sawtooth: the reference of `dr_sum_direct`."""
+    x, y = Fraction(x), Fraction(y)
+    return sum((dedekind_symbol(t) * dedekind_symbol(h * t + x)
+                for t in (Fraction(mu + y, k) for mu in range(k))), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(-200, 200), st.data())
+def test_direct_sum_against_fractions(k, h, data):
+    if gcd(h, k) != 1:
+        return
+    shift = st.one_of(st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-90, 90), st.integers(1, 40)))
+    x, y = data.draw(shift), data.draw(shift)
+    assert dr_sum_direct(h, k, x, y) == fraction_dr_sum_direct(h, k, x, y)
 
 
 def test_shift_periodicity():
@@ -161,7 +194,51 @@ def test_negative_h_one_integral_shift(k, data):
     assert dr_sum(h, k, x, y) == dr_sum_direct(h, k, x, y)
 
 
+def reference_fourier_suite(p, q, t):
+    """The five left sides of `fourier_identity_suite`, summed term by term in Q(zeta_p)."""
+    field = cyclotomic_field(p)
+
+    def rational(total):
+        return (total * Fraction(1, p)).as_rational()
+
+    single = twisted = plain = absq = cotangent = field.zero()
+    cot = {a: (field.root_of_unity(a) + field.one()) * field.inv_root_minus_one(a)
+           for a in range(1, p)}
+    for j in range(1, p):
+        jq = (j * q) % p
+        inv_j = field.inv_root_minus_one(j)
+        pair = inv_j * field.inv_root_minus_one(jq)
+        zt = field.root_of_unity((j * t) % p)
+        single = single + zt * inv_j        # 1/(1 - zeta) = -1/(zeta - 1), negated below
+        twisted = twisted + zt * pair
+        plain = plain + pair
+        absq = absq + inv_j * field.inv_root_minus_one((-j) % p)
+        cotangent = cotangent + cot[j] * cot[jq]
+    return {"single_factor": -rational(single), "double_factor_twisted": rational(twisted),
+            "double_factor": rational(plain), "absolute_square": rational(absq),
+            "cotangent_product": rational(cotangent)}
+
+
 class TestRootOfUnitySums:
+    def test_against_the_field_reference(self):
+        for p in range(2, 21):
+            for q in range(1, p):
+                if gcd(p, q) != 1:
+                    continue
+                for t in (0, 1, 2):
+                    got = {name: lhs for name, lhs, _ in fourier_identity_suite(p, q, t)}
+                    assert got == reference_fourier_suite(p, q, t), (p, q, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.integers(-60, 60), st.integers(-70, 70))
+    def test_any_residues_against_the_field_reference(self, p, q, t):
+        # q and t outside 0..p-1, negative ones among them, read mod p
+        if gcd(p, q) != 1:
+            return
+        got = {name: lhs for name, lhs, _ in fourier_identity_suite(p, q, t)}
+        assert got == reference_fourier_suite(p, q % p, t % p)
+        assert got == {name: lhs for name, lhs, _ in fourier_identity_suite(p, q % p, t % p)}
+
     def test_absolute_square_at_five(self):
         pairs = dict((name, (lhs, rhs))
                      for name, lhs, rhs in fourier_identity_suite(5, 1))

@@ -1,5 +1,6 @@
 """Group structure, characters, linking form and quadratic functions."""
 
+import cmath
 from fractions import Fraction
 import random
 
@@ -152,25 +153,25 @@ class TestLinkingForm:
         assert linking_form(lattice, group, group.identity, g) == 0
 
     def test_symmetric_bilinear_nondegenerate(self):
-        from swplumb.homology import linking_matrix, linking_pairing
+        from swplumb.homology import linking_rows
         for name, graph in standard_corpus():
             lattice, group = pipeline(graph)
             if not 1 < group.order <= 200:
                 continue
-            bmat = linking_matrix(lattice, group)
+            den, row = linking_rows(lattice, group)
+            elems = list(group.elements())
+            # rows[g][j] = b(g, elems[j]), from the linking matrix
+            rows = {g: tuple(Fraction(x, den) for x in row(g)) for g in elems}
+            index = {h: j for j, h in enumerate(elems)}
 
             def bform(g, h):
-                return linking_pairing(bmat, g, h) % 1
+                return rows[g][index[h]]
 
-            elems = list(group.elements())
             # the bilinear extension agrees with the lift pairing
             for g in elems[:6]:
                 for h in elems[:6]:
                     assert bform(g, h) == linking_form(lattice, group, g, h), name
             # symmetry and nondegeneracy of the full table
-            rows = {}
-            for g in elems:
-                rows[g] = tuple(bform(g, h) for h in elems)
             for i, g in enumerate(elems):
                 for j, h in enumerate(elems):
                     assert rows[g][j] == rows[h][i], name
@@ -181,6 +182,15 @@ class TestLinkingForm:
                     for x in elems[:3]:
                         assert bform(group.add(g, h), x) == \
                             (bform(g, x) + bform(h, x)) % 1, name
+
+    def test_rows_scale_by_the_given_denominator(self):
+        from swplumb.homology import linking_rows
+        lattice, group = pipeline(lens_chain(12, 5))
+        den, row = linking_rows(lattice, group)
+        den6, row6 = linking_rows(lattice, group, 18)
+        assert (den, den6) == (12, 36)
+        for g in group.elements():
+            assert row6(g) == [3 * x for x in row(g)]
 
 
 class TestCanonicalQuadraticFunction:
@@ -259,16 +269,71 @@ class TestSpincStructures:
             {Fraction(3, 8), Fraction(7, 8)}
 
 
+def corpus_within_gauss_cap():
+    for name, graph in standard_corpus():
+        lattice, group = pipeline(graph)
+        if group.order <= homology.GAUSS_ORDER_CAP:
+            yield name, lattice, group
+
+
+def numeric(value):
+    """A Q(zeta_L) element as a complex number, zeta_L = exp(2 pi i / L)."""
+    n = value.field.conductor
+    return sum(x * cmath.exp(2j * cmath.pi * k / n) for k, x in enumerate(value.num)) / value.den
+
+
 class TestGaussSum:
     def test_small_cases(self):
         for graph in (a_chain(2), a_chain(3)):
             lattice, group = pipeline(graph)
             computed, predicted = gauss_sum_check(lattice, group)
-            assert abs(computed - predicted) < 1e-9
+            assert computed == predicted
 
     def test_unimodular_case(self):
         from swplumb.corpus import e_star
         lattice, group = pipeline(e_star(8))
         computed, predicted = gauss_sum_check(lattice, group)
-        assert abs(computed - 1) < 1e-9
-        assert abs(predicted - 1) < 1e-9
+        assert computed == 1
+        assert predicted == 1
+
+    def test_corpus_and_a_half_turn(self):
+        # e(1/2) = -1: the other sign of sqrt|H| never passes, so the sign is checked
+        checked = 0
+        for name, lattice, group in corpus_within_gauss_cap():
+            computed, predicted = gauss_sum_check(lattice, group)
+            assert computed == predicted, name
+            assert computed != predicted * -1, name
+            checked += 1
+        assert checked == 20
+
+    def test_agrees_with_floating_point(self):
+        # the sum of exp(2 pi i q(x)) over H in complex floating point, against both sides
+        for name, lattice, group in corpus_within_gauss_cap():
+            total = 0j
+            for h in group.elements():
+                d = group.lift(h)
+                shifted = tuple(x + k for x, k in zip(d, lattice.k_vec))
+                q = Fraction(1, 2) * homology._pairing(lattice, shifted, d) % 1
+                total += cmath.exp(2j * cmath.pi * q.numerator / q.denominator)
+            computed, predicted = gauss_sum_check(lattice, group)
+            assert abs(numeric(computed) - total) < 1e-9, name
+            assert abs(numeric(predicted) - total) < 1e-9, name
+            assert abs(abs(total) ** 2 - group.order) < 1e-9, name
+
+    def test_prime_orders(self):
+        # the squarefree part at 2 and at every odd residue mod 8, and a square factor
+        for p, q in ((2, 1), (3, 1), (5, 2), (7, 3), (17, 3), (18, 5), (499, 3)):
+            lattice, group = pipeline(lens_chain(p, q))
+            computed, predicted = gauss_sum_check(lattice, group)
+            assert computed == predicted, p
+
+    def test_cap_fires_before_any_field(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a field or a lift above the Gauss-sum cap")
+
+        lattice, group = pipeline(lens_chain(homology.GAUSS_ORDER_CAP + 1, 2))
+        monkeypatch.setattr(homology, "cyclotomic_field", refuse)
+        monkeypatch.setattr(homology.FinAbGroup, "lift", refuse)
+        with pytest.raises(OrderCapExceeded) as exc:
+            gauss_sum_check(lattice, group)
+        assert (exc.value.order, exc.value.cap) == (501, 500)

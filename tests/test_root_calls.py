@@ -1,10 +1,11 @@
 """Roots of unity are built only in the reference arithmetic and its oracles.
 
-The torsion pipeline takes one trace per Galois orbit and builds no root of
-unity.  The only callers are the `Q(zeta_N)` code in `exact.py`, the reference
-product `torsion.regularized_product`, and the oracles that check them:
-`dedekind.fourier_identity_suite`, `verify.cyclotomic_props` and
-`verify.torsion_props`.
+The torsion pipeline and the root-of-unity sums of `dedekind` take one trace
+per Galois orbit and build no root of unity, and `homology.gauss_sum_check`
+builds its elements from coefficient vectors.  The only callers are the
+`Q(zeta_N)` code in `exact.py`, the reference product
+`torsion.regularized_product`, and the oracles that check them:
+`verify.cyclotomic_props` and `verify.torsion_props`.
 """
 
 import ast
@@ -15,7 +16,6 @@ import swplumb
 SOURCES = sorted(Path(swplumb.__file__).parent.glob("*.py"))
 ROOT_BUILDERS = {"root_of_unity", "root_minus_one", "inv_root_minus_one"}
 ALLOWED = {"exact.py": None, "torsion.py": {"regularized_product"},
-           "dedekind.py": {"fourier_identity_suite"},
            "verify.py": {"cyclotomic_props", "torsion_props"}}
 
 
