@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .torsion import _moebius_terms, _orbit_product
+from .torsion import moebius_terms, orbit_product, orbit_trace
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -118,17 +118,17 @@ def _root_sum(p: int, t: int, factors) -> Fraction:
     """(1/p) sum_{j=1}^{p-1} zeta_p^(jt) prod (zeta_p^(ja) - 1)^k over the factors (a, k).
 
     The j for which zeta_p^j has order d form one Galois orbit, so their terms
-    sum to a trace: one product in Q[x]/(x^d - 1) (`torsion._orbit_product`)
-    against the Ramanujan sum c_d at -t, as `TorsionTable.at` reads it.  A
-    factor with d | a vanishes, and so does its term.
+    sum to a trace: one product in Q[x]/(x^d - 1) (`torsion.orbit_product`)
+    against the Ramanujan sum c_d at -t (`torsion.orbit_trace`, as
+    `TorsionTable.at` reads it).  A factor with d | a vanishes, and so does
+    its term.
     """
     total = _ZERO
     for d in (d for d in range(2, p + 1) if p % d == 0):
-        product = _orbit_product(d, [(a % d, k, 1) for a, k in factors])
+        product = orbit_product(d, [(a % d, k, 1) for a, k in factors])
         if product is not None:
             num, den = product
-            trace = sum(m * c * sum(num[-t % c::c]) for c, m in _moebius_terms(d))
-            total += Fraction(trace, den)
+            total += Fraction(orbit_trace(num, moebius_terms(d), -t), den)
     return total / p
 
 

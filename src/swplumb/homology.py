@@ -6,9 +6,10 @@ group language and graph language; characters are exponent tuples evaluated
 as powers of a fixed primitive root of unity of order exp(H).
 
 The group is read off the sparse Smith elimination of I (`exact.smith_elimination`)
-without forming U, V or the dense I: the meridian images U[kept] mod d_i come
-from the row log, replayed backwards mod |det I| and then dropped, and are
-certified against I itself.  `lift` replays the column log in exact integers.
+without forming U, V or the dense I: the meridian images U[kept] mod d_i and
+one lift column per generator come from the row and column logs, replayed
+backwards once mod |det I| and |det I| exp(H).  Both are certified against I
+itself and kept; the logs are dropped.
 """
 
 from __future__ import annotations
@@ -40,24 +41,19 @@ class Character:
 
 
 class FinAbGroup:
-    """Finite abelian group in invariant-factor form, with meridian images.
+    """Finite abelian group in invariant-factor form: certified data only.
 
-    The images are the kept rows of the Smith transform U, reduced mod d_i;
-    `lift` reads the lattice and the column log of the elimination.
+    The meridian images are the kept rows of the Smith transform U, reduced
+    mod d_i.  Lift column i is an integer vector in the dual vertex basis whose
+    class is the i-th generator; `lift` combines the columns.
     """
 
-    def __init__(self, invariant_factors, generator_images, lattice: LatticeData, kept,
-                 col_ops):
+    def __init__(self, invariant_factors, generator_images, lift_columns):
         self.invariant_factors = tuple(invariant_factors)
         self.generator_images = tuple(generator_images)
+        self.lift_columns = tuple(lift_columns)
         self.order = prod(self.invariant_factors) if self.invariant_factors else 1
         self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
-        self._lattice = lattice
-        self._kept = tuple(kept)
-        self._col_ops = col_ops
-        self._lift_columns = None
-        self._lift_cache = {}
-        self._field = None
 
     # -- structure -------------------------------------------------------------
 
@@ -71,9 +67,7 @@ class FinAbGroup:
 
     @property
     def field(self) -> CyclotomicField:
-        if self._field is None:
-            self._field = cyclotomic_field(self.exponent)
-        return self._field
+        return cyclotomic_field(self.exponent)
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
@@ -119,35 +113,28 @@ class FinAbGroup:
         return tuple(t % d for t, d in zip(total, self.invariant_factors))
 
     def lift(self, h: GroupElement):
-        """An integer vector in the dual vertex basis whose class is h.
+        """An integer vector in the dual vertex basis whose class is h: the columns combined by h.
 
-        The kept columns of U^{-1}, combined by h.  U I V = D gives
-        U^{-1} e_i = I V e_i / d_i, so no inverse is taken.
+        Column i is U^{-1} e_i = I V e_i / d_i mod |det I|, up to columns of I,
+        so its entries do not grow with the elimination.  Every reader of a
+        lift is a mod-1 invariant, the same whichever lift it gets.
         """
-        hit = self._lift_cache.get(h)
-        if hit is not None:
-            return hit
-        if self._lift_columns is None:
-            self._lift_columns = _lift_columns(self._lattice, self._col_ops, self._kept,
-                                               self.invariant_factors)
-        vec = tuple(sum(x * column[v] for x, column in zip(h, self._lift_columns) if x)
-                    for v in range(self._lattice.size))
-        self._lift_cache[h] = vec
-        return vec
+        return tuple(sum(x * column[v] for x, column in zip(h, self.lift_columns) if x)
+                     for v in range(len(self.generator_images)))
 
     def __repr__(self):
         return f"FinAbGroup({list(self.invariant_factors)})"
 
 
-def _lift_columns(lattice: LatticeData, col_ops, kept, factors, modulus=None):
+def _lift_columns(lattice: LatticeData, col_ops, kept, factors):
     """I V e_i / d_i for the kept i, with the division checked.
 
-    The columns of V come from the column log, run backwards; with a modulus M
-    they are taken mod M * exp(H), so the quotients are right mod M.
+    The columns of V come from the column log, run backwards mod |det I| exp(H),
+    so the quotients are right mod |det I|.
     """
     if not kept:
         return []
-    v = replay_backward(col_ops, lattice.size, kept, modulus * factors[-1] if modulus else None)
+    v = replay_backward(col_ops, lattice.size, kept, lattice.order_h * factors[-1])
     columns = []
     for s, (i, d) in enumerate(zip(kept, factors)):
         image = lattice.times([x[s] for x in v])
@@ -159,16 +146,19 @@ def _lift_columns(lattice: LatticeData, col_ops, kept, factors, modulus=None):
 
 def homology_from_lattice(lattice: LatticeData, *,
                           max_order: int = DEFAULT_ORDER_CAP) -> FinAbGroup:
-    """H = coker(I) via the sparse Smith elimination, with the meridian generator images.
+    """H = coker(I) via the sparse Smith elimination, with the meridian images and lifts.
 
-    |H| = |det I| bounds every enumeration downstream (elements, characters,
-    the torsion transform), so the cap is checked here, before the
-    elimination: a group over the cap is never built.  The images are the kept
-    rows of U mod d_i, replayed from the row log mod N = |det I|.  They are
-    certified without the logs: every column of I dies in H, each generator
-    has a lift whose class is itself, and prod d_i = N, so the images give an
-    isomorphism from coker(I).
+    |H| = |det I| bounds every enumeration downstream, so the cap, a positive
+    int, is checked here, before the elimination: a group over the cap is never
+    built.  The images are the kept rows of U mod d_i, from the row log mod
+    N = |det I|; the lift columns I V e_i / d_i, from the column log mod N exp(H),
+    are right mod N, and N e_v = I(-adj(-I) e_v) dies in H.  Both are certified
+    without the logs: every column of I dies in H, each generator is the class
+    of its lift column, and prod d_i = N, so the images give an isomorphism
+    from coker(I).
     """
+    if not isinstance(max_order, int) or isinstance(max_order, bool) or max_order < 1:
+        raise ValueError(f"max_order={max_order!r} is not a positive integer")
     order = lattice.order_h
     if order > max_order:
         raise OrderCapExceeded(order, max_order)
@@ -180,13 +170,13 @@ def homology_from_lattice(lattice: LatticeData, *,
     factors = [diag[i] for i in kept]
     images = [tuple(x % d for x, d in zip(row, factors))
               for row in replay_backward(log.row_ops, lattice.size, kept, order)]
-    group = FinAbGroup(factors, images, lattice, kept, log.col_ops)
+    group = FinAbGroup(factors, images, _lift_columns(lattice, log.col_ops, kept, factors))
     if group.order != order:
         raise InternalInvariantViolated(f"|H| = {group.order} but |det I| = {order}")
     for s, d in enumerate(factors):
         if any(x % d for x in lattice.times([image[s] for image in group.generator_images])):
             raise InternalInvariantViolated(f"a column of I does not die in Z/{d}")
-    for s, column in enumerate(_lift_columns(lattice, log.col_ops, kept, factors, order)):
+    for s, column in enumerate(group.lift_columns):
         if group.class_of_vector(column) != tuple(int(j == s) for j in range(group.rank)):
             raise InternalInvariantViolated(f"generator {s} is not the class of its lift")
     return group
@@ -235,29 +225,31 @@ def linking_rows(lattice: LatticeData, group: FinAbGroup, den: int = 1):
     return den, row
 
 
+def _quadratic(lattice: LatticeData, d, shift) -> Fraction:
+    """-(1/2)(d + shift, d) mod 1 at a lift d: the one formula of the quadratic functions."""
+    return (-Fraction(1, 2) * _pairing(lattice, [x + y for x, y in zip(d, shift)], d)) % 1
+
+
 def q_can(lattice: LatticeData, group: FinAbGroup, h: GroupElement,
           lift=None) -> Fraction:
     """The canonical quadratic function at h, in [0, 1).
 
-    Pick any lift d of h; the value -(1/2)(d - z, d) mod 1 does not depend on
-    the choice (z is the anti-canonical vector e_v + 2).
+    Pick any lift d of h; the value -(1/2)(d + k, d) mod 1 does not depend on
+    the choice (k is the characteristic vector -e_v - 2).
     """
-    d = group.lift(h) if lift is None else lift
-    shifted = tuple(x - zv for x, zv in zip(d, lattice.z))
-    return (-Fraction(1, 2) * _pairing(lattice, shifted, d)) % 1
+    return _quadratic(lattice, group.lift(h) if lift is None else lift, lattice.k_vec)
 
 
 def spinc_quadratic(lattice: LatticeData, group: FinAbGroup,
                     h_sigma: GroupElement, h: GroupElement) -> Fraction:
     """The quadratic function attached to the spin^c structure h_sigma * sigma_can.
 
-    Value -(1/2)(d + 2*lift(h_sigma) + z, d) mod 1; for h_sigma = 0 this is the
-    quadratic function of the canonical structure itself.
+    Value -(1/2)(d + 2 lift(h_sigma) - k, d) mod 1 at a lift d of h.  The
+    canonical structure's function is the pullback of q_can by negation:
+    spinc_quadratic(0, h) == q_can(-h).
     """
-    d = group.lift(h)
     hs = group.lift(h_sigma)
-    shifted = tuple(x + 2 * y + zv for x, y, zv in zip(d, hs, lattice.z))
-    return (-Fraction(1, 2) * _pairing(lattice, shifted, d)) % 1
+    return _quadratic(lattice, group.lift(h), [2 * y - kv for y, kv in zip(hs, lattice.k_vec)])
 
 
 def spinc_canonical_class(lattice: LatticeData, group: FinAbGroup) -> GroupElement:
@@ -276,8 +268,8 @@ def gauss_sum_check(lattice: LatticeData, group: FinAbGroup):
     """Both sides of sum_x e(q(x)) = sqrt|H| e((-n - (k,k))/8), exactly, in Q(zeta_L).
 
     The identity is van der Blij's and Milgram's: e(y) = exp(2 pi i y), q(x) =
-    (1/2)(d + k, d) mod 1 for a lift d of x, k the characteristic vector
-    -e_v - 2, n the number of vertices.  L is the lcm of the denominators
+    (1/2)(d + k, d) = -q_can(x) mod 1 for a lift d of x, k the characteristic
+    vector -e_v - 2, n the number of vertices.  L is the lcm of the denominators
     involved, and each side is one integer vector in Z[x]/(x^L - 1): the left
     counts the values L q(x) mod L; sqrt|H| = s prod sqrt(p) for |H| =
     s^2 prod p, with sqrt 2 = zeta_8 + zeta_8^-1 and sqrt p = sum_a zeta_p^(a^2)
@@ -286,10 +278,8 @@ def gauss_sum_check(lattice: LatticeData, group: FinAbGroup):
     """
     if group.order > GAUSS_ORDER_CAP:
         raise OrderCapExceeded(group.order, GAUSS_ORDER_CAP)
-    k_vec = lattice.k_vec
-    values = [Fraction(1, 2) * _pairing(lattice, [x + kx for x, kx in zip(d, k_vec)], d) % 1
-              for d in map(group.lift, group.elements())]
-    phase = Fraction(-lattice.size - _pairing(lattice, k_vec, k_vec), 8) % 1
+    values = [-q_can(lattice, group, h) % 1 for h in group.elements()]
+    phase = Fraction(-lattice.size - _pairing(lattice, lattice.k_vec, lattice.k_vec), 8) % 1
     s = max(s for s in range(1, isqrt(group.order) + 1) if group.order % (s * s) == 0)
     r = group.order // (s * s)
     primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % x for x in range(2, p))]

@@ -21,12 +21,17 @@ from .plumbing import LatticeData, PlumbingGraph
 from .torsion import orbit_table
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool: Seifert and lens data are rejected, never coerced."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def hj_expand(alpha: int, omega: int):
-    """Negative continued fraction of alpha/omega; all entries are >= 2."""
-    if not (0 < omega < alpha):
-        raise ValueError("need 0 < omega < alpha")
-    if gcd(alpha, omega) != 1:
-        raise ValueError("alpha and omega must be coprime")
+    """Negative continued fraction (entries >= 2) of alpha/omega, coprime 0 < omega < alpha."""
+    if not (_is_int(alpha) and _is_int(omega)):
+        raise ValueError(f"({alpha!r}, {omega!r}) is not a pair of integers")
+    if not 0 < omega < alpha or gcd(alpha, omega) != 1:
+        raise ValueError(f"need coprime 0 < {omega} < {alpha}")
     a, b = alpha, omega
     out = []
     while b > 0:
@@ -40,11 +45,6 @@ def hj_expand(alpha: int, omega: int):
     if value != Fraction(alpha, omega):
         raise InternalInvariantViolated("continued fraction reconstruction failed")
     return out
-
-
-def _is_int(x) -> bool:
-    """An int and not a bool: Seifert data is rejected, never coerced."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,10 @@ def star_vertex_ids(data: SeifertData):
 
 
 def lens_chain(p: int, q: int) -> PlumbingGraph:
-    """Linear plumbing of the lens space: the chain of -b_j with p/q = [[b_1,...]]."""
-    if not (0 < q < p):
-        raise ValueError("need 0 < q < p")
-    if gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
+    """Linear plumbing of the lens space: the chain of -b_j with p/q = [[b_1,...]].
+
+    `hj_expand` rejects p, q unless they are coprime ints with 0 < q < p.
+    """
     chain = hj_expand(p, q)
     vertices = [(f"v{j}", -c) for j, c in enumerate(chain)]
     edges = [(f"v{j}", f"v{j+1}") for j in range(len(chain) - 1)]

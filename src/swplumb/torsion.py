@@ -89,7 +89,7 @@ def regularized_product(lattice: LatticeData, group: FinAbGroup,
     return value
 
 
-def _moebius_terms(d: int) -> list:
+def moebius_terms(d: int) -> list:
     """(q, mu(d/q)) for the q | d with d/q squarefree: c_d(n) = sum of mu(d/q) q over q | n."""
     terms, rest, p = [(d, 1)], d, 2
     while rest > 1:
@@ -102,7 +102,7 @@ def _moebius_terms(d: int) -> list:
     return terms
 
 
-def _orbit_product(d: int, factors):
+def orbit_product(d: int, factors):
     """prod (t^w * x^a - 1)^p at t = 1 in Q[x]/(x^d - 1) over the factors (a, p, w).
 
     (numerators, denominator), equal to R(chi^u) at x = zeta_d^u for every unit u,
@@ -134,6 +134,11 @@ def _orbit_product(d: int, factors):
     return f, den
 
 
+def orbit_trace(num, terms, e) -> int:
+    """The trace sum_j num[j] c_d(j - e) of x^-e num in Q[x]/(x^d - 1), from c_d's terms."""
+    return sum(m * q * sum(num[e % q::q]) for q, m in terms)
+
+
 def orbit_table(group: FinAbGroup, factors_of) -> TorsionTable:
     """R(chi) of one character per Galois orbit, whose trace carries the whole orbit.
 
@@ -151,9 +156,9 @@ def orbit_table(group: FinAbGroup, factors_of) -> TorsionTable:
             if gcd(u, d) == 1:
                 seen[sum(u * x % m * s for x, m, s in zip(k, dims, strides))] = 1
         chi = Character(k)
-        product = _orbit_product(d, [(e * d // n, p, w) for e, p, w in factors_of(chi)])
+        product = orbit_product(d, [(e * d // n, p, w) for e, p, w in factors_of(chi)])
         if product is not None:
-            orbits.append((chi, *product, _moebius_terms(d)))
+            orbits.append((chi, *product, moebius_terms(d)))
     table = TorsionTable(orbits=tuple(orbits), t_at_1=None)
     return replace(table, t_at_1=table.at(group, group.identity))
 
@@ -184,7 +189,7 @@ class TorsionTable:
         total = 0
         for (chi, num, _, terms), scale in zip(self.orbits, scales):
             e = group.char_exponent(chi, h) * len(num) // group.exponent
-            total += scale * sum(m * q * sum(num[e % q::q]) for q, m in terms)
+            total += scale * orbit_trace(num, terms, e)
         return Fraction(total, common * group.order)
 
     def invert(self, group: FinAbGroup) -> dict:

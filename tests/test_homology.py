@@ -6,15 +6,16 @@ import random
 
 import pytest
 
-from swplumb import homology
+from swplumb import exact, homology
 from swplumb.brieskorn import BrieskornSpec, brieskorn_seifert
-from swplumb.corpus import a_chain, dn_seifert, standard_corpus
+from swplumb.corpus import a_chain, dn_seifert, e_star, standard_corpus
 from swplumb.errors import InternalInvariantViolated, OrderCapExceeded
 from swplumb.exact import invert_rational_matrix, smith_normal_form
 from swplumb.homology import (gauss_sum_check, homology_from_lattice,
                               linking_form, q_can, spinc_canonical_class,
                               spinc_conjugate, spinc_quadratic)
 from swplumb.plumbing import build_lattice, numerically_gorenstein
+from swplumb.report import compute_report
 from swplumb.seifert import lens_chain, star_graph
 from swplumb.verify import _blown_up
 
@@ -114,30 +115,62 @@ class TestCharacters:
             homology_from_lattice(lattice, max_order=10)
         assert (exc.value.order, exc.value.cap) == (4001, 10)
 
+    @pytest.mark.parametrize("cap", [-5, 0, True, False, 7.5, 10.0, "9", None, Fraction(9)])
+    def test_order_cap_must_be_a_positive_int(self, monkeypatch, cap):
+        # refused before the elimination, by the library as by the CLI
+        def refuse(rows, cols):
+            raise AssertionError("Smith elimination reached with an invalid cap")
+
+        graph = lens_chain(7, 3)
+        monkeypatch.setattr(homology, "smith_elimination", refuse)
+        with pytest.raises(ValueError, match="max_order"):
+            homology_from_lattice(build_lattice(graph), max_order=cap)
+        with pytest.raises(ValueError, match="max_order"):
+            compute_report(graph, max_order=cap)
+
 
 class TestLift:
     def test_columns_equal_the_inverse_of_u(self):
-        """lift(e_i) = I V e_i / d_i against the rational inverse of U."""
+        """lift(e_i) = I V e_i / d_i against the rational inverse of U, mod |det I|."""
         graphs = [graph for _, graph in standard_corpus()]
         graphs.append(_blown_up(star_graph(dn_seifert(6)), 40, random.Random(4)))
         for graph in graphs:
             lattice, group = pipeline(graph)
+            n = lattice.order_h
             snf = smith_normal_form(lattice.I)
             kept = [i for i, d in enumerate(snf.diagonal) if d > 1]
             uinv = invert_rational_matrix(snf.U)
             for i, k in enumerate(kept):
                 unit = tuple(int(j == i) for j in range(group.rank))
-                assert group.lift(unit) == tuple(row[k] for row in uinv)
+                assert [x % n for x in group.lift(unit)] == [row[k] % n for row in uinv]
                 assert group.class_of_vector(group.lift(unit)) == unit
 
-    def test_inexact_division_raises(self):
-        _, group = pipeline(a_chain(3))
+    def test_trivial_group_lifts_to_zero(self):
+        lattice, group = pipeline(star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 5)))))
+        assert group.lift(group.identity) == (0,) * lattice.size
+
+    def test_inexact_division_raises(self, monkeypatch):
         # V e_1 = (1, 2) and I V e_1 = (0, -3); with col[1] += 3 col[0] instead,
         # V e_1 = (1, 3) and I V e_1 = (1, -5), which 3 does not divide
-        assert group._col_ops == [(0, 1, 0), (1, 0, 2)]
-        group._col_ops[1] = (1, 0, 3)
-        with pytest.raises(InternalInvariantViolated):
-            group.lift((1,))
+        def corrupt(rows, cols):
+            log = exact.smith_elimination(rows, cols)
+            assert log.col_ops == [(0, 1, 0), (1, 0, 2)]
+            log.col_ops[1] = (1, 0, 3)
+            return log
+
+        lattice = build_lattice(a_chain(3))
+        monkeypatch.setattr(homology, "smith_elimination", corrupt)
+        with pytest.raises(InternalInvariantViolated, match="not divisible"):
+            homology_from_lattice(lattice)
+
+    def test_lifts_stay_bounded_on_a_large_tree(self):
+        # E7 blown up to 150 vertices, H = Z/2: the exact column log grows to
+        # 1567-bit entries here; replayed mod |det I| exp(H), the lifts stay small
+        lattice, group = pipeline(_blown_up(e_star(7), 150, random.Random(2)))
+        assert (lattice.size, group.invariant_factors) == (150, (2,))
+        entries = [x for h in group.elements() for x in group.lift(h)]
+        assert max(abs(x) for x in entries).bit_length() < 64
+        assert group.class_of_vector(group.lift((1,))) == (1,)
 
 
 class TestLinkingForm:
@@ -269,6 +302,27 @@ class TestSpincStructures:
             {Fraction(3, 8), Fraction(7, 8)}
 
 
+def test_quadratic_function_conventions_on_corpus():
+    """spinc_quadratic(0, h) == q_can(-h), and the Gauss-sum values are -q_can mod 1."""
+    checked = 0
+    for name, graph in standard_corpus():
+        lattice, group = pipeline(graph)
+        if group.order > 300:
+            continue
+        qvals = {h: q_can(lattice, group, h) for h in group.elements()}
+        for h in group.elements():
+            assert spinc_quadratic(lattice, group, group.identity, h) == qvals[group.neg(h)], name
+        computed, _ = gauss_sum_check(lattice, group)
+        conductor = computed.field.conductor
+        counts = [0] * conductor
+        for q in qvals.values():
+            value = -q % 1
+            counts[value.numerator * (conductor // value.denominator)] += 1
+        assert computed == computed.field.element(counts), name
+        checked += len(qvals)
+    assert checked == 387
+
+
 def corpus_within_gauss_cap():
     for name, graph in standard_corpus():
         lattice, group = pipeline(graph)
@@ -290,7 +344,6 @@ class TestGaussSum:
             assert computed == predicted
 
     def test_unimodular_case(self):
-        from swplumb.corpus import e_star
         lattice, group = pipeline(e_star(8))
         computed, predicted = gauss_sum_check(lattice, group)
         assert computed == 1

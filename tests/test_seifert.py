@@ -46,6 +46,20 @@ class TestContinuedFractions:
         with pytest.raises(ValueError):
             hj_expand(3, 3)
 
+    @pytest.mark.parametrize("p, q", [
+        (7, True),          # a bool is not read as 1
+        (True, 0),
+        (7.0, 3),           # a float is rejected, not passed to gcd
+        (7, 3.0),
+        ("7", 3),
+        (Fraction(7), 3),
+    ])
+    def test_lens_input_rejects_non_integers(self, p, q):
+        with pytest.raises(ValueError, match="integer"):
+            lens_chain(p, q)
+        with pytest.raises(ValueError, match="integer"):
+            hj_expand(p, q)
+
 
 class TestStarGraph:
     def test_dihedral_four(self):

@@ -1,9 +1,9 @@
 """The report path's Smith layer: the operation log, its replays and its certificate.
 
 `homology_from_lattice` never forms U, V or the dense I: it replays the row log
-backwards into the kept rows of U mod |det I|, and `lift` replays the column
-log into the kept columns of V.  `smith_normal_form` replays the same logs
-forwards and is the oracle here.
+backwards into the kept rows of U mod |det I|, and the column log into the
+kept columns of V mod |det I| exp(H), from which it builds the lifts.
+`smith_normal_form` replays the same logs forwards and is the oracle here.
 """
 
 import json

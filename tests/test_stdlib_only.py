@@ -1,4 +1,7 @@
-"""The package imports nothing outside the standard library, and computes no float."""
+"""The package imports nothing outside the standard library, and computes no float.
+
+No module imports another module's underscore-prefixed name.
+"""
 
 import ast
 import sys
@@ -29,6 +32,33 @@ def test_only_stdlib_and_swplumb_imports():
     foreign = [(path.name, name) for path in SOURCES
                for name in absolute_imports(path) if name not in allowed]
     assert foreign == []
+
+
+def private_imports(path):
+    """(module, name) for each underscore-prefixed name one source file imports from swplumb."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "swplumb"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.module, alias.name
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = [(path.name, *hit) for path in SOURCES for hit in private_imports(path)]
+    assert found == []
+
+
+def test_private_import_scan_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from __future__ import annotations\nfrom os import _exit\n"
+                    "from .torsion import _orbit_product, orbit_trace\n"
+                    "from swplumb.exact import _identity_rows\n"
+                    "def f():\n    from . import _hidden\n")
+    assert sorted(private_imports(path), key=str) == sorted([
+        ("torsion", "_orbit_product"), ("swplumb.exact", "_identity_rows"),
+        (None, "_hidden")], key=str)
 
 
 # verify._blown_up's seeded coin, rng.random() < 0.5: it draws test graphs, not a value
