@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .torsion import moebius_terms, orbit_product, orbit_trace
+from .homology import FinAbGroup
+from .torsion import orbit_table
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -117,19 +118,17 @@ def _check_rational(value, what):
 def _root_sum(p: int, t: int, factors) -> Fraction:
     """(1/p) sum_{j=1}^{p-1} zeta_p^(jt) prod (zeta_p^(ja) - 1)^k over the factors (a, k).
 
-    The j for which zeta_p^j has order d form one Galois orbit, so their terms
-    sum to a trace: one product in Q[x]/(x^d - 1) (`torsion.orbit_product`)
-    against the Ramanujan sum c_d at -t (`torsion.orbit_trace`, as
-    `TorsionTable.at` reads it).  A factor with d | a vanishes, and so does
-    its term.
+    The characters of Z/p are the j, with R(j) the product, so this is the
+    torsion's read-out at -t: `orbit_table` takes one trace per Galois orbit,
+    the j of one order d, as it does for `TorsionTable.at`.  A factor with
+    d | a vanishes, and so does its orbit.
     """
-    total = _ZERO
-    for d in (d for d in range(2, p + 1) if p % d == 0):
-        product = orbit_product(d, [(a % d, k, 1) for a, k in factors])
-        if product is not None:
-            num, den = product
-            total += Fraction(orbit_trace(num, moebius_terms(d), -t), den)
-    return total / p
+    group = FinAbGroup((p,), (), ())
+
+    def factors_of(chi):
+        return [(group.char_exponent(chi, (a % p,)), k, 1) for a, k in factors]
+
+    return orbit_table(group, factors_of).at(group, (-t % p,))
 
 
 def fourier_identity_suite(p: int, q: int, t: int = 0):

@@ -12,8 +12,8 @@ path from u to v,
 so the adjugate of -I is a table of subtree determinants.  The invariants read
 only a few exact numbers from it, each in O(n) integer operations over one
 rooting: adj(-I) b for a vector b (a tree solve, leaves first then root
-first), the diagonal and the entries on edges (one root-first rerooting pass
-over the directed-edge determinants).  Every consumer sums integers and
+first), the diagonal and the entries on edges (one root-first pass that cuts
+each edge into two subtree determinants).  Every consumer sums integers and
 divides by |det I| once.  The whole table is built only when read: it is the
 oracle that tests and `swplumb verify` compare the tree solves against.  So is
 the dense I: the invariants apply I over the edges, and the Smith elimination
@@ -279,42 +279,29 @@ def _tree_solve(order, parent, dets, below, b):
 
 
 def _diagonal_and_edges(diag, neighbors, order, parent, dets, below):
-    """adj(-I)_vv and adj(-I)_(v, parent v) (0 at the root), from directed-edge determinants.
+    """adj(-I)_vv and adj(-I)_(v, parent v) (0 at the root), from the edge-cut identity.
 
-    Cutting the edge from c to its parent p leaves p in a component with
-    determinant up[c]; upb[c] is the product of the determinants of the pieces
-    of that component once p is removed too.  The pieces at p are the children
-    k other than c, with (Y, X) = (D[k], B[k]), and the side beyond p's parent,
-    with (up[p], upb[p]); then up[c] = diag[p] prod Y - sum_k X_k prod_(k' != k) Y
-    and upb[c] = prod Y.  Prefix and suffix sums keep this O(deg p) at p with no
-    division.  adj_vv = B[v] up[v] and adj_(v, parent v) = B[v] upb[v].  Row v
-    of I adj(-I) = -|det I| Id certifies them at every vertex, and Jacobi's
+    Cutting the edge from v to its parent p leaves T_v and the component of p,
+    with determinant up[v].  Removing p too leaves the other children of p and
+    the side beyond p's parent, so upb[v] = B[p] / D[v] * up[p], with
+    up[root] = 1.  The edge enters det(-I) through its square, so
+    N = D[v] up[v] - B[v] upb[v], which gives up[v] root first.  Both divisions
+    are by D[v]: they need the D > 0 check that `build_lattice` makes first.
+    adj_vv = B[v] up[v] and adj_(v, parent v) = B[v] upb[v].  Row v of
+    I adj(-I) = -|det I| Id certifies them at every vertex, and Jacobi's
     identity for the 2 x 2 minor of adj(-I) on each edge (v, p), whose
-    complementary minor of -I is adj_vp itself, at every edge.
+    complementary minor of -I is adj_vp itself, at every edge; so the
+    certificates also catch an inexact division.
     """
     n = len(diag)
+    det = dets[order[0]]
     up, upb = [1] * n, [0] * n
-    for p in order:
-        kids = [k for k in neighbors[p] if k != parent[p]]
-        pieces = [(dets[k], below[k]) for k in kids]
-        if parent[p] >= 0:
-            pieces.append((up[p], upb[p]))
-        # (prod Y, sum_k X_k prod_(k' != k) Y) over pieces[:i] and pieces[i:]
-        prefix, suffix = [(1, 0)], [(1, 0)]
-        for y, x in pieces:
-            a, b = prefix[-1]
-            prefix.append((a * y, b * y + x * a))
-        for y, x in reversed(pieces):
-            a, b = suffix[-1]
-            suffix.append((a * y, b * y + x * a))
-        suffix.reverse()
-        for i, c in enumerate(kids):
-            (a1, b1), (a2, b2) = prefix[i], suffix[i + 1]
-            up[c] = diag[p] * a1 * a2 - b1 * a2 - b2 * a1
-            upb[c] = a1 * a2
+    for v in order[1:]:
+        p = parent[v]
+        upb[v] = below[p] // dets[v] * up[p]
+        up[v] = (det + below[v] * upb[v]) // dets[v]
     diagonal = tuple(b * u for b, u in zip(below, up))
     edges = tuple(b * u for b, u in zip(below, upb))
-    det = dets[order[0]]
     for v in range(n):
         total = sum(edges[u] if parent[u] == v else edges[v] for u in neighbors[v])
         if total - diag[v] * diagonal[v] != -det:

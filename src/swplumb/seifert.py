@@ -156,14 +156,12 @@ def lens_chain(p: int, q: int) -> PlumbingGraph:
     return PlumbingGraph(vertices, edges)
 
 
-def seifert_casson_walker(data: SeifertData, *, betas=None) -> Fraction:
+def seifert_casson_walker(data: SeifertData) -> Fraction:
     """Casson-Walker invariant from the Seifert data alone."""
-    if betas is None:
-        betas = data.betas
     e = data.e
     total = (2 - data.nu + sum(Fraction(1, a * a) for a, _ in data.arms)) / e
     total += e + 3
-    total += 12 * sum(dr_sum(b, a) for (a, _), b in zip(data.arms, betas))
+    total += 12 * sum(dr_sum(b, a) for (a, _), b in zip(data.arms, data.betas))
     return Fraction(-data.order_h, 24) * total
 
 

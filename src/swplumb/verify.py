@@ -23,7 +23,7 @@ from .homology import GAUSS_ORDER_CAP, gauss_sum_check, homology_from_lattice, \
     linking_rows, q_can, spinc_conjugate
 from .plumbing import PlumbingGraph, blow_up_edge, blow_up_vertex, build_lattice, \
     casson_walker, k2_plus_nv, numerically_gorenstein
-from .report import compute_report_from
+from .report import compute_report, compute_report_from
 from .seifert import SeifertData, ks_route, lens_chain, seifert_casson_walker, \
     seifert_k2nv, seifert_torsion_shortcut, star_graph
 from .torsion import WeightVector, delta_at_one_check, \
@@ -36,11 +36,6 @@ def _pipeline(graph):
     lattice = build_lattice(graph)
     group = homology_from_lattice(lattice)
     return lattice, group
-
-
-def _report(graph):
-    """The invariant report of a graph: torsion, lambda, K^2 + #V, sw0 and gap."""
-    return compute_report_from(*_pipeline(graph))
 
 
 def _summary(label, failures, total) -> Check:
@@ -60,7 +55,7 @@ def lens_sweep():
             if gcd(p, q) != 1:
                 continue
             total += 1
-            rep = _report(lens_chain(p, q))
+            rep = compute_report(lens_chain(p, q))
             s_qp = dedekind.dr_sum(q, p)
             ok = (rep.torsion_at_1 == Fraction(p - 1, 4 * p) - s_qp
                   and rep.casson_walker == Fraction(p, 2) * s_qp
@@ -75,7 +70,7 @@ def a_chain_sweep():
     """Chains of -2 curves up to 29 vertices: 8 sw0 = p - 1."""
     failures = []
     for p in range(2, 31):
-        if _report(a_chain(p)).sw0 != Fraction(p - 1, 8):
+        if compute_report(a_chain(p)).sw0 != Fraction(p - 1, 8):
             failures.append(p)
     return [_summary("(-2)-chain monopole count, p <= 30", failures, 29)]
 
@@ -86,7 +81,7 @@ def d_family():
     for n in range(4, 13):
         data = dn_seifert(n)
         want = Fraction(n, 8)  # (p + 2)/8 with p = n - 2
-        torsion_route = _report(star_graph(data)).sw0
+        torsion_route = compute_report(star_graph(data)).sw0
         ks = ks_route(data)
         if not (torsion_route == want and ks.applicable and ks.sw0_ks == want):
             failures.append(n)
@@ -98,7 +93,7 @@ def e_family():
     checks = []
     targets = {6: Fraction(6, 8), 7: Fraction(7, 8), 8: Fraction(1)}
     for kind, want in targets.items():
-        got = _report(e_star(kind)).sw0
+        got = compute_report(e_star(kind)).sw0
         checks.append((f"exceptional star E{kind}: sw0", got == want,
                        f"{got} vs {want}"))
     # E7 via the eta-invariant route (KS = 7)
@@ -121,7 +116,7 @@ def three_arm_sweep():
     failures = []
     for m in (2, 4, 5, 7, 8):
         data = three_arm_family(m)
-        rep = _report(star_graph(data))
+        rep = compute_report(star_graph(data))
         want = (Fraction(3 * m) - Fraction(m, 3) - 2) / 8
         ks = ks_route(data)
         plus_expected = (m - 3) // 6 + 1 if m > 3 else 0
@@ -138,7 +133,7 @@ def three_arm_sweep():
 def three_arm_m3():
     """The m = 3 member: eta route inapplicable, torsion route gives 3/4."""
     data = three_arm_family(3)
-    rep = _report(star_graph(data))
+    rep = compute_report(star_graph(data))
     t1 = rep.torsion_at_1
     lam_over = rep.casson_walker / rep.order_h
     got = rep.sw0
@@ -158,7 +153,7 @@ def polygonal_family():
              [3, 3, 3, 3, 3], [3, 3, 3, 3, 3, 3])
     for a_list in cases:
         data = polygonal_seifert(a_list)
-        rep = _report(star_graph(data))
+        rep = compute_report(star_graph(data))
         want = Fraction(17 + len(a_list) - sum(a_list), 8)
         ks = ks_route(data)
         if not (rep.sw0 == want and rep.conjecture_gap == 1
@@ -170,7 +165,7 @@ def polygonal_family():
 
 def nonstar_example():
     """The 13-vertex non-star graph; |H| = 3 gates the transcription."""
-    rep = _report(nonstar_13_vertex())
+    rep = compute_report(nonstar_13_vertex())
     checks = [("non-star graph: |H| gate", rep.order_h == 3,
                f"|H| = {rep.order_h}")]
     if rep.order_h == 3:
@@ -204,7 +199,7 @@ def brieskorn_corpus():
         ok = rep.gorenstein_check
         detail = f"{cls.kind}, |H| = {rep.order_h}, sw0 = {rep.sw0}"
         if rep.order_h <= 10 ** 4:
-            got = _report(star_graph(brieskorn_seifert(spec)))
+            got = compute_report(star_graph(brieskorn_seifert(spec)))
             ok = ok and (got.order_h == rep.order_h
                          and got.torsion_at_1 == rep.torsion_closed
                          and got.casson_walker == rep.lambda_closed)
@@ -539,7 +534,7 @@ def blowup_family():
         if graph.edges:
             moved.append(blow_up_edge(graph, graph.edges[0]))
         for g2 in moved:
-            got = _blowup_invariants(_report(g2))
+            got = _blowup_invariants(compute_report(g2))
             total += 1
             if got != base:
                 failures.append(name)
@@ -574,9 +569,7 @@ def seifert_round_trip():
               and data.order_h == group.order
               and data.b <= data.e < 0)
         # alternative absorption of the central term into the last arm
-        alt = list(-w for _, w in data.arms)
-        alt[-1] -= data.b * data.arms[-1][0]
-        ok = ok and seifert_casson_walker(data, betas=tuple(alt)) \
+        ok = ok and seifert_casson_walker(SeifertData(data.b, data.arms[::-1])) \
             == seifert_casson_walker(data)
         if not ok:
             failures.append((b, arms))
@@ -624,7 +617,7 @@ def eta_route_cross_check():
         if not report.applicable:
             continue
         applicable += 1
-        if report.sw0_ks != _report(star_graph(data)).sw0:
+        if report.sw0_ks != compute_report(star_graph(data)).sw0:
             failures.append((b, arms))
     return [_summary("eta route equals torsion route when applicable",
                      failures, applicable)]
@@ -636,7 +629,7 @@ def unimodular_family():
               ("Sigma(2,3,7)", star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 7))))),
               ("Sigma(2,3,11)", star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 11)))))]
     for name, graph in graphs:
-        rep = _report(graph)
+        rep = compute_report(graph)
         if not (rep.order_h == 1 and rep.sw0 == -rep.casson_walker):
             failures.append(name)
     return [_summary("unimodular graphs: monopole count is minus Casson",
@@ -652,7 +645,7 @@ def nonnegativity_sweep():
                       star_graph(brieskorn_seifert(BrieskornSpec(exps)))))
     for name, graph in items:
         total += 1
-        gap = _report(graph).conjecture_gap
+        gap = compute_report(graph).conjecture_gap
         if gap < 0:
             failures.append((name, gap))
     return [_summary("conjectured gap nonnegative across the corpus",

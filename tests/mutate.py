@@ -1,0 +1,194 @@
+"""Mutation checks: each mutant of src/swplumb must fail the tests named for it.
+
+    python tests/mutate.py              # every mutation
+    python tests/mutate.py rerooting    # those whose name contains "rerooting"
+
+A mutation is one exact text edit (file, old, new) of a module in
+src/swplumb, with the test files that must catch it.  For each, src/ and
+tests/ are copied to a temporary directory, the edit is applied, and pytest
+runs the named tests there against the mutated copy through PYTHONPATH.  A
+mutant whose tests pass survives.  Every survivor is reported, and the run
+exits 1 if one is not in EQUIVALENT, which says why no test can catch it.
+
+Standard library only.  pytest does not collect this file (it is not named
+test_*.py); tests/test_mutations.py checks that each `old` text occurs
+exactly once, so that the list fails loudly when the code moves.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "swplumb"
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str       # module under src/swplumb
+    old: str
+    new: str
+    tests: tuple    # test files, relative to tests/
+
+
+MUTATIONS = [
+    # the orbit kernel (torsion.orbit_product, moebius_terms, orbit_trace)
+    Mutation("orbit running-sum index", "torsion.py",
+             "value += total - k * run[(i + 1) % k]", "value += total - k * run[i]",
+             ("test_torsion.py",)),
+    Mutation("Moebius sign", "torsion.py",
+             "terms += [(q // p, -m) for q, m in terms]",
+             "terms += [(q // p, m) for q, m in terms]",
+             ("test_torsion.py",)),
+    Mutation("orbit trace offset", "torsion.py",
+             "sum(num[e % q::q])", "sum(num[(e + 1) % q::q])",
+             ("test_torsion.py",)),
+    Mutation("orbit shift direction", "torsion.py",
+             "zip(f[-a:] + f[:-a], f)", "zip(f[a:] + f[:a], f)",
+             ("test_torsion.py",)),
+    Mutation("read-out without the per-orbit scales", "torsion.py",
+             "total += scale * orbit_trace(num, terms, e)", "total += orbit_trace(num, terms, e)",
+             ("test_torsion.py",)),
+    # the Smith elimination and its logs (exact.py, homology.py)
+    Mutation("last unit as pivot", "exact.py",
+             "pj = min(where[k] for k, x in row.items() if x == 1 or x == -1)",
+             "pj = max(where[k] for k, x in row.items() if x == 1 or x == -1)",
+             ("test_smith_differential.py", "test_homology.py")),
+    Mutation("backward update on the wrong side", "exact.py",
+             "x[b] = [(y + q * z) % modulus for z, y in zip(x[a], x[b])]",
+             "x[a] = [(y + q * z) % modulus for z, y in zip(x[b], x[a])]",
+             ("test_homology.py", "test_smith_log.py")),
+    Mutation("final sign fix not logged", "exact.py",
+             "row_ops.append((i, i, -2))", "pass",
+             ("test_homology.py", "test_smith_log.py")),
+    Mutation("column check removed", "homology.py",
+             'raise InternalInvariantViolated(f"a column of I does not die in Z/{d}")', "pass",
+             ("test_smith_log.py",)),
+    Mutation("lift check removed", "homology.py",
+             'raise InternalInvariantViolated(f"generator {s} is not the class of its lift")',
+             "pass",
+             ("test_homology.py",)),
+    Mutation("wrong lift column", "homology.py",
+             "columns.append([x // d for x in image])",
+             "columns.append([2 * x // d for x in image])",
+             ("test_homology.py",)),
+    # the tree layer (plumbing.py)
+    Mutation("wrong running product in the solve", "plumbing.py",
+             "sofar[p] *= dets[x]", "sofar[p] *= below[x]",
+             ("test_plumbing.py",)),
+    Mutation("rerooting: B[v] for B[p]", "plumbing.py",
+             "upb[v] = below[p] // dets[v] * up[p]", "upb[v] = below[v] // dets[v] * up[p]",
+             ("test_plumbing.py",)),
+    Mutation("rerooting: det - for det +", "plumbing.py",
+             "up[v] = (det + below[v] * upb[v])", "up[v] = (det - below[v] * upb[v])",
+             ("test_plumbing.py",)),
+    Mutation("rerooting: D[p] for D[v]", "plumbing.py",
+             "upb[v] = below[p] // dets[v]", "upb[v] = below[p] // dets[p]",
+             ("test_plumbing.py",)),
+    Mutation("rerooting: up[v] for up[p]", "plumbing.py",
+             "// dets[v] * up[p]", "// dets[v] * up[v]",
+             ("test_plumbing.py",)),
+    Mutation("rerooting: B[v] dropped from the diagonal", "plumbing.py",
+             "diagonal = tuple(b * u for b, u in zip(below, up))", "diagonal = tuple(up)",
+             ("test_plumbing.py",)),
+    # the Seifert routes and Dedekind sums (seifert.py, dedekind.py)
+    Mutation("K + jE on the minus side", "seifert.py",
+             "K - j * E - sum(", "K + j * E - sum(",
+             ("test_seifert.py",)),
+    Mutation("integrality check removed", "seifert.py",
+             "                if rest:\n", "                if False:\n",
+             ("test_seifert.py",)),
+    Mutation("beta(Y) for beta(X) in dr_sum", "dedekind.py",
+             "k * k * beta(X)", "k * k * beta(Y)",
+             ("test_dedekind.py",)),
+    Mutation("root sum read at +t", "dedekind.py",
+             "(-t % p,)", "(t % p,)",
+             ("test_dedekind.py",)),
+    Mutation("root-sum orbit weight 2", "dedekind.py",
+             "(a % p,)), k, 1)", "(a % p,)), k, 2)",
+             ("test_dedekind.py",)),
+    Mutation("Dedekind symbol accepts bool", "dedekind.py",
+             "if not isinstance(value, (int, Fraction)) or isinstance(value, bool):",
+             "if not isinstance(value, (int, Fraction)):",
+             ("test_dedekind.py",)),
+    # the Gauss sum, the linking form and the caps (homology.py, cli.py)
+    Mutation("Gauss sum without -i", "homology.py",
+             "turn = 3 * L // 4 if p % 4 == 3 else 0", "turn = 0",
+             ("test_homology.py",)),
+    Mutation("Gauss sum sign -s", "homology.py",
+             "rhs[phase.numerator * (L // phase.denominator)] = s",
+             "rhs[phase.numerator * (L // phase.denominator)] = -s",
+             ("test_homology.py",)),
+    Mutation("sqrt 2 as zeta_8 + zeta_8^3", "homology.py",
+             "exps = (L // 8, -(L // 8))", "exps = (L // 8, 3 * (L // 8))",
+             ("test_homology.py",)),
+    Mutation("Gauss cap at 5000", "homology.py",
+             "GAUSS_ORDER_CAP = 500 ", "GAUSS_ORDER_CAP = 5000 ",
+             ("test_homology.py",)),
+    Mutation("linking rows without mod D", "homology.py",
+             "for x, y in zip(gb, h)) % den", "for x, y in zip(gb, h))",
+             ("test_homology.py",)),
+    Mutation("--max-order 0 accepted", "cli.py",
+             "    if value < 1:\n", "    if value < 0:\n",
+             ("test_cli.py",)),
+]
+
+EQUIVALENT = {
+    "root-sum orbit weight 2":
+        "the weight is read only for a factor with d | a when the orders still cancel; "
+        "no factor list of fourier_identity_suite has d | a with a negative power",
+}
+
+
+def run(mutation: Mutation) -> bool:
+    """True when the mutant survives: the named tests pass on the mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="swplumb-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        path = work / "src" / "swplumb" / mutation.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutation.old) != 1:
+            raise SystemExit(f"{mutation.name}: the old text does not occur exactly once "
+                             f"in {mutation.file}")
+        path.write_text(text.replace(mutation.old, mutation.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *(str(Path("tests") / t) for t in mutation.tests)],
+            cwd=work, env=env, capture_output=True, text=True)
+    if done.returncode not in (0, 1):
+        raise SystemExit(f"{mutation.name}: pytest exited {done.returncode}\n"
+                         f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    return done.returncode == 0
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTATIONS if not argv or any(a in m.name for a in argv)]
+    start = time.monotonic()
+    survivors = []
+    for mutation in chosen:
+        survived = run(mutation)
+        print(f"{'SURVIVED' if survived else 'killed  '}  {mutation.name}", flush=True)
+        if survived:
+            survivors.append(mutation.name)
+    unexpected = [name for name in survivors if name not in EQUIVALENT]
+    print(f"{len(chosen)} mutations, {len(chosen) - len(survivors)} killed, "
+          f"{len(survivors)} survived ({len(unexpected)} not listed as equivalent), "
+          f"{time.monotonic() - start:.0f} s")
+    for name in survivors:
+        print(f"  {name}: {EQUIVALENT.get(name, 'NOT EQUIVALENT: add a test that kills it')}")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -163,6 +163,14 @@ class TestLift:
         with pytest.raises(InternalInvariantViolated, match="not divisible"):
             homology_from_lattice(lattice)
 
+    def test_lift_of_the_wrong_class_raises(self, monkeypatch):
+        # H = Z/3 on A_2: twice the lift column divides evenly but is the class 2
+        real = homology._lift_columns
+        monkeypatch.setattr(homology, "_lift_columns",
+                            lambda *args: [[2 * x for x in c] for c in real(*args)])
+        with pytest.raises(InternalInvariantViolated, match="class of its lift"):
+            homology_from_lattice(build_lattice(a_chain(3)))
+
     def test_lifts_stay_bounded_on_a_large_tree(self):
         # E7 blown up to 150 vertices, H = Z/2: the exact column log grows to
         # 1567-bit entries here; replayed mod |det I| exp(H), the lifts stay small

@@ -120,7 +120,7 @@ class TestTreeSolveCertificates:
 
     def test_corrupted_subtree_determinant(self):
         lattice = self.lattice()
-        # D[v] enters the diagonal through its siblings' pieces: take v with one
+        # take v with a sibling, so that D[v] is not all of B[parent v]
         children = [sum(p == x for p in lattice.parent) for x in range(lattice.size)]
         v = next(v for v in lattice.order[1:] if children[lattice.parent[v]] > 1)
         dets = list(lattice.D)
@@ -131,6 +131,18 @@ class TestTreeSolveCertificates:
         with pytest.raises(InternalInvariantViolated):
             plumbing._diagonal_and_edges(diag, lattice.neighbors, lattice.order,
                                          lattice.parent, dets, lattice.B)
+
+    def test_corrupted_child_product(self):
+        lattice = self.lattice()
+        # upb[v] = B[p] // D[v] * up[p] is exact only while D[v] divides B[p]
+        v = next(v for v in lattice.order[1:] if lattice.D[v] > 1)
+        below = list(lattice.B)
+        below[lattice.parent[v]] += 1
+        assert below[lattice.parent[v]] % lattice.D[v]
+        diag = [-e for e in lattice.graph.euler_numbers]
+        with pytest.raises(InternalInvariantViolated):
+            plumbing._diagonal_and_edges(diag, lattice.neighbors, lattice.order,
+                                         lattice.parent, lattice.D, below)
 
     def test_corrupted_solve_result(self, monkeypatch):
         real = plumbing._tree_solve

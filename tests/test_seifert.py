@@ -142,9 +142,8 @@ class TestClosedForms:
 
     def test_alternative_absorption(self):
         data = three_arm_family(4)
-        alt = [-w for _, w in data.arms]
-        alt[1] -= data.b * data.arms[1][0]
-        assert seifert_casson_walker(data, betas=tuple(alt)) == \
+        arms = data.arms
+        assert seifert_casson_walker(SeifertData(data.b, [arms[1], arms[0], arms[2]])) == \
             seifert_casson_walker(data)
 
 
