@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 from .plumbing import PlumbingGraph
-from .seifert import SeifertData, lens_chain, star_graph
-
-
-def chain_graph(eulers) -> PlumbingGraph:
-    vertices = [(f"v{j}", e) for j, e in enumerate(eulers)]
-    edges = [(f"v{j}", f"v{j+1}") for j in range(len(eulers) - 1)]
-    return PlumbingGraph(vertices, edges)
+from .seifert import SeifertData, chain_graph, lens_chain, star_graph
 
 
 def a_chain(p: int) -> PlumbingGraph:
@@ -23,18 +17,9 @@ def dn_seifert(n: int) -> SeifertData:
 
 
 def e_star(kind: int) -> PlumbingGraph:
-    """The three exceptional star graphs, all curves -2."""
+    """The three exceptional star graphs, all curves -2: an arm of k curves is (k+1, k)."""
     arms = {6: (1, 2, 2), 7: (1, 2, 3), 8: (1, 2, 4)}[kind]
-    vertices = [("c", -2)]
-    edges = []
-    for i, length in enumerate(arms):
-        prev = "c"
-        for j in range(length):
-            vid = f"a{i}v{j}"
-            vertices.append((vid, -2))
-            edges.append((prev, vid))
-            prev = vid
-    return PlumbingGraph(vertices, edges)
+    return star_graph(SeifertData(-2, [(k + 1, k) for k in arms]))
 
 
 def three_arm_family(m: int) -> SeifertData:

@@ -44,7 +44,8 @@ def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
     k2 = k2_plus_nv(lattice)
     lam = casson_walker(lattice)
     table = torsion_table(lattice, group)
-    sw = table.t_at_1 - lam / group.order
+    t1 = table.at(group, group.identity)
+    sw = t1 - lam / group.order
     gap = sw - k2 / 8
     spinc = None
     if all_spinc:
@@ -56,7 +57,7 @@ def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
         invariant_factors=group.invariant_factors,
         k2_plus_nv=k2,
         casson_walker=lam,
-        torsion_at_1=table.t_at_1,
+        torsion_at_1=t1,
         sw0=sw,
         conjecture_gap=gap,
         numerically_gorenstein=numerically_gorenstein(lattice),

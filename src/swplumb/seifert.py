@@ -38,11 +38,11 @@ def hj_expand(alpha: int, omega: int):
         q = -(-a // b)  # ceiling
         out.append(q)
         a, b = b, q * b - a
-    # reconstruction check
-    value = Fraction(out[-1])
-    for c in reversed(out[:-1]):
-        value = c - 1 / value
-    if value != Fraction(alpha, omega):
+    # reconstruction check: the continuants of entries >= 2 are coprime
+    num, den = 1, 0
+    for c in reversed(out):
+        num, den = c * num - den, num
+    if (num, den) != (alpha, omega):
         raise InternalInvariantViolated("continued fraction reconstruction failed")
     return out
 
@@ -80,21 +80,20 @@ class SeifertData:
     def e(self) -> Fraction:
         return Fraction(self.b) + sum(Fraction(w, a) for a, w in self.arms)
 
-    @property
-    def ell(self) -> Fraction:
-        return self.e
-
     @cached_property
     def alpha(self) -> int:
         return lcm(*(a for a, _ in self.arms))
 
     @cached_property
-    def betas(self):
-        """Unnormalized rotations: the central term absorbed into the first arm."""
-        if not self.arms:
-            return ()
-        (a1, w1), rest = self.arms[0], self.arms[1:]
-        return (-w1 - self.b * a1,) + tuple(-w for _, w in rest)
+    def dedekind_total(self) -> Fraction:
+        """sum s(omega_i, alpha_i), shared by the closed forms.  Absorbing b into one arm
+        gives beta_i = -omega_i mod alpha_i, whose s(beta_i, alpha_i) total minus this."""
+        return sum((dr_sum(w, a) for a, w in self.arms), Fraction(0))
+
+    @cached_property
+    def chains(self):
+        """The negative continued fraction of alpha_i / omega_i, one per arm."""
+        return tuple(hj_expand(a, w) for a, w in self.arms)
 
     @cached_property
     def kappa(self) -> Fraction:
@@ -102,16 +101,16 @@ class SeifertData:
 
     @cached_property
     def rho0(self) -> Fraction:
-        return (self.kappa / (2 * self.ell)) % 1
+        return (self.kappa / (2 * self.e)) % 1
 
     @cached_property
     def n0(self) -> int:
-        return floor(self.kappa / (2 * self.ell))
+        return floor(self.kappa / (2 * self.e))
 
     @cached_property
     def gammas(self):
         """Orbit data of the canonical representative: gamma_i / alpha_i = {n0 w_i / a_i}."""
-        return tuple(int(a * (Fraction(self.n0 * w, a) % 1)) for a, w in self.arms)
+        return tuple(self.n0 * w % a for a, w in self.arms)
 
     @cached_property
     def omega_inverses(self):
@@ -129,9 +128,9 @@ def star_graph(data: SeifertData) -> PlumbingGraph:
     """Star-shaped plumbing: central vertex b, arm i the chain of -b_ij."""
     vertices = [("c", data.b)]
     edges = []
-    for i, (a, w) in enumerate(data.arms):
+    for i, chain in enumerate(data.chains):
         prev = "c"
-        for j, c in enumerate(hj_expand(a, w)):
+        for j, c in enumerate(chain):
             vid = f"a{i}v{j}"
             vertices.append((vid, -c))
             edges.append((prev, vid))
@@ -141,8 +140,14 @@ def star_graph(data: SeifertData) -> PlumbingGraph:
 
 def star_vertex_ids(data: SeifertData):
     """(center id, arm-end ids...) in the layout used by star_graph."""
-    return ("c",) + tuple(f"a{i}v{len(hj_expand(a, w)) - 1}"
-                          for i, (a, w) in enumerate(data.arms))
+    return ("c",) + tuple(f"a{i}v{len(chain) - 1}" for i, chain in enumerate(data.chains))
+
+
+def chain_graph(eulers) -> PlumbingGraph:
+    """Linear plumbing v0 - v1 - ... with the given Euler numbers."""
+    vertices = [(f"v{j}", e) for j, e in enumerate(eulers)]
+    edges = [(f"v{j}", f"v{j+1}") for j in range(len(eulers) - 1)]
+    return PlumbingGraph(vertices, edges)
 
 
 def lens_chain(p: int, q: int) -> PlumbingGraph:
@@ -150,18 +155,14 @@ def lens_chain(p: int, q: int) -> PlumbingGraph:
 
     `hj_expand` rejects p, q unless they are coprime ints with 0 < q < p.
     """
-    chain = hj_expand(p, q)
-    vertices = [(f"v{j}", -c) for j, c in enumerate(chain)]
-    edges = [(f"v{j}", f"v{j+1}") for j in range(len(chain) - 1)]
-    return PlumbingGraph(vertices, edges)
+    return chain_graph([-c for c in hj_expand(p, q)])
 
 
 def seifert_casson_walker(data: SeifertData) -> Fraction:
     """Casson-Walker invariant from the Seifert data alone."""
     e = data.e
     total = (2 - data.nu + sum(Fraction(1, a * a) for a, _ in data.arms)) / e
-    total += e + 3
-    total += 12 * sum(dr_sum(b, a) for (a, _), b in zip(data.arms, data.betas))
+    total += e + 3 - 12 * data.dedekind_total
     return Fraction(-data.order_h, 24) * total
 
 
@@ -169,9 +170,7 @@ def seifert_k2nv(data: SeifertData) -> Fraction:
     """Canonical-cycle invariant K^2 + #vertices from the Seifert data alone."""
     e = data.e
     s = 2 - data.nu + sum(Fraction(1, a) for a, _ in data.arms)
-    total = s * s / e + e + 5
-    total += 12 * sum(dr_sum(b, a) for (a, _), b in zip(data.arms, data.betas))
-    return total
+    return s * s / e + e + 5 - 12 * data.dedekind_total
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +189,9 @@ class KSReport:
 
 
 def _ks_invariant(data: SeifertData) -> Fraction:
-    ell, nu, rho0 = data.ell, data.nu, data.rho0
-    total = ell + 1 - 4 * ell * rho0 * (1 - rho0) + 4 * nu * rho0
-    for (a, w), g, r in zip(data.arms, data.gammas, data.omega_inverses):
-        total -= 4 * dr_sum(w, a)
+    e, nu, rho0 = data.e, data.nu, data.rho0
+    total = e + 1 - 4 * e * rho0 * (1 - rho0) + 4 * nu * rho0 - 4 * data.dedekind_total
+    for (a, w), g in zip(data.arms, data.gammas):
         total -= 8 * dr_sum(w, a, Fraction(g + rho0 * w, a), -rho0)
     if rho0 == 0:
         tail = -sum(dedekind_symbol(Fraction(r * g, a))
@@ -219,27 +217,27 @@ def _int_range(lo, hi, include_lo: bool, include_hi: bool):
 def ks_route(data: SeifertData) -> KSReport:
     """Monopole count through the eta-invariant formula, when the metric is usable.
 
-    Enumerates the bundle multiples j with 0 < |j*ell - kappa/2| <= kappa/2 and
+    Enumerates the bundle multiples j with 0 < |j*e - kappa/2| <= kappa/2 and
     sorts them by the sign of the shifted degree.  The route applies when
     rho0 is nonzero and every selected component is zero dimensional.
 
-    The degrees are integers scaled by L = lcm(alpha_i), so that E = ell*L
+    The degrees are integers scaled by L = lcm(alpha_i), so that E = e*L
     and K = kappa*L are integers: L*deg is j*E - sum ((j*w_i) mod a_i) L/a_i
     on the plus side and K - j*E - sum ((a_i - 1 - j*w_i) mod a_i) L/a_i on
     the minus side.  Cost: kappa/(2|e|) integer steps per side, with no cap.
     """
-    ell, kappa = data.ell, data.kappa
+    e, kappa = data.e, data.kappa
     s_plus, s_minus, dims = [], [], []
     if kappa > 0:
         L = data.alpha
-        E, K = int(ell * L), int(kappa * L)
+        E, K = int(e * L), int(kappa * L)
         arms = [(a, w, L // a) for a, w in data.arms]
-        # j*ell in [0, kappa/2): negative shift; j*ell in (kappa/2, kappa]: positive
+        # j*e in [0, kappa/2): negative shift; j*e in (kappa/2, kappa]: positive
         plus = ((j, j * E - sum(j * w % a * s for a, w, s in arms))
-                for j in _int_range(kappa / (2 * ell), Fraction(0),
+                for j in _int_range(kappa / (2 * e), Fraction(0),
                                     include_lo=False, include_hi=True))
         minus = ((j, K - j * E - sum((a - 1 - j * w) % a * s for a, w, s in arms))
-                 for j in _int_range(kappa / ell, kappa / (2 * ell),
+                 for j in _int_range(kappa / e, kappa / (2 * e),
                                      include_lo=True, include_hi=False))
         for side, multiples in ((s_plus, plus), (s_minus, minus)):
             for j, scaled in multiples:

@@ -15,7 +15,7 @@ T_{h*sigma_can}(1) = T_{sigma_can}(h), so a spin^c offset is an evaluation point
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -159,8 +159,7 @@ def orbit_table(group: FinAbGroup, factors_of) -> TorsionTable:
         product = orbit_product(d, [(e * d // n, p, w) for e, p, w in factors_of(chi)])
         if product is not None:
             orbits.append((chi, *product, moebius_terms(d)))
-    table = TorsionTable(orbits=tuple(orbits), t_at_1=None)
-    return replace(table, t_at_1=table.at(group, group.identity))
+    return TorsionTable(tuple(orbits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +171,6 @@ class TorsionTable:
     """
 
     orbits: tuple    # (chi, numerators, denominator, Moebius terms of c_d) per orbit, R != 0
-    t_at_1: Fraction
 
     @cached_property
     def _scales(self):

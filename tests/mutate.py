@@ -105,6 +105,21 @@ MUTATIONS = [
     Mutation("integrality check removed", "seifert.py",
              "                if rest:\n", "                if False:\n",
              ("test_seifert.py",)),
+    Mutation("Dedekind total added in Casson-Walker", "seifert.py",
+             "e + 3 - 12 * data.dedekind_total", "e + 3 + 12 * data.dedekind_total",
+             ("test_seifert.py",)),
+    Mutation("Dedekind total added in K^2 + #V", "seifert.py",
+             "e + 5 - 12 * data.dedekind_total", "e + 5 + 12 * data.dedekind_total",
+             ("test_seifert.py",)),
+    Mutation("Dedekind total added in the eta invariant", "seifert.py",
+             "- 4 * data.dedekind_total", "+ 4 * data.dedekind_total",
+             ("test_seifert.py",)),
+    Mutation("continuant step c * num + den", "seifert.py",
+             "num, den = c * num - den, num", "num, den = c * num + den, num",
+             ("test_seifert.py",)),
+    Mutation("gammas from n0 + 1", "seifert.py",
+             "self.n0 * w % a", "(self.n0 + 1) * w % a",
+             ("test_seifert.py",)),
     Mutation("beta(Y) for beta(X) in dr_sum", "dedekind.py",
              "k * k * beta(X)", "k * k * beta(Y)",
              ("test_dedekind.py",)),

@@ -139,7 +139,8 @@ class TestClosedForms:
             lattice = build_lattice(star_graph(brieskorn_seifert(spec)))
             group = homology_from_lattice(lattice)
             assert group.order == rep.order_h, exps
-            assert torsion_table(lattice, group).t_at_1 == rep.torsion_closed, exps
+            assert torsion_table(lattice, group).at(group, group.identity) \
+                == rep.torsion_closed, exps
             assert casson_walker(lattice) == rep.lambda_closed, exps
 
 
@@ -159,5 +160,5 @@ class TestTwoArmLinks:
         lattice = build_lattice(star_graph(data))
         group = homology_from_lattice(lattice)
         assert group.order == n
-        assert torsion_table(lattice, group).t_at_1 == rep.torsion_closed
+        assert torsion_table(lattice, group).at(group, group.identity) == rep.torsion_closed
         assert casson_walker(lattice) == rep.lambda_closed

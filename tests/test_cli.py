@@ -205,6 +205,20 @@ def test_verify_cli_reports_failures(monkeypatch, capsys):
     assert "[FAIL]" in out
 
 
+def test_verify_cli_reports_a_raising_fixture(monkeypatch, capsys):
+    def raises():
+        raise ValueError("boom")
+
+    fake = (("00-raises", raises), ("01-fine", lambda: [("fine check", True, "1 checks")]))
+    monkeypatch.setattr(verify, "FIXTURES", fake)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines() == ["[FAIL] 00-raises: raised ValueError: boom",
+                                "[PASS] 01-fine: fine check (1 checks)",
+                                "result: FAILURES detected"]
+    assert err == ""
+
+
 @pytest.mark.parametrize("vertex", [
     {"id": "v0", "euler": -2.7},
     {"id": "v0", "euler": -2.0},

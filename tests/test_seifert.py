@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from swplumb import seifert
 from swplumb.corpus import dn_seifert, polygonal_seifert, three_arm_family
+from swplumb.dedekind import dr_sum
 from swplumb.errors import InternalInvariantViolated
 from swplumb.homology import homology_from_lattice
 from swplumb.plumbing import build_lattice, casson_walker, k2_plus_nv
@@ -39,6 +40,16 @@ class TestContinuedFractions:
             for w in range(1, a):
                 if gcd(a, w) == 1:
                     assert all(c >= 2 for c in hj_expand(a, w))
+
+    def test_value_in_fractions(self):
+        for a in range(2, 40):
+            for w in range(1, a):
+                if gcd(a, w) == 1:
+                    chain = hj_expand(a, w)
+                    value = Fraction(chain[-1])
+                    for c in reversed(chain[:-1]):
+                        value = c - 1 / value
+                    assert value == Fraction(a, w)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,10 +152,61 @@ class TestClosedForms:
         assert seifert_casson_walker(data) / data.order_h == Fraction(-7, 36)
 
     def test_alternative_absorption(self):
-        data = three_arm_family(4)
-        arms = data.arms
-        assert seifert_casson_walker(SeifertData(data.b, [arms[1], arms[0], arms[2]])) == \
-            seifert_casson_walker(data)
+        """The central term absorbed into any one arm k, as unnormalized rotations:
+        beta_k = -omega_k - b alpha_k and beta_i = -omega_i otherwise."""
+        samples = TestShortcutDifferential.seeded_data(120)
+        assert any(data.dedekind_total for data in samples)
+        for data in samples:
+            for k in range(data.nu):
+                betas = [-w - data.b * a if i == k else -w
+                         for i, (a, w) in enumerate(data.arms)]
+                assert sum(dr_sum(beta, a) for (a, _), beta in zip(data.arms, betas)) \
+                    == -data.dedekind_total
+                assert seifert_casson_walker(data) == beta_casson_walker(data, betas)
+
+
+def beta_casson_walker(data, betas):
+    """The Casson-Walker closed form over unnormalized rotations beta_i."""
+    e = data.e
+    total = (2 - data.nu + sum(Fraction(1, a * a) for a, _ in data.arms)) / e + e + 3
+    total += 12 * sum(dr_sum(beta, a) for (a, _), beta in zip(data.arms, betas))
+    return Fraction(-data.order_h, 24) * total
+
+
+class TestOneComputationPerArm:
+    """Each arm is expanded once, and s(omega_i, alpha_i) is summed once per datum."""
+
+    DATA = ((-3, [(2, 1), (3, 2), (5, 2), (7, 3)]), (-2, [(3, 1), (5, 4), (7, 6)]))
+
+    @pytest.mark.parametrize("b, arms", DATA)
+    def test_one_expansion_per_arm(self, monkeypatch, b, arms):
+        calls = []
+
+        def counting(alpha, omega):
+            calls.append((alpha, omega))
+            return hj_expand(alpha, omega)
+
+        monkeypatch.setattr(seifert, "hj_expand", counting)
+        data = SeifertData(b, arms)
+        lattice, group = pipeline(data)
+        seifert_torsion_shortcut(data, lattice, group)
+        assert calls == list(data.arms)
+
+    @pytest.mark.parametrize("b, arms", DATA)
+    def test_one_unshifted_dedekind_sum_per_arm(self, monkeypatch, b, arms):
+        unshifted = []
+
+        def counting(h, k, *shifts):
+            if not shifts:
+                unshifted.append((h, k))
+            return dr_sum(h, k, *shifts)
+
+        monkeypatch.setattr(seifert, "dr_sum", counting)
+        data = SeifertData(b, arms)
+        seifert_casson_walker(data)
+        seifert_k2nv(data)
+        ks_route(data)
+        assert unshifted == [(w, a) for a, w in data.arms]
 
 
 class TestEtaRoute:
@@ -190,7 +252,7 @@ class TestEtaRoute:
 def reference_ks_route(data):
     """The eta route with every degree a Fraction: one j at a time over the
     multiples with 0 <= j*ell <= kappa, sorted by where j*ell falls."""
-    ell, kappa = data.ell, data.kappa
+    ell, kappa = data.e, data.kappa
     s_plus, s_minus, dims = [], [], []
     if kappa > 0:
         for j in range(floor(kappa / ell), 1):
@@ -263,7 +325,7 @@ class TestArmShortcut:
                      SeifertData(-2, [(2, 1), (3, 2), (4, 3)])):
             lattice, group = pipeline(data)
             assert seifert_torsion_shortcut(data, lattice, group) == \
-                torsion_table(lattice, group).t_at_1
+                torsion_table(lattice, group).at(group, group.identity)
 
     def test_three_arm_m3_value(self):
         data = three_arm_family(3)
@@ -293,7 +355,6 @@ class TestFewArms:
     def test_every_route_agrees(self, b, arms):
         data = SeifertData(b, arms)
         assert data.nu == len(arms)
-        assert len(data.betas) == len(arms)
         lattice, group = pipeline(data)
         assert group.order == data.order_h
         cw, k2, ks = seifert_casson_walker(data), seifert_k2nv(data), ks_route(data)

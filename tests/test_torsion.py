@@ -138,16 +138,16 @@ class TestTorsionTable:
         table = torsion_table(lattice, group)
         assert [(chi.exponents, num, den) for chi, num, den, _ in table.orbits] \
             == [((1,), [1, 0], 4)]
-        assert table.t_at_1 == Fraction(1, 8)
+        assert table.at(group, group.identity) == Fraction(1, 8)
         assert table.at(group, (1,)) == Fraction(-1, 8)
 
     def test_chain_three(self):
         lattice, group = pipeline(a_chain(3))
-        assert torsion_table(lattice, group).t_at_1 == Fraction(2, 9)
+        assert torsion_table(lattice, group).at(group, group.identity) == Fraction(2, 9)
 
     def test_nonstar_graph(self):
         lattice, group = pipeline(nonstar_13_vertex())
-        assert torsion_table(lattice, group).t_at_1 == Fraction(8, 9)
+        assert torsion_table(lattice, group).at(group, group.identity) == Fraction(8, 9)
 
     def test_symmetry_under_conjugation(self):
         # T(h) = T(conjugate of h) for every h; by Fourier uniqueness this is
@@ -291,8 +291,8 @@ class TestCommonDenominator:
             table = torsion_table(lattice, group)
             assert group.order == 1 and table.orbits == ()
             assert table._scales == (1, ())
-            assert table.at(group, group.identity) == table.t_at_1 == 0
-            assert type(table.t_at_1) is Fraction
+            assert table.at(group, group.identity) == 0
+            assert type(table.at(group, group.identity)) is Fraction
 
     @settings(max_examples=40, deadline=None)
     @given(small_stars())
