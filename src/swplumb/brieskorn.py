@@ -9,6 +9,7 @@ invariant and the Milnor fiber signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -73,6 +74,39 @@ class BrieskornSpec:
     def e(self) -> Fraction:
         return -Fraction(self.big_a, self.a * self.a)
 
+    @cached_property
+    def classification(self) -> Classification:
+        """The normal form, computed once per spec (see `classify`)."""
+        if self.genus != 0:
+            return Classification("not_qhs", None, None)
+        exps = self.exponents
+        evens = [i for i, ai in enumerate(exps) if ai % 2 == 0]
+        if len(evens) == 3:
+            vals = sorted(((ai & -ai).bit_length() - 1, i) for i, ai in enumerate(exps)
+                          if ai % 2 == 0)
+            (v1, _), (v2, _), (vc, ic) = vals
+            if v1 != 1 or v2 != 1:
+                raise InternalInvariantViolated("unexpected two-power pattern at genus zero")
+            c = (exps[ic] & -exps[ic]).bit_length() - 1
+            order = [ic] + [i for i in evens if i != ic] + [i for i in range(self.n)
+                                                            if i not in evens]
+            bs = tuple(exps[i] >> ((exps[i] & -exps[i]).bit_length() - 1) for i in order)
+            _require(all(b % 2 == 1 for b in bs), "odd parts must be odd")
+            _require(_pairwise_coprime(bs), "odd parts must be pairwise coprime")
+            return Classification("case_ii", c, bs)
+        pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
+                 if gcd(exps[i], exps[j]) > 1]
+        if not pairs:
+            return Classification("case_i", 1, exps)
+        _require(len(pairs) == 1, "at most one non-coprime pair at genus zero")
+        i, j = pairs[0]
+        d = gcd(exps[i], exps[j])
+        bs = (exps[i] // d, exps[j] // d) + tuple(
+            exps[k] for k in range(self.n) if k not in (i, j))
+        _require(_pairwise_coprime(bs), "normalized parts must be pairwise coprime")
+        _require(all(gcd(d, b) == 1 for b in bs[2:]), "pair factor must avoid the tail")
+        return Classification("case_i", d, bs)
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -85,35 +119,14 @@ class Classification:
 
 def classify(spec: BrieskornSpec) -> Classification:
     """Decide rational homology sphere-ness and extract the coprime normal form."""
-    if spec.genus != 0:
-        return Classification("not_qhs", None, None)
-    exps = spec.exponents
-    evens = [i for i, ai in enumerate(exps) if ai % 2 == 0]
-    if len(evens) == 3:
-        vals = sorted(((ai & -ai).bit_length() - 1, i) for i, ai in enumerate(exps)
-                      if ai % 2 == 0)
-        (v1, _), (v2, _), (vc, ic) = vals
-        if v1 != 1 or v2 != 1:
-            raise InternalInvariantViolated("unexpected two-power pattern at genus zero")
-        c = (exps[ic] & -exps[ic]).bit_length() - 1
-        order = [ic] + [i for i in evens if i != ic] + [i for i in range(spec.n)
-                                                        if i not in evens]
-        bs = tuple(exps[i] >> ((exps[i] & -exps[i]).bit_length() - 1) for i in order)
-        _require(all(b % 2 == 1 for b in bs), "odd parts must be odd")
-        _require(_pairwise_coprime(bs), "odd parts must be pairwise coprime")
-        return Classification("case_ii", c, bs)
-    pairs = [(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)
-             if gcd(exps[i], exps[j]) > 1]
-    if not pairs:
-        return Classification("case_i", 1, exps)
-    _require(len(pairs) == 1, "at most one non-coprime pair at genus zero")
-    i, j = pairs[0]
-    d = gcd(exps[i], exps[j])
-    bs = (exps[i] // d, exps[j] // d) + tuple(
-        exps[k] for k in range(spec.n) if k not in (i, j))
-    _require(_pairwise_coprime(bs), "normalized parts must be pairwise coprime")
-    _require(all(gcd(d, b) == 1 for b in bs[2:]), "pair factor must avoid the tail")
-    return Classification("case_i", d, bs)
+    return spec.classification
+
+
+def _qhs_classification(spec: BrieskornSpec) -> Classification:
+    """The classification of a rational homology sphere; NotQHS otherwise."""
+    if spec.classification.kind == "not_qhs":
+        raise NotQHS(f"{spec.exponents} has positive base genus")
+    return spec.classification
 
 
 def _pairwise_coprime(vals) -> bool:
@@ -128,9 +141,7 @@ def _require(cond, msg):
 
 def order_of_h(spec: BrieskornSpec) -> int:
     """Closed-form order of the first homology group."""
-    cls = classify(spec)
-    if cls.kind == "not_qhs":
-        raise NotQHS(f"{spec.exponents} has positive base genus")
+    cls = _qhs_classification(spec)
     if cls.kind == "case_i":
         return prod(b ** (cls.d - 1) for b in cls.bs[2:])
     big_b = prod(cls.bs)
@@ -142,16 +153,9 @@ def order_of_h(spec: BrieskornSpec) -> int:
 
 def brieskorn_seifert(spec: BrieskornSpec) -> SeifertData:
     """Normalized Seifert data of the link, arms with trivial isotropy dropped."""
-    if classify(spec).kind == "not_qhs":
-        raise NotQHS(f"{spec.exponents} has positive base genus")
+    _qhs_classification(spec)
     alphas, counts, qs = spec.alphas, spec.s, spec.q
-    omegas = []
-    for al, qi in zip(alphas, qs):
-        if al == 1:
-            omegas.append(0)
-        else:
-            beta = pow(qi, -1, al)
-            omegas.append((-beta) % al)
+    omegas = [-pow(qi, -1, al) % al for al, qi in zip(alphas, qs)]     # 0 where al = 1
     b = spec.e - sum(si * Fraction(w, al)
                      for si, w, al in zip(counts, omegas, alphas) if al > 1)
     if b.denominator != 1:
@@ -185,9 +189,7 @@ def closed_form_invariants(spec: BrieskornSpec) -> BrieskornReport:
     data there is (alpha_j, multiplicity s_j) with rotation numbers inverse to
     a / a_j modulo alpha_j.
     """
-    cls = classify(spec)
-    if cls.kind == "not_qhs":
-        raise NotQHS(f"{spec.exponents} has positive base genus")
+    cls = _qhs_classification(spec)
     order = order_of_h(spec)
     n = spec.n
     big_b = prod(cls.bs)
@@ -225,14 +227,12 @@ def closed_form_invariants(spec: BrieskornSpec) -> BrieskornReport:
                                          for s, al in zip(counts, alphas)))
 
     qs = tuple(a_full // ai for ai in exps_nf)
-    betas = tuple(pow(qj % al, -1, al) if al > 1 else 0
-                  for qj, al in zip(qs, alphas))
+    sums = [dr_sum(pow(qj, -1, al), al) if al > 1 else 0 for qj, al in zip(qs, alphas)]
     # the two rotation conventions must give the same sums
-    for s, qj, be, al in zip(counts, qs, betas, alphas):
-        if al > 1 and dr_sum(qj % al, al) != dr_sum(be, al):
+    for qj, al, total in zip(qs, alphas, sums):
+        if al > 1 and dr_sum(qj % al, al) != total:
             raise InternalInvariantViolated("inverse-rotation sum mismatch")
-    dedekind_total = sum(s * dr_sum(be, al)
-                         for s, be, al in zip(counts, betas, alphas) if al > 1)
+    dedekind_total = sum(s * total for s, total in zip(counts, sums))
 
     minus_lambda = (-lam_scale
                     * (drop + sum(Fraction(s, al * al)

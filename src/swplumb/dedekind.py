@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .homology import FinAbGroup
 from .torsion import orbit_table
 
 _ZERO = Fraction(0)
@@ -123,12 +122,9 @@ def _root_sum(p: int, t: int, factors) -> Fraction:
     the j of one order d, as it does for `TorsionTable.at`.  A factor with
     d | a vanishes, and so does its orbit.
     """
-    group = FinAbGroup((p,), (), ())
-
-    def factors_of(chi):
-        return [(group.char_exponent(chi, (a % p,)), k, 1) for a, k in factors]
-
-    return orbit_table(group, factors_of).at(group, (-t % p,))
+    table = orbit_table((p,), [(a,) for a, _ in factors],
+                        lambda exps: [(e, k, 1) for e, (_, k) in zip(exps, factors)])
+    return table.at((-t % p,))
 
 
 def fourier_identity_suite(p: int, q: int, t: int = 0):

@@ -44,14 +44,14 @@ def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
     k2 = k2_plus_nv(lattice)
     lam = casson_walker(lattice)
     table = torsion_table(lattice, group)
-    t1 = table.at(group, group.identity)
+    t1 = table.at(group.identity)
     sw = t1 - lam / group.order
     gap = sw - k2 / 8
     spinc = None
     if all_spinc:
         lam_over_h = lam / group.order
         spinc = tuple((h, t - lam_over_h)
-                      for h, t in table.invert(group).items())
+                      for h, t in table.invert().items())
     return InvariantReport(
         order_h=group.order,
         invariant_factors=group.invariant_factors,

@@ -274,7 +274,7 @@ def seifert_torsion_shortcut(data: SeifertData, lattice: LatticeData,
     images = [group.generator_images[lattice.index_of(i)] for i in star_vertex_ids(data)]
     powers = [(data.nu - 2, data.alpha)] + [(-1, data.alpha // a) for a, _ in data.arms]
 
-    def factors_of(chi):
-        return [(group.char_exponent(chi, g), p, w) for g, (p, w) in zip(images, powers)]
+    def factors_of(exps):
+        return [(e, p, w) for e, (p, w) in zip(exps, powers)]
 
-    return orbit_table(group, factors_of).at(group, h_sigma or group.identity)
+    return orbit_table(group.invariant_factors, images, factors_of).at(h_sigma or group.identity)

@@ -8,8 +8,9 @@ I w = -m e_(v0).  No numeric limits.
 
 Since R(chi^u) = sigma_u(R(chi)), `orbit_table` takes one trace per Galois
 orbit, of R(chi) in Q[x]/(x^d - 1) against the Ramanujan sum c_d, d the order
-of chi; `regularized_product`, one Q(zeta_N) product per character, is the
-reference.  The transform is computed once, for the canonical structure:
+of chi, which it keeps as a linear form c in Z/d: chi(h) = zeta_d^(c . h).
+`regularized_product`, one Q(zeta_N) product per character, is the reference.
+The transform is computed once, for the canonical structure:
 T_{h*sigma_can}(1) = T_{sigma_can}(h), so a spin^c offset is an evaluation point.
 """
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product as iproduct
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InternalInvariantViolated, InvalidBaseVertex
 from .exact import CycNum
@@ -139,15 +142,15 @@ def orbit_trace(num, terms, e) -> int:
     return sum(m * q * sum(num[e % q::q]) for q, m in terms)
 
 
-def orbit_table(group: FinAbGroup, factors_of) -> TorsionTable:
+def orbit_table(dims, images, factors_of) -> TorsionTable:
     """R(chi) of one character per Galois orbit, whose trace carries the whole orbit.
 
-    factors_of(chi) lists the factors (e, p, w) of R(chi): (t^w * zeta^e - 1)^p,
-    zeta the fixed primitive exp(H)-th root.
+    The character k of order d of H = prod Z/d_i (`dims`) is the form c_i = k_i d / d_i.
+    factors_of(exps), exps its values at `images` in Z/d, lists the factors
+    (a, p, w) of R(chi): (t^w * zeta_d^a - 1)^p.
     """
-    n, dims = group.exponent, group.invariant_factors
     strides = [prod(dims[i + 1:]) for i in range(len(dims))]
-    seen = bytearray(group.order)     # visited characters, by lexicographic position
+    seen = bytearray(prod(dims))      # visited characters, by lexicographic position
     orbits, pos = [], 0               # the trivial character, at 0, contributes 0
     while (pos := seen.find(0, pos + 1)) >= 0:
         k = tuple(pos // s % m for s, m in zip(strides, dims))
@@ -155,11 +158,11 @@ def orbit_table(group: FinAbGroup, factors_of) -> TorsionTable:
         for u in range(1, d):
             if gcd(u, d) == 1:
                 seen[sum(u * x % m * s for x, m, s in zip(k, dims, strides))] = 1
-        chi = Character(k)
-        product = orbit_product(d, [(e * d // n, p, w) for e, p, w in factors_of(chi)])
+        c = tuple(x * d // m for x, m in zip(k, dims))
+        product = orbit_product(d, factors_of([sum(map(mul, c, g)) % d for g in images]))
         if product is not None:
-            orbits.append((chi, *product, moebius_terms(d)))
-    return TorsionTable(tuple(orbits))
+            orbits.append((c, *product, moebius_terms(d)))
+    return TorsionTable(dims, tuple(orbits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +173,8 @@ class TorsionTable:
     at h.  `at` reads one point, `invert` the whole function on H.
     """
 
-    orbits: tuple    # (chi, numerators, denominator, Moebius terms of c_d) per orbit, R != 0
+    dims: tuple      # the invariant factors of H
+    orbits: tuple    # (c, numerators, denominator, Moebius terms of c_d) per orbit, R != 0
 
     @cached_property
     def _scales(self):
@@ -178,37 +182,35 @@ class TorsionTable:
         common = lcm(*(den for _, _, den, _ in self.orbits))
         return common, tuple(common // den for _, _, den, _ in self.orbits)
 
-    def at(self, group: FinAbGroup, h: GroupElement) -> Fraction:
-        """(1/|H|) sum over the orbits of the trace sum_j f_j c_d(j - e), chi(h) = zeta_d^e.
+    def at(self, h: GroupElement) -> Fraction:
+        """(1/|H|) sum over the orbits of the trace sum_j f_j c_d(j - e), e = c . h.
 
         The traces are summed as integers over the common denominator.
         """
         common, scales = self._scales
         total = 0
-        for (chi, num, _, terms), scale in zip(self.orbits, scales):
-            e = group.char_exponent(chi, h) * len(num) // group.exponent
-            total += scale * orbit_trace(num, terms, e)
-        return Fraction(total, common * group.order)
+        for (c, num, _, terms), scale in zip(self.orbits, scales):
+            total += scale * orbit_trace(num, terms, sum(map(mul, c, h)))
+        return Fraction(total, common * prod(self.dims))
 
-    def invert(self, group: FinAbGroup) -> dict:
+    def invert(self) -> dict:
         """{h: T(h)} over H, lexicographic."""
-        return {h: self.at(group, h) for h in group.elements()}
+        return {h: self.at(h) for h in iproduct(*map(range, self.dims))}
 
 
 def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:
     """R(chi) over the vertices with deg v != 2, weighted from the first vertex chi moves."""
-    images, degrees = group.generator_images, lattice.degrees
+    degrees = lattice.degrees
     weights = {}    # one weight vector per base vertex, shared by the orbits
 
-    def factors_of(chi):
-        exps = [group.char_exponent(chi, g) for g in images]
+    def factors_of(exps):
         v0 = next(v for v, e in enumerate(exps) if e)
         w = weights.get(v0)
         if w is None:
             w = weights[v0] = weight_vector(lattice, v0).w
         return [(exps[v], degrees[v] - 2, w[v]) for v in range(lattice.size) if degrees[v] != 2]
 
-    return orbit_table(group, factors_of)
+    return orbit_table(group.invariant_factors, group.generator_images, factors_of)
 
 
 def swiden_consistency(lattice: LatticeData, group: FinAbGroup, offsets=None) -> bool:
@@ -220,7 +222,7 @@ def swiden_consistency(lattice: LatticeData, group: FinAbGroup, offsets=None) ->
     (b) h -> T(1) - T(h) equals the quadratic function of the structure mod Z.
     The canonical table is built and inverted once for all offsets.
     """
-    torsion = torsion_table(lattice, group).invert(group)
+    torsion = torsion_table(lattice, group).invert()
     elements = list(group.elements())
     # (a) in integers: T and b scaled by the lcm of their denominators
     den, linking_row = linking_rows(lattice, group,

@@ -54,7 +54,18 @@ MUTATIONS = [
              "zip(f[-a:] + f[:-a], f)", "zip(f[a:] + f[:a], f)",
              ("test_torsion.py",)),
     Mutation("read-out without the per-orbit scales", "torsion.py",
-             "total += scale * orbit_trace(num, terms, e)", "total += orbit_trace(num, terms, e)",
+             "total += scale * orbit_trace(", "total += orbit_trace(",
+             ("test_torsion.py",)),
+    # the orbit's character as a linear form on H (torsion.orbit_table, TorsionTable.at)
+    Mutation("orbit form k_i for k_i d / d_i", "torsion.py",
+             "c = tuple(x * d // m for x, m in zip(k, dims))", "c = k",
+             ("test_torsion.py",)),
+    Mutation("form values not reduced mod d", "torsion.py",
+             "sum(map(mul, c, g)) % d for g in images", "sum(map(mul, c, g)) for g in images",
+             ("test_torsion.py",)),
+    Mutation("read-out at -h", "torsion.py",
+             "orbit_trace(num, terms, sum(map(mul, c, h)))",
+             "orbit_trace(num, terms, -sum(map(mul, c, h)))",
              ("test_torsion.py",)),
     # the Smith elimination and its logs (exact.py, homology.py)
     Mutation("last unit as pivot", "exact.py",
@@ -127,7 +138,7 @@ MUTATIONS = [
              "(-t % p,)", "(t % p,)",
              ("test_dedekind.py",)),
     Mutation("root-sum orbit weight 2", "dedekind.py",
-             "(a % p,)), k, 1)", "(a % p,)), k, 2)",
+             "(e, k, 1)", "(e, k, 2)",
              ("test_dedekind.py",)),
     Mutation("Dedekind symbol accepts bool", "dedekind.py",
              "if not isinstance(value, (int, Fraction)) or isinstance(value, bool):",

@@ -1,12 +1,15 @@
 """Diagonal complete intersection links: classification and closed forms."""
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import pytest
 
+from swplumb import brieskorn, cli
 from swplumb.brieskorn import (BrieskornSpec, brieskorn_seifert, classify,
                                closed_form_invariants, order_of_h)
+from swplumb.dedekind import dr_sum
 from swplumb.errors import NotQHS
 from swplumb.homology import homology_from_lattice
 from swplumb.plumbing import build_lattice, casson_walker
@@ -139,7 +142,7 @@ class TestClosedForms:
             lattice = build_lattice(star_graph(brieskorn_seifert(spec)))
             group = homology_from_lattice(lattice)
             assert group.order == rep.order_h, exps
-            assert torsion_table(lattice, group).at(group, group.identity) \
+            assert torsion_table(lattice, group).at(group.identity) \
                 == rep.torsion_closed, exps
             assert casson_walker(lattice) == rep.lambda_closed, exps
 
@@ -160,5 +163,39 @@ class TestTwoArmLinks:
         lattice = build_lattice(star_graph(data))
         group = homology_from_lattice(lattice)
         assert group.order == n
-        assert torsion_table(lattice, group).at(group, group.identity) == rep.torsion_closed
+        assert torsion_table(lattice, group).at(group.identity) == rep.torsion_closed
         assert casson_walker(lattice) == rep.lambda_closed
+
+
+class TestOneComputationPerSpec:
+    """A spec is classified once per run, and each arm's Dedekind sum is taken once."""
+
+    def test_cli_classifies_once(self, monkeypatch, capsys):
+        calls = []
+        real = BrieskornSpec.__dict__["classification"].func
+
+        def counting(spec):
+            calls.append(spec.exponents)
+            return real(spec)
+
+        prop = cached_property(counting)
+        prop.__set_name__(BrieskornSpec, "classification")
+        monkeypatch.setattr(BrieskornSpec, "classification", prop)
+        assert cli.main(["brieskorn", "2", "3", "7"]) == 0
+        assert "MATCH" in capsys.readouterr().out
+        assert calls == [(2, 3, 7)]
+
+    @pytest.mark.parametrize("exponents, arms", [
+        ((2, 3, 7), (2, 3, 7)), ((4, 6, 5), (2, 3, 5)), ((4, 2, 2, 3), (2, 3))])
+    def test_two_dedekind_sums_per_arm(self, monkeypatch, exponents, arms):
+        # one s(beta_j, alpha_j) for the total and one s(q_j, alpha_j) for the
+        # inverse-rotation check, per normal-form arm with alpha_j > 1
+        calls = []
+
+        def counting(h, k, *shifts):
+            calls.append(k)
+            return dr_sum(h, k, *shifts)
+
+        monkeypatch.setattr(brieskorn, "dr_sum", counting)
+        closed_form_invariants(BrieskornSpec(exponents))
+        assert sorted(calls) == sorted(2 * arms)

@@ -325,7 +325,7 @@ class TestArmShortcut:
                      SeifertData(-2, [(2, 1), (3, 2), (4, 3)])):
             lattice, group = pipeline(data)
             assert seifert_torsion_shortcut(data, lattice, group) == \
-                torsion_table(lattice, group).at(group, group.identity)
+                torsion_table(lattice, group).at(group.identity)
 
     def test_three_arm_m3_value(self):
         data = three_arm_family(3)
@@ -338,7 +338,7 @@ class TestArmShortcut:
         table = torsion_table(lattice, group)
         for h in group.elements():
             assert seifert_torsion_shortcut(data, lattice, group, h) == \
-                table.at(group, h)
+                table.at(h)
 
 
 class TestFewArms:
@@ -363,7 +363,7 @@ class TestFewArms:
         table = torsion_table(lattice, group)
         for h in (group.identity, next(reversed(list(group.elements())))):
             shortcut = seifert_torsion_shortcut(data, lattice, group, h)
-            assert shortcut == table.at(group, h)
+            assert shortcut == table.at(h)
             values.append(shortcut)
         if ks.applicable:
             assert ks.sw0_ks == compute_report_from(lattice, group).sw0
@@ -401,4 +401,4 @@ class TestShortcutDifferential:
             last = next(reversed(list(group.elements())))
             for h in (group.identity, last):
                 assert seifert_torsion_shortcut(data, lattice, group, h) == \
-                    table.at(group, h), (data, h)
+                    table.at(h), (data, h)

@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library, and computes no float.
 
-No module imports another module's underscore-prefixed name.
+No module imports another module's underscore-prefixed name, and only the
+homology module builds a FinAbGroup.
 """
 
 import ast
@@ -59,6 +60,48 @@ def test_private_import_scan_sees_each_form(tmp_path):
     assert sorted(private_imports(path), key=str) == sorted([
         ("torsion", "_orbit_product"), ("swplumb.exact", "_identity_rows"),
         (None, "_hidden")], key=str)
+
+
+def homology_uses(path):
+    """('import', module) for each import of swplumb's homology module, and
+    ('FinAbGroup', line) for each call that constructs a group, in one source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "swplumb"):
+            module = node.module or ""
+            if "homology" in module.split(".") + [alias.name for alias in node.names]:
+                yield "import", module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "swplumb.homology":
+                    yield "import", alias.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "FinAbGroup":
+                yield "FinAbGroup", node.lineno
+
+
+def test_groups_are_built_only_by_homology():
+    # a FinAbGroup is certified data: only homology_from_lattice builds one,
+    # and the Dedekind sums reach the orbit kernel without a group
+    built = [(path.name, line) for path in SOURCES
+             for kind, line in homology_uses(path) if kind == "FinAbGroup"]
+    assert [b for b in built if b[0] != "homology.py"] == []
+    dedekind = next(path for path in SOURCES if path.name == "dedekind.py")
+    assert list(homology_uses(dedekind)) == []
+
+
+def test_homology_scan_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from .homology import FinAbGroup\nfrom . import homology\n"
+                    "import swplumb.homology\nfrom swplumb.homology import lift\n"
+                    "from .torsion import orbit_table\n"
+                    "g = FinAbGroup((2,), (), ())\nh = homology.FinAbGroup((3,), (), ())\n")
+    assert list(homology_uses(path)) == [
+        ("import", "homology"), ("import", ""), ("import", "swplumb.homology"),
+        ("import", "swplumb.homology"), ("FinAbGroup", 6), ("FinAbGroup", 7)]
 
 
 # verify._blown_up's seeded coin, rng.random() < 0.5: it draws test graphs, not a value

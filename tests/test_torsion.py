@@ -11,7 +11,7 @@ from swplumb import report, torsion
 from swplumb.corpus import (a_chain, e_star, nonstar_13_vertex, standard_corpus,
                             three_arm_family)
 from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
-from swplumb.homology import homology_from_lattice, spinc_conjugate
+from swplumb.homology import Character, homology_from_lattice, spinc_conjugate
 from swplumb.plumbing import build_lattice, casson_walker
 from swplumb.seifert import (SeifertData, lens_chain, seifert_torsion_shortcut,
                              star_graph)
@@ -65,12 +65,13 @@ class TestRegularizedProduct:
         # the product of the two end factors 1/(chi(g_v) - 1)
         lattice, group = pipeline(lens_chain(7, 3))
         field = group.field
-        (chi0, num, den, _), = torsion_table(lattice, group).orbits
+        (c0, num, den, _), = torsion_table(lattice, group).orbits
         ends = [v for v in range(lattice.size) if lattice.degrees[v] == 1]
         for chi in group.characters():
             if chi.is_trivial:
                 continue
-            u = chi.exponents[0] * pow(chi0.exponents[0], -1, 7) % 7
+            # chi0(h) = zeta_7^(c0 h) and chi(h) = zeta_7^(k h), so chi = chi0^u
+            u = chi.exponents[0] * pow(c0[0], -1, 7) % 7
             conjugate = [Fraction(0)] * 7
             for j, x in enumerate(num):
                 conjugate[u * j % 7] += Fraction(x, den)
@@ -133,21 +134,21 @@ class TestRegularizedProduct:
 
 class TestTorsionTable:
     def test_single_vertex(self):
-        # one orbit, d = 2: 1/(x - 1)^2 = (x/2)^2 = 1/4 in Q[x]/(x^2 - 1)
+        # one orbit, d = 2, form c = (1,): 1/(x - 1)^2 = (x/2)^2 = 1/4 in Q[x]/(x^2 - 1)
         lattice, group = pipeline(a_chain(2))
         table = torsion_table(lattice, group)
-        assert [(chi.exponents, num, den) for chi, num, den, _ in table.orbits] \
-            == [((1,), [1, 0], 4)]
-        assert table.at(group, group.identity) == Fraction(1, 8)
-        assert table.at(group, (1,)) == Fraction(-1, 8)
+        assert table.dims == (2,)
+        assert [(c, num, den) for c, num, den, _ in table.orbits] == [((1,), [1, 0], 4)]
+        assert table.at(group.identity) == Fraction(1, 8)
+        assert table.at((1,)) == Fraction(-1, 8)
 
     def test_chain_three(self):
         lattice, group = pipeline(a_chain(3))
-        assert torsion_table(lattice, group).at(group, group.identity) == Fraction(2, 9)
+        assert torsion_table(lattice, group).at(group.identity) == Fraction(2, 9)
 
     def test_nonstar_graph(self):
         lattice, group = pipeline(nonstar_13_vertex())
-        assert torsion_table(lattice, group).at(group, group.identity) == Fraction(8, 9)
+        assert torsion_table(lattice, group).at(group.identity) == Fraction(8, 9)
 
     def test_symmetry_under_conjugation(self):
         # T(h) = T(conjugate of h) for every h; by Fourier uniqueness this is
@@ -156,7 +157,7 @@ class TestTorsionTable:
             lattice, group = pipeline(graph)
             if not 1 < group.order <= 200:
                 continue
-            tfun = torsion_table(lattice, group).invert(group)
+            tfun = torsion_table(lattice, group).invert()
             for h, t in tfun.items():
                 assert t == tfun[spinc_conjugate(lattice, group, h)], (name, h)
 
@@ -176,7 +177,7 @@ class TestFourierInversion:
             lam_over_h = casson_walker(lattice) / group.order
             rows = report.compute_report_from(lattice, group, all_spinc=True).spinc_table
             want = [(h, t - lam_over_h)
-                    for h, t in torsion_table(lattice, group).invert(group).items()]
+                    for h, t in torsion_table(lattice, group).invert().items()]
             assert list(rows) == want, name
             if group.rank > 1:
                 noncyclic.add(name)
@@ -241,7 +242,7 @@ class TestOrbitTableAgainstReference:
         for name, graph in standard_corpus():
             lattice, group = pipeline(graph)
             if 1 < group.order <= 120:
-                assert torsion_table(lattice, group).invert(group) \
+                assert torsion_table(lattice, group).invert() \
                     == reference_torsion(lattice, group), name
                 groups.add(group.invariant_factors)
         assert {(12,), (25,), (2, 2), (3, 9), (4, 12), (2, 2, 2, 2)} <= groups
@@ -251,7 +252,7 @@ class TestOrbitTableAgainstReference:
         for data in seeded_seifert():
             lattice, group = pipeline(star_graph(data))
             want = reference_torsion(lattice, group)
-            assert torsion_table(lattice, group).invert(group) == want, data
+            assert torsion_table(lattice, group).invert() == want, data
             for h, t in want.items():
                 assert seifert_torsion_shortcut(data, lattice, group, h) == t, (data, h)
             orders.add(group.order)
@@ -262,10 +263,17 @@ class TestOrbitTableAgainstReference:
 
 
 def per_orbit_torsion(table, group, h):
-    """T(h) as a sum of one Fraction per orbit, each trace over its own denominator."""
+    """T(h) as a sum of one Fraction per orbit, each trace over its own denominator.
+
+    Each orbit's form c of order d is read back as its character k_i = c_i d_i / d
+    and evaluated by the group, not by the form.
+    """
     total = Fraction(0)
-    for chi, num, den, terms in table.orbits:
-        e = group.char_exponent(chi, h) * len(num) // group.exponent
+    for c, num, den, terms in table.orbits:
+        d = len(num)
+        k = [x * m // d for x, m in zip(c, group.invariant_factors)]
+        assert [x * d // m for x, m in zip(k, group.invariant_factors)] == list(c)
+        e = group.char_exponent(Character(tuple(k)), h) * d // group.exponent
         total += Fraction(sum(m * q * sum(num[e % q::q]) for q, m in terms), den)
     return total / group.order
 
@@ -289,21 +297,22 @@ class TestCommonDenominator:
         for graph in (e_star(8), star_graph(SeifertData(-2, [(2, 1), (3, 2), (5, 4)]))):
             lattice, group = pipeline(graph)
             table = torsion_table(lattice, group)
-            assert group.order == 1 and table.orbits == ()
+            assert group.order == 1 and table.dims == () and table.orbits == ()
             assert table._scales == (1, ())
-            assert table.at(group, group.identity) == 0
-            assert type(table.at(group, group.identity)) is Fraction
+            assert table.at(group.identity) == 0
+            assert type(table.at(group.identity)) is Fraction
 
     @settings(max_examples=40, deadline=None)
     @given(small_stars())
     def test_random_stars(self, data):
         lattice, group = pipeline(star_graph(data))
         table = torsion_table(lattice, group)
+        assert table.dims == group.invariant_factors
         common, scales = table._scales
         assert all(common == scale * den for scale, (_, _, den, _) in zip(scales, table.orbits))
         want = reference_torsion(lattice, group)
         for h in group.elements():
-            assert table.at(group, h) == per_orbit_torsion(table, group, h) == want[h], h
+            assert table.at(h) == per_orbit_torsion(table, group, h) == want[h], h
 
 
 class TestPipelineBuildsNoField:
@@ -400,9 +409,9 @@ class TestQuadraticIdentities:
         invert = torsion.TorsionTable.invert
         target = next(h for h in group.elements() if any(h))
 
-        def shifted(table, grp):
-            values = invert(table, grp)
-            values[target] += Fraction(1, grp.order)
+        def shifted(table):
+            values = invert(table)
+            values[target] += Fraction(1, group.order)
             return values
 
         monkeypatch.setattr(torsion.TorsionTable, "invert", shifted)
