@@ -39,7 +39,7 @@ class BrieskornSpec:
     def n(self) -> int:
         return len(self.exponents)
 
-    @property
+    @cached_property
     def a(self) -> int:
         return lcm(*self.exponents)
 
@@ -47,17 +47,17 @@ class BrieskornSpec:
     def big_a(self) -> int:
         return prod(self.exponents)
 
-    @property
+    @cached_property
     def q(self):
         return tuple(self.a // ai for ai in self.exponents)
 
-    @property
+    @cached_property
     def alphas(self):
         exps = self.exponents
         return tuple(self.a // lcm(*(aj for j, aj in enumerate(exps) if j != i))
                      for i in range(self.n))
 
-    @property
+    @cached_property
     def s(self):
         a, big = self.a, self.big_a
         vals = [Fraction(big * al, a * ai) for ai, al in zip(self.exponents, self.alphas)]

@@ -62,10 +62,6 @@ def _max_order(text: str) -> int:
     return value
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _compute(graph, args):
     lattice = build_lattice(graph)
     group = homology_from_lattice(lattice, max_order=args.max_order)
@@ -147,8 +143,8 @@ def _cmd_seifert(args) -> int:
         _match("K^2 + #V (closed form)", report.k2_plus_nv, seifert_k2nv(data)),
         _match("torsion at 1 (arm shortcut)", report.torsion_at_1,
                seifert_torsion_shortcut(data, lattice, group)),
-        f"  eta-invariant route: KS = {ks.ks}, |S0+| = {len(ks.s0_plus)}, "
-        f"|S0-| = {len(ks.s0_minus)}, applicable = {ks.applicable}",
+        f"  eta-invariant route: KS = {ks.ks}, |S0+| = {ks.plus}, "
+        f"|S0-| = {ks.minus}, applicable = {ks.applicable}",
     ]
     if ks.applicable:
         lines.append(_match("sw0 via eta route", report.sw0, ks.sw0_ks))
@@ -195,8 +191,7 @@ def _cmd_dedekind(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     try:
-        x = _parse_fraction(args.x)
-        y = _parse_fraction(args.y)
+        x, y = Fraction(args.x), Fraction(args.y)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad shift argument: {exc}", file=sys.stderr)
         return EXIT_INPUT

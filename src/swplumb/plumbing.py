@@ -181,14 +181,15 @@ class LatticeData:
 def _bfs(neighbors, root, within, parent):
     """The vertices below `within` reachable from root, breadth first.
 
-    Fills parent[x] for each of them, -1 at the root; on a forest the parent is
-    the only visited neighbor, so no other bookkeeping is needed.
+    Fills parent[x] for each of them, -1 at the root.  Every entry of parent
+    starts as None and a vertex is taken only while its entry is None, so the
+    walk also ends on a graph with a cycle.
     """
     parent[root] = -1
     order = [root]
     for x in order:
         for y in neighbors[x]:
-            if y < within and y != parent[x]:
+            if y < within and parent[y] is None:
                 parent[y] = x
                 order.append(y)
     return order
@@ -241,9 +242,9 @@ def _adjugate(diag, neighbors):
     component T_v of graph minus [u, p], so adj_uv = adj_up / D[v] * B[v].
     """
     n = len(diag)
-    parent = [-1] * n
     rows = []
     for u in range(n):
+        parent = [None] * n
         order = _bfs(neighbors, u, n, parent)
         dets, below = _subtree_dets(diag, order, parent)
         row = [0] * n
@@ -335,22 +336,14 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
         seen.add(key)
         adjacency[index[a]].append(index[b])
         adjacency[index[b]].append(index[a])
-    # connectivity (with the edge count this certifies a tree)
-    stack = [0]
-    reached = {0}
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != n:
+    # the rooting walk checks connectivity (with the edge count, a tree)
+    parent = [None] * n
+    order = _bfs(adjacency, 0, n, parent)
+    if len(order) != n:
         raise NotATree("graph is disconnected")
 
     eulers = graph.euler_numbers
     diag = [-e for e in eulers]
-    parent = [-1] * n
-    order = _bfs(adjacency, 0, n, parent)
     dets, below = _subtree_dets(diag, order, parent)
     if min(dets) <= 0:
         raise _first_failing_minor(diag, adjacency)

@@ -45,13 +45,12 @@ def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
     lam = casson_walker(lattice)
     table = torsion_table(lattice, group)
     t1 = table.at(group.identity)
-    sw = t1 - lam / group.order
+    lam_over_h = lam / group.order
+    sw = t1 - lam_over_h
     gap = sw - k2 / 8
     spinc = None
     if all_spinc:
-        lam_over_h = lam / group.order
-        spinc = tuple((h, t - lam_over_h)
-                      for h, t in table.invert().items())
+        spinc = tuple((h, t - lam_over_h) for h, t in table.invert().items())
     return InvariantReport(
         order_h=group.order,
         invariant_factors=group.invariant_factors,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, lcm, prod
+from math import floor, gcd, lcm, prod
 
 from .dedekind import dedekind_symbol, dr_sum
 from .errors import InternalInvariantViolated
@@ -182,8 +182,8 @@ class KSReport:
     """Eta-invariant combination and the finite monopole count, when usable."""
 
     ks: Fraction
-    s0_plus: tuple      # multiples of the fiber bundle with small negative degree shift
-    s0_minus: tuple
+    plus: int           # bundle multiples counted with small negative degree shift
+    minus: int          # and with small positive shift
     applicable: bool
     sw0_ks: Fraction | None
 
@@ -203,59 +203,48 @@ def _ks_invariant(data: SeifertData) -> Fraction:
     return total + 4 * tail
 
 
-def _int_range(lo, hi, include_lo: bool, include_hi: bool):
-    """Integers in the rational interval between lo and hi."""
-    start = ceil(lo)
-    if lo == start and not include_lo:
-        start += 1
-    stop = floor(hi)
-    if hi == stop and not include_hi:
-        stop -= 1
-    return range(start, stop + 1)
-
-
 def ks_route(data: SeifertData) -> KSReport:
     """Monopole count through the eta-invariant formula, when the metric is usable.
 
-    Enumerates the bundle multiples j with 0 < |j*e - kappa/2| <= kappa/2 and
-    sorts them by the sign of the shifted degree.  The route applies when
-    rho0 is nonzero and every selected component is zero dimensional.
+    Walks the bundle multiples j with 0 < |j*e - kappa/2| <= kappa/2 and
+    counts, on each side of kappa/2, those of nonnegative degree.  The route
+    applies when rho0 is nonzero and every counted degree is 0 (each selected
+    component is zero dimensional); only the two counts and that flag are kept.
 
-    The degrees are integers scaled by L = lcm(alpha_i), so that E = e*L
+    The degrees are integers scaled by L = lcm(alpha_i), so that E = e*L < 0
     and K = kappa*L are integers: L*deg is j*E - sum ((j*w_i) mod a_i) L/a_i
-    on the plus side and K - j*E - sum ((a_i - 1 - j*w_i) mod a_i) L/a_i on
-    the minus side.  Cost: kappa/(2|e|) integer steps per side, with no cap.
+    on the plus side, n0 = K // 2E < j <= 0, and K - j*E - sum ((a_i - 1 -
+    j*w_i) mod a_i) L/a_i on the minus side, K/E <= j < K/2E.  Cost:
+    kappa/(2|e|) integer steps per side in constant memory, with no cap.
     """
     e, kappa = data.e, data.kappa
-    s_plus, s_minus, dims = [], [], []
+    counts, zero_dim = [0, 0], True
     if kappa > 0:
         L = data.alpha
         E, K = int(e * L), int(kappa * L)
         arms = [(a, w, L // a) for a, w in data.arms]
         # j*e in [0, kappa/2): negative shift; j*e in (kappa/2, kappa]: positive
-        plus = ((j, j * E - sum(j * w % a * s for a, w, s in arms))
-                for j in _int_range(kappa / (2 * e), Fraction(0),
-                                    include_lo=False, include_hi=True))
-        minus = ((j, K - j * E - sum((a - 1 - j * w) % a * s for a, w, s in arms))
-                 for j in _int_range(kappa / e, kappa / (2 * e),
-                                     include_lo=True, include_hi=False))
-        for side, multiples in ((s_plus, plus), (s_minus, minus)):
-            for j, scaled in multiples:
+        plus = (j * E - sum(j * w % a * s for a, w, s in arms)
+                for j in range(data.n0 + 1, 1))
+        minus = (K - j * E - sum((a - 1 - j * w) % a * s for a, w, s in arms)
+                 for j in range(-(-K // E), -(-K // (2 * E))))
+        for side, degrees in enumerate((plus, minus)):
+            for scaled in degrees:
                 deg, rest = divmod(scaled, L)
                 if rest:
                     raise InternalInvariantViolated("smooth degree must be an integer")
                 if deg >= 0:
-                    side.append(j)
-                    dims.append(deg)
+                    counts[side] += 1
+                    zero_dim = zero_dim and deg == 0
     ks = _ks_invariant(data)
     # rho0 = 0 would need the positive-curvature branch, which only spherical
     # bases could certify -- and normalized three-arm spherical data never has
     # rho0 = 0 (the patterns (2,2,n), (2,3,3), (2,3,4), (2,3,5) all fail
     # integrality), while lens spaces (at most two arms) can.  The torsion
     # route is the fallback.
-    applicable = data.rho0 != 0 and all(d == 0 for d in dims)
-    sw0_ks = ks / 8 + len(s_plus) + len(s_minus) if applicable else None
-    return KSReport(ks=ks, s0_plus=tuple(s_plus), s0_minus=tuple(s_minus),
+    applicable = data.rho0 != 0 and zero_dim
+    sw0_ks = ks / 8 + sum(counts) if applicable else None
+    return KSReport(ks=ks, plus=counts[0], minus=counts[1],
                     applicable=applicable, sw0_ks=sw0_ks)
 
 

@@ -122,7 +122,7 @@ def three_arm_sweep():
         plus_expected = (m - 3) // 6 + 1 if m > 3 else 0
         ok = (rep.sw0 == want
               and ks.applicable and ks.sw0_ks == want
-              and len(ks.s0_plus) == plus_expected
+              and ks.plus == plus_expected
               and rep.conjecture_gap == 0)
         if not ok:
             failures.append(m)

@@ -116,6 +116,15 @@ MUTATIONS = [
     Mutation("integrality check removed", "seifert.py",
              "                if rest:\n", "                if False:\n",
              ("test_seifert.py",)),
+    Mutation("plus side from n0", "seifert.py",
+             "range(data.n0 + 1, 1)", "range(data.n0, 1)",
+             ("test_seifert.py",)),
+    Mutation("minus side up to floor(K/2E)", "seifert.py",
+             "-(-K // (2 * E)))", "K // (2 * E))",
+             ("test_seifert.py",)),
+    Mutation("zero-dimension flag ignores the degree", "seifert.py",
+             "zero_dim = zero_dim and deg == 0", "zero_dim = zero_dim",
+             ("test_seifert.py",)),
     Mutation("Dedekind total added in Casson-Walker", "seifert.py",
              "e + 3 - 12 * data.dedekind_total", "e + 3 + 12 * data.dedekind_total",
              ("test_seifert.py",)),

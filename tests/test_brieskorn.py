@@ -185,6 +185,26 @@ class TestOneComputationPerSpec:
         assert "MATCH" in capsys.readouterr().out
         assert calls == [(2, 3, 7)]
 
+    def test_cli_computes_each_derived_value_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(name):
+            real = BrieskornSpec.__dict__[name].func
+
+            def counting(spec):
+                calls.append(name)
+                return real(spec)
+
+            prop = cached_property(counting)
+            prop.__set_name__(BrieskornSpec, name)
+            return prop
+
+        for name in ("a", "alphas", "s", "q"):
+            monkeypatch.setattr(BrieskornSpec, name, counted(name))
+        assert cli.main(["brieskorn", "2", "3", "7"]) == 0
+        assert "MATCH" in capsys.readouterr().out
+        assert sorted(calls) == ["a", "alphas", "q", "s"]
+
     @pytest.mark.parametrize("exponents, arms", [
         ((2, 3, 7), (2, 3, 7)), ((4, 6, 5), (2, 3, 5)), ((4, 2, 2, 3), (2, 3))])
     def test_two_dedekind_sums_per_arm(self, monkeypatch, exponents, arms):

@@ -245,6 +245,19 @@ def test_disconnected_rejected():
                                     [("a", "b")]))
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    # a triangle through vertex 0 and an isolated vertex: n - 1 distinct edges
+    ("abcd", [("a", "b"), ("b", "c"), ("c", "a")]),
+    ("dabc", [("a", "b"), ("b", "c"), ("c", "a")]),
+    # a path through vertex 0 and a square: a forest of n - 1 edges is a tree
+    ("pqrabcd", [("p", "q"), ("q", "r"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+])
+def test_disconnected_with_tree_edge_count(vertices, edges):
+    graph = PlumbingGraph([(v, -2) for v in vertices], edges)
+    with pytest.raises(NotATree, match="^graph is disconnected$"):
+        build_lattice(graph)
+
+
 def test_self_loop_rejected():
     with pytest.raises(NotATree):
         PlumbingGraph([("a", -2)], [("a", "a")])

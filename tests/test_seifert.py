@@ -214,7 +214,7 @@ class TestEtaRoute:
         for n in (4, 6, 9):
             report = ks_route(dn_seifert(n))
             assert report.applicable
-            assert report.s0_plus == () and report.s0_minus == ()
+            assert report.plus == 0 and report.minus == 0
             assert 8 * report.sw0_ks == n  # p + 2 with p = n - 2
 
     def test_e7_value(self):
@@ -226,8 +226,8 @@ class TestEtaRoute:
         for m in (2, 4, 5, 7, 8):
             report = ks_route(three_arm_family(m))
             want_plus = (m - 3) // 6 + 1 if m > 3 else 0
-            assert len(report.s0_plus) == want_plus, m
-            assert report.s0_minus == ()
+            assert report.plus == want_plus, m
+            assert report.minus == 0
             assert report.applicable
             assert 8 * report.sw0_ks == Fraction(3 * m) - Fraction(m, 3) - 2
 
@@ -238,7 +238,7 @@ class TestEtaRoute:
 
     def test_polygonal_two_point_count(self):
         report = ks_route(polygonal_seifert([3, 4, 5]))
-        assert len(report.s0_plus) == 1 and len(report.s0_minus) == 1
+        assert report.plus == 1 and report.minus == 1
         assert report.applicable
 
     def test_matches_torsion_route_when_applicable(self):
@@ -251,17 +251,17 @@ class TestEtaRoute:
 
 def reference_ks_route(data):
     """The eta route with every degree a Fraction: one j at a time over the
-    multiples with 0 <= j*ell <= kappa, sorted by where j*ell falls."""
+    multiples with 0 <= j*ell <= kappa, counted by where j*ell falls."""
     ell, kappa = data.e, data.kappa
-    s_plus, s_minus, dims = [], [], []
+    counts, dims = [0, 0], []
     if kappa > 0:
         for j in range(floor(kappa / ell), 1):
             t = j * ell
             if 0 <= t < kappa / 2:
-                side = s_plus
+                side = 0
                 deg = t - sum(Fraction(j * w, a) % 1 for a, w in data.arms)
             elif kappa / 2 < t <= kappa:
-                side = s_minus
+                side = 1
                 deg = (kappa - t) - sum(Fraction((a - 1 - j * w) % a, a)
                                         for a, w in data.arms)
             else:
@@ -269,13 +269,12 @@ def reference_ks_route(data):
             if deg.denominator != 1:
                 raise InternalInvariantViolated("smooth degree must be an integer")
             if deg >= 0:
-                side.append(j)
+                counts[side] += 1
                 dims.append(deg)
     ks = seifert._ks_invariant(data)
     applicable = data.rho0 != 0 and all(d == 0 for d in dims)
-    return KSReport(ks=ks, s0_plus=tuple(s_plus), s0_minus=tuple(s_minus),
-                    applicable=applicable,
-                    sw0_ks=ks / 8 + len(s_plus) + len(s_minus) if applicable else None)
+    return KSReport(ks=ks, plus=counts[0], minus=counts[1], applicable=applicable,
+                    sw0_ks=ks / 8 + sum(counts) if applicable else None)
 
 
 @st.composite
@@ -308,6 +307,14 @@ class TestEtaRouteAgainstFractions:
         assert rho0_zero.kappa > 0 and rho0_zero.rho0 == 0
         report = ks_route(rho0_zero)
         assert not report.applicable and report.sw0_ks is None
+
+    def test_positive_dimensional_component(self):
+        # rho0 != 0, but a counted multiple on each side has a degree above 0
+        data = SeifertData(-1, [(4, 1), (6, 1), (8, 1), (5, 1), (4, 1)])
+        report = ks_route(data)
+        assert data.rho0 != 0 and (report.plus, report.minus) == (18, 18)
+        assert not report.applicable and report.sw0_ks is None
+        assert report == reference_ks_route(data)
 
     @pytest.mark.parametrize("route", [ks_route, reference_ks_route])
     def test_non_integral_degree_raises(self, route):
