@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input or usage (a --max-order below 1
 included), 2 the |H| cap (--max-order, checked on |det I| before the group is
-built) was exceeded, 3 a route cross-check disagreed, a verify fixture failed
+built) was exceeded, 3 a route cross-check (a `verify.Check` whose `passed` is
+False; a note, with None, decides nothing) disagreed, a verify fixture failed
 or an internal invariant failed.  Rational values are printed as exact
 fractions; JSON output carries num/den pairs.
 """
@@ -26,6 +27,7 @@ from .report import compute_report_from, render_table, report_to_json
 from .seifert import SeifertData, ks_route, lens_chain, seifert_casson_walker, \
     seifert_k2nv, seifert_torsion_shortcut, star_graph
 from . import verify as verify_mod
+from .verify import Check
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -41,14 +43,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _match(tag: str, lhs, rhs) -> str:
-    flag = "MATCH" if lhs == rhs else "MISMATCH"
-    return f"  {tag}: {lhs} vs {rhs}  [{flag}]"
+def _match(tag: str, lhs, rhs) -> Check:
+    return Check(tag, lhs == rhs, f"{lhs} vs {rhs}")
 
 
-def _verdict(lines) -> int:
-    """EXIT_MISMATCH when any route cross-check line is flagged, else EXIT_OK."""
-    return EXIT_MISMATCH if any(line.endswith("[MISMATCH]") for line in lines) else EXIT_OK
+def _line(check: Check) -> str:
+    """`name: detail`, flagged [MATCH] or [MISMATCH] unless the check is a note."""
+    if check.passed is None:
+        return f"{check.name}: {check.detail}"
+    return f"{check.name}: {check.detail}  [{'MATCH' if check.passed else 'MISMATCH'}]"
 
 
 def _max_order(text: str) -> int:
@@ -69,19 +72,19 @@ def _compute(graph, args):
     return report, lattice, group
 
 
-def _print_report(report, args, cross=None, cross_title="route cross-checks"):
+def _print_report(report, args, checks=(), title="route cross-checks") -> int:
+    """Print the report and its route cross-checks; EXIT_MISMATCH when one failed."""
+    lines = [f"  {_line(check)}" for check in checks]
     if args.format == "json":
         doc = report_to_json(report)
-        if cross:
-            doc["cross_checks"] = cross
+        if lines:
+            doc["cross_checks"] = lines
         print(json.dumps(doc, sort_keys=True))
     else:
         print(render_table(report))
-        if cross:
-            print()
-            print(f"{cross_title}:")
-            for line in cross:
-                print(line)
+        if lines:
+            print(f"\n{title}:", *lines, sep="\n")
+    return EXIT_MISMATCH if any(check.passed is False for check in checks) else EXIT_OK
 
 
 def _cmd_graph(args) -> int:
@@ -97,8 +100,7 @@ def _cmd_graph(args) -> int:
         return EXIT_INPUT
     graph = PlumbingGraph.from_dict(doc)
     report, _, _ = _compute(graph, args)
-    _print_report(report, args)
-    return EXIT_OK
+    return _print_report(report, args)
 
 
 def _cmd_lens(args) -> int:
@@ -109,14 +111,13 @@ def _cmd_lens(args) -> int:
     graph = lens_chain(p, q)
     report, _, _ = _compute(graph, args)
     s_qp = dr_sum(q, p)
-    lines = [
+    checks = [
         _match("torsion at 1", report.torsion_at_1, Fraction(p - 1, 4 * p) - s_qp),
         _match("Casson-Walker", report.casson_walker, Fraction(p, 2) * s_qp),
         _match("K^2 + #V", report.k2_plus_nv,
                Fraction(2 * (p - 1), p) - 12 * s_qp),
     ]
-    _print_report(report, args, lines, "route cross-checks (lens closed forms)")
-    return _verdict(lines)
+    return _print_report(report, args, checks, "route cross-checks (lens closed forms)")
 
 
 def _cmd_seifert(args) -> int:
@@ -137,19 +138,18 @@ def _cmd_seifert(args) -> int:
     graph = star_graph(data)
     report, lattice, group = _compute(graph, args)
     ks = ks_route(data)
-    lines = [
+    checks = [
         _match("Casson-Walker (closed form)", report.casson_walker,
                seifert_casson_walker(data)),
         _match("K^2 + #V (closed form)", report.k2_plus_nv, seifert_k2nv(data)),
         _match("torsion at 1 (arm shortcut)", report.torsion_at_1,
                seifert_torsion_shortcut(data, lattice, group)),
-        f"  eta-invariant route: KS = {ks.ks}, |S0+| = {ks.plus}, "
-        f"|S0-| = {ks.minus}, applicable = {ks.applicable}",
+        Check("eta-invariant route", None, f"KS = {ks.ks}, |S0+| = {ks.plus}, "
+              f"|S0-| = {ks.minus}, applicable = {ks.applicable}"),
     ]
     if ks.applicable:
-        lines.append(_match("sw0 via eta route", report.sw0, ks.sw0_ks))
-    _print_report(report, args, lines, "route cross-checks (Seifert closed forms)")
-    return _verdict(lines)
+        checks.append(_match("sw0 via eta route", report.sw0, ks.sw0_ks))
+    return _print_report(report, args, checks, "route cross-checks (Seifert closed forms)")
 
 
 def _cmd_brieskorn(args) -> int:
@@ -167,21 +167,19 @@ def _cmd_brieskorn(args) -> int:
     data = brieskorn_seifert(spec)
     graph = star_graph(data)
     report, _, _ = _compute(graph, args)
-    flag = "MATCH" if closed.gorenstein_check else "MISMATCH"
-    lines = [
+    checks = [
         _match("|H| (closed form)", report.order_h, closed.order_h),
         _match("torsion at 1 (closed form)", report.torsion_at_1,
                closed.torsion_closed),
         _match("Casson-Walker (closed form)", report.casson_walker,
                closed.lambda_closed),
         _match("sw0 (closed form)", report.sw0, closed.sw0),
-        f"  fiber signature = {closed.sigma_f}; "
-        f"-sw0 vs sigma/8: {-closed.sw0} vs {closed.sigma_f / 8}  [{flag}]",
+        Check(f"fiber signature = {closed.sigma_f}; -sw0 vs sigma/8",
+              closed.gorenstein_check, f"{-closed.sw0} vs {closed.sigma_f / 8}"),
     ]
-    _print_report(report, args, lines,
-                  f"route cross-checks (classification {cls.kind}, "
-                  f"parameter {cls.d}, parts {cls.bs})")
-    return _verdict(lines)
+    return _print_report(report, args, checks,
+                         f"route cross-checks (classification {cls.kind}, "
+                         f"parameter {cls.d}, parts {cls.bs})")
 
 
 def _cmd_dedekind(args) -> int:
@@ -197,19 +195,19 @@ def _cmd_dedekind(args) -> int:
         return EXIT_INPUT
     fast = dr_sum(h, k, x, y)
     direct = dr_sum_direct(h, k, x, y)
+    oracle = Check("direct summation oracle", fast == direct, str(direct))
     if args.format == "json":
         print(json.dumps({
             "h": h, "k": k,
             "x": {"num": x.numerator, "den": x.denominator},
             "y": {"num": y.numerator, "den": y.denominator},
             "value": {"num": fast.numerator, "den": fast.denominator},
-            "oracle_agrees": fast == direct,
+            "oracle_agrees": oracle.passed,
         }, sort_keys=True))
     else:
         print(f"s({h},{k};{x},{y}) = {fast}")
-        print(f"direct summation oracle: {direct}  "
-              f"[{'MATCH' if fast == direct else 'MISMATCH'}]")
-    return EXIT_OK if fast == direct else EXIT_MISMATCH
+        print(_line(oracle))
+    return EXIT_OK if oracle.passed else EXIT_MISMATCH
 
 
 def _cmd_verify(args) -> int:
@@ -217,8 +215,7 @@ def _cmd_verify(args) -> int:
         for name in verify_mod.fixture_names():
             print(name)
         return EXIT_OK
-    ok = verify_mod.run(out=print)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if verify_mod.run() else EXIT_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:

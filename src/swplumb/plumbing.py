@@ -71,8 +71,12 @@ class PlumbingGraph:
     @classmethod
     def from_dict(cls, doc: dict) -> "PlumbingGraph":
         try:
+            if not isinstance(doc["vertices"], list):
+                raise TypeError("'vertices' is not an array")
             vertices = [(v["id"], v["euler"]) for v in doc["vertices"]]
             edges = doc["edges"]
+            if not isinstance(edges, list):
+                raise TypeError("'edges' is not an array")
             for e in edges:
                 if not (isinstance(e, list) and len(e) == 2):
                     raise TypeError(f"edge {e!r} is not a two-element array")

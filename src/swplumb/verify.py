@@ -1,8 +1,15 @@
 """Acceptance fixture suite: every numbered criterion as a runnable family.
 
-Each fixture family returns (name, passed, detail) triples; the `run` entry
-point prints one line per check and reports overall success.  Every equality
-is exact: rationals as Fractions, root-of-unity sums in Q(zeta_N).
+Each fixture family returns a list of `Check(name, passed, detail)` records.
+The sweeps and property suites (fixtures 01-03, 05, 07 and 10-20) return
+summaries, whose detail counts the cases or lists the first failures;
+fixture 17 returns two, for the round trips and the arm shortcut.  Fixtures
+04, 06, 08 and 09 return one record per manifold or identity.  `run` prints
+one [PASS]/[FAIL] line per record and reports overall success; the CLI
+builds the same records for its route cross-checks.  Every equality is
+exact: rationals as Fractions, the root-of-unity sums of fixture 12 as
+rational traces over Galois orbits, the field axioms (11), the torsion
+reference (13) and the Gauss sums (15) in cyclotomic fields.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import dedekind
 from .brieskorn import BrieskornSpec, brieskorn_seifert, classify, \
@@ -29,7 +37,14 @@ from .seifert import SeifertData, ks_route, lens_chain, seifert_casson_walker, \
 from .torsion import WeightVector, delta_at_one_check, \
     regularized_product, swiden_consistency, torsion_table, weight_vector
 
-Check = tuple  # (name, passed, detail)
+
+class Check(NamedTuple):
+    """One cross-check.  `passed` is True or False, or None on a note (the
+    CLI's eta-route line), which decides nothing; fixtures return no notes."""
+
+    name: str
+    passed: bool | None
+    detail: str
 
 
 def _pipeline(graph):
@@ -40,8 +55,8 @@ def _pipeline(graph):
 
 def _summary(label, failures, total) -> Check:
     if failures:
-        return (label, False, f"{len(failures)}/{total} failed: {failures[:4]}")
-    return (label, True, f"{total} checks")
+        return Check(label, False, f"{len(failures)}/{total} failed: {failures[:4]}")
+    return Check(label, True, f"{total} checks")
 
 
 # -- criterion families -------------------------------------------------------
@@ -94,20 +109,20 @@ def e_family():
     targets = {6: Fraction(6, 8), 7: Fraction(7, 8), 8: Fraction(1)}
     for kind, want in targets.items():
         got = compute_report(e_star(kind)).sw0
-        checks.append((f"exceptional star E{kind}: sw0", got == want,
-                       f"{got} vs {want}"))
+        checks.append(Check(f"exceptional star E{kind}: sw0", got == want,
+                            f"{got} vs {want}"))
     # E7 via the eta-invariant route (KS = 7)
     ks = ks_route(SeifertData(-2, [(2, 1), (3, 2), (4, 3)]))
-    checks.append(("E7 eta-invariant equals 7", ks.ks == 7 and ks.applicable,
-                   f"KS = {ks.ks}"))
+    checks.append(Check("E7 eta-invariant equals 7", ks.ks == 7 and ks.applicable,
+                        f"KS = {ks.ks}"))
     # E6 and E8 through the complete-intersection closed forms
     for exps, want_sw, want_sig in [((2, 3, 4), Fraction(3, 4), -6),
                                     ((2, 3, 5), Fraction(1), -8)]:
         rep = closed_form_invariants(BrieskornSpec(exps))
-        checks.append((f"intersection link {exps}: signature route",
-                       rep.sw0 == want_sw and rep.sigma_f == want_sig
-                       and rep.gorenstein_check,
-                       f"sw0 = {rep.sw0}, sigma = {rep.sigma_f}"))
+        checks.append(Check(f"intersection link {exps}: signature route",
+                            rep.sw0 == want_sw and rep.sigma_f == want_sig
+                            and rep.gorenstein_check,
+                            f"sw0 = {rep.sw0}, sigma = {rep.sigma_f}"))
     return checks
 
 
@@ -142,8 +157,8 @@ def three_arm_m3():
           and got == Fraction(3, 4)
           and rep.conjecture_gap == 0
           and not ks.applicable)
-    return [("three-arm family at m = 3 (torsion route only)", ok,
-             f"T(1) = {t1}, lambda/|H| = {lam_over}, sw0 = {got}")]
+    return [Check("three-arm family at m = 3 (torsion route only)", ok,
+                  f"T(1) = {t1}, lambda/|H| = {lam_over}, sw0 = {got}")]
 
 
 def polygonal_family():
@@ -166,8 +181,8 @@ def polygonal_family():
 def nonstar_example():
     """The 13-vertex non-star graph; |H| = 3 gates the transcription."""
     rep = compute_report(nonstar_13_vertex())
-    checks = [("non-star graph: |H| gate", rep.order_h == 3,
-               f"|H| = {rep.order_h}")]
+    checks = [Check("non-star graph: |H| gate", rep.order_h == 3,
+                    f"|H| = {rep.order_h}")]
     if rep.order_h == 3:
         t1 = rep.torsion_at_1
         lam_over = rep.casson_walker / 3
@@ -177,9 +192,9 @@ def nonstar_example():
               and k2 == 10 and got == Fraction(9, 4)
               and got == Fraction(9, 4) - k2 / 8 + Fraction(10, 8)
               and rep.conjecture_gap == 1)
-        checks.append(("non-star graph: invariants and unit gap", ok,
-                       f"T(1) = {t1}, lambda/|H| = {lam_over}, "
-                       f"K^2+#V = {k2}, sw0 = {got}"))
+        checks.append(Check("non-star graph: invariants and unit gap", ok,
+                            f"T(1) = {t1}, lambda/|H| = {lam_over}, "
+                            f"K^2+#V = {k2}, sw0 = {got}"))
     return checks
 
 
@@ -193,7 +208,7 @@ def brieskorn_corpus():
         spec = BrieskornSpec(exps)
         cls = classify(spec)
         if cls.kind == "not_qhs":
-            checks.append((f"{exps}: classification", False, "not a QHS"))
+            checks.append(Check(f"{exps}: classification", False, "not a QHS"))
             continue
         rep = closed_form_invariants(spec)
         ok = rep.gorenstein_check
@@ -204,7 +219,7 @@ def brieskorn_corpus():
                          and got.torsion_at_1 == rep.torsion_closed
                          and got.casson_walker == rep.lambda_closed)
             detail += ", pipeline cross-checked"
-        checks.append((f"intersection link {exps}", ok, detail))
+        checks.append(Check(f"intersection link {exps}", ok, detail))
     return checks
 
 
@@ -680,7 +695,7 @@ def fixture_names():
     return tuple(name for name, _ in FIXTURES)
 
 
-def run(names=None, out=print) -> bool:
+def run(names=None) -> bool:
     """Run the fixture families (all by default); one pass/fail line per check.
 
     Raises ValueError, before any fixture runs, on a name that is not a fixture.
@@ -696,12 +711,12 @@ def run(names=None, out=print) -> bool:
         try:
             checks = fn()
         except Exception as exc:    # an internal fault fails its fixture, not the run
-            out(f"[FAIL] {name}: raised {type(exc).__name__}: {exc}")
+            print(f"[FAIL] {name}: raised {type(exc).__name__}: {exc}")
             all_ok = False
             continue
         for label, passed, detail in checks:
             flag = "PASS" if passed else "FAIL"
-            out(f"[{flag}] {name}: {label} ({detail})")
+            print(f"[{flag}] {name}: {label} ({detail})")
             all_ok = all_ok and passed
-    out("result: " + ("all fixtures passed" if all_ok else "FAILURES detected"))
+    print("result: " + ("all fixtures passed" if all_ok else "FAILURES detected"))
     return all_ok

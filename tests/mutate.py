@@ -173,6 +173,17 @@ MUTATIONS = [
     Mutation("--max-order 0 accepted", "cli.py",
              "    if value < 1:\n", "    if value < 0:\n",
              ("test_cli.py",)),
+    # the cross-check records (cli.py): the exit code reads their booleans
+    Mutation("exit code only when every check failed", "cli.py",
+             "any(check.passed is False for check in checks)",
+             "all(check.passed is False for check in checks)",
+             ("test_cli.py",)),
+    Mutation("eta-route note as a failed check", "cli.py",
+             'Check("eta-invariant route", None,', 'Check("eta-invariant route", False,',
+             ("test_cli.py",)),
+    Mutation("signature check always passes", "cli.py",
+             "closed.gorenstein_check, f", "True, f",
+             ("test_cli.py",)),
 ]
 
 EQUIVALENT = {

@@ -1,25 +1,17 @@
-"""Acceptance gate: every numbered criterion, one test each, printed pass/fail.
+"""Acceptance gate: every numbered criterion, one test each.
 
-All equalities are exact (tolerance zero): rational identities, and the
-Gauss sums of criterion 10 in a cyclotomic field.  The fixture bodies live in
-swplumb.verify so the installed tool can re-run the same gate via its command
-line.
+Each test runs its fixtures through `verify.run`, the same runner as
+`swplumb verify`, which prints one [PASS]/[FAIL] line per check (shown by
+pytest when the test fails) and returns whether all passed.  All equalities
+are exact (tolerance zero): rational identities, and the Gauss sums of
+criterion 10 in a cyclotomic field.
 """
 
 from swplumb import verify
 
-_FAMILY = dict(verify.FIXTURES)
-
 
 def _run(*names):
-    failures = []
-    for name in names:
-        for label, passed, detail in _FAMILY[name]():
-            flag = "PASS" if passed else "FAIL"
-            print(f"[{flag}] {label}: {detail}")
-            if not passed:
-                failures.append((label, detail))
-    assert not failures, failures
+    assert verify.run(names=names)
 
 
 def test_criterion_01_lens_space_closed_forms():

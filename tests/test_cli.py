@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, harness sensitivity."""
 
+import argparse
 import dataclasses
 import json
 from fractions import Fraction
@@ -11,6 +12,7 @@ from swplumb.cli import EXIT_CAP, EXIT_INPUT, EXIT_MISMATCH, main
 from swplumb.errors import InternalInvariantViolated, NotRational
 from swplumb.plumbing import PlumbingGraph
 from swplumb.report import compute_report, report_from_json, report_to_json
+from swplumb.verify import Check
 from swplumb.corpus import chain_graph
 
 
@@ -260,6 +262,18 @@ def test_graph_rejects_edges_that_are_not_pairs(tmp_path, capsys, edge):
     assert out == "" and "not a two-element array" in err
 
 
+@pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
+@pytest.mark.parametrize("key", ["vertices", "edges"])
+def test_graph_rejects_containers_that_are_not_arrays(tmp_path, capsys, key, value):
+    doc = {"vertices": [{"id": "v", "euler": -2}], "edges": []}
+    doc[key] = value
+    with pytest.raises(ValueError, match="malformed graph document"):
+        PlumbingGraph.from_dict(doc)
+    code, out, err = run_cli(capsys, "graph", write_graph(tmp_path, doc))
+    assert code == EXIT_INPUT
+    assert out == "" and "malformed graph document" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("lens", "abc", "3"),
     ("lens", "5", "2", "--bogus"),
@@ -321,6 +335,9 @@ def test_dedekind_mismatch_exit_code(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "dedekind", "2", "3")
     assert code == EXIT_MISMATCH
     assert "MISMATCH" in out
+    code, out, _ = run_cli(capsys, "dedekind", "2", "3", "--format", "json")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["oracle_agrees"] is False
 
 
 def test_seifert_mismatch_exit_code(monkeypatch, capsys):
@@ -338,6 +355,19 @@ def test_brieskorn_mismatch_exit_code(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "brieskorn", "2", "3", "5")
     assert code == EXIT_MISMATCH
     assert out.count("MISMATCH") == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_note_never_sets_the_exit_code(capsys, fmt):
+    # the verdict reads the records' booleans, not the rendered text
+    report, args = compute_report(chain_graph([-2])), argparse.Namespace(format=fmt)
+    note = Check("eta-invariant route", None, "KS = 0  [MISMATCH]")
+    assert cli._print_report(report, args, [note], "notes") == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines() if fmt == "table" else json.loads(out)["cross_checks"]
+    assert "  eta-invariant route: KS = 0  [MISMATCH]" in lines
+    failed = Check("torsion at 1", False, "1 vs 2")
+    assert cli._print_report(report, args, [note, failed], "notes") == EXIT_MISMATCH
 
 
 @pytest.mark.parametrize("error", [InternalInvariantViolated, NotRational])
