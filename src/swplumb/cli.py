@@ -1,17 +1,19 @@
 """Command-line interface: graph ingestion, manifold builders, verification runs.
 
-Exit codes: 0 success, 1 invalid input or usage (a --max-order below 1
-included), 2 the |H| cap (--max-order, checked on |det I| before the group is
-built) was exceeded, 3 a route cross-check (a `verify.Check` whose `passed` is
-False; a note, with None, decides nothing) disagreed, a verify fixture failed
-or an internal invariant failed.  Rational values are printed as exact
-fractions; JSON output carries num/den pairs.
+The builders print the route lists of `verify`.  Exit codes: 0 success, 1
+invalid input or usage (a --max-order below 1 included), 2 the |H| cap
+(--max-order, checked on |det I| before the group is built) was exceeded, 3 a
+route cross-check (a `verify.Check` whose `passed` is False; a note, with
+None, decides nothing) disagreed, a verify fixture failed or an internal
+invariant failed.  Rational values are printed as exact fractions; JSON output
+carries num/den pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -24,10 +26,9 @@ from .errors import InternalInvariantViolated, NotRational, OrderCapExceeded, \
 from .homology import DEFAULT_ORDER_CAP, homology_from_lattice
 from .plumbing import PlumbingGraph, build_lattice
 from .report import compute_report_from, render_table, report_to_json
-from .seifert import SeifertData, ks_route, lens_chain, seifert_casson_walker, \
-    seifert_k2nv, seifert_torsion_shortcut, star_graph
+from .seifert import SeifertData, ks_route, lens_chain, star_graph
 from . import verify as verify_mod
-from .verify import Check
+from .verify import Check, brieskorn_routes, failed, lens_routes, seifert_routes
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -41,10 +42,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def _match(tag: str, lhs, rhs) -> Check:
-    return Check(tag, lhs == rhs, f"{lhs} vs {rhs}")
 
 
 def _line(check: Check) -> str:
@@ -84,7 +81,7 @@ def _print_report(report, args, checks=(), title="route cross-checks") -> int:
         print(render_table(report))
         if lines:
             print(f"\n{title}:", *lines, sep="\n")
-    return EXIT_MISMATCH if any(check.passed is False for check in checks) else EXIT_OK
+    return EXIT_MISMATCH if failed(checks) else EXIT_OK
 
 
 def _cmd_graph(args) -> int:
@@ -108,16 +105,9 @@ def _cmd_lens(args) -> int:
     if not (0 < q < p) or gcd(p, q) != 1:
         print(f"error: need coprime 0 < q < p, got p={p} q={q}", file=sys.stderr)
         return EXIT_INPUT
-    graph = lens_chain(p, q)
-    report, _, _ = _compute(graph, args)
-    s_qp = dr_sum(q, p)
-    checks = [
-        _match("torsion at 1", report.torsion_at_1, Fraction(p - 1, 4 * p) - s_qp),
-        _match("Casson-Walker", report.casson_walker, Fraction(p, 2) * s_qp),
-        _match("K^2 + #V", report.k2_plus_nv,
-               Fraction(2 * (p - 1), p) - 12 * s_qp),
-    ]
-    return _print_report(report, args, checks, "route cross-checks (lens closed forms)")
+    report, _, _ = _compute(lens_chain(p, q), args)
+    return _print_report(report, args, lens_routes(p, q, report),
+                         "route cross-checks (lens closed forms)")
 
 
 def _cmd_seifert(args) -> int:
@@ -135,20 +125,8 @@ def _cmd_seifert(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    graph = star_graph(data)
-    report, lattice, group = _compute(graph, args)
-    ks = ks_route(data)
-    checks = [
-        _match("Casson-Walker (closed form)", report.casson_walker,
-               seifert_casson_walker(data)),
-        _match("K^2 + #V (closed form)", report.k2_plus_nv, seifert_k2nv(data)),
-        _match("torsion at 1 (arm shortcut)", report.torsion_at_1,
-               seifert_torsion_shortcut(data, lattice, group)),
-        Check("eta-invariant route", None, f"KS = {ks.ks}, |S0+| = {ks.plus}, "
-              f"|S0-| = {ks.minus}, applicable = {ks.applicable}"),
-    ]
-    if ks.applicable:
-        checks.append(_match("sw0 via eta route", report.sw0, ks.sw0_ks))
+    report, lattice, group = _compute(star_graph(data), args)
+    checks = seifert_routes(data, ks_route(data), lattice, group, report)
     return _print_report(report, args, checks, "route cross-checks (Seifert closed forms)")
 
 
@@ -164,20 +142,8 @@ def _cmd_brieskorn(args) -> int:
               f"sphere (base genus {spec.genus})", file=sys.stderr)
         return EXIT_INPUT
     closed = closed_form_invariants(spec)
-    data = brieskorn_seifert(spec)
-    graph = star_graph(data)
-    report, _, _ = _compute(graph, args)
-    checks = [
-        _match("|H| (closed form)", report.order_h, closed.order_h),
-        _match("torsion at 1 (closed form)", report.torsion_at_1,
-               closed.torsion_closed),
-        _match("Casson-Walker (closed form)", report.casson_walker,
-               closed.lambda_closed),
-        _match("sw0 (closed form)", report.sw0, closed.sw0),
-        Check(f"fiber signature = {closed.sigma_f}; -sw0 vs sigma/8",
-              closed.gorenstein_check, f"{-closed.sw0} vs {closed.sigma_f / 8}"),
-    ]
-    return _print_report(report, args, checks,
+    report, _, _ = _compute(star_graph(brieskorn_seifert(spec)), args)
+    return _print_report(report, args, brieskorn_routes(closed, report),
                          f"route cross-checks (classification {cls.kind}, "
                          f"parameter {cls.d}, parts {cls.bs})")
 
@@ -272,9 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_shifts(argv):
+    """`--x -2/5` as `--x=-2/5`: argparse would take `-2/5` for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--x", "--y") and re.match(r"-[\d.]", token):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_shifts(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except OrderCapExceeded as exc:

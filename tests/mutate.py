@@ -173,16 +173,26 @@ MUTATIONS = [
     Mutation("--max-order 0 accepted", "cli.py",
              "    if value < 1:\n", "    if value < 0:\n",
              ("test_cli.py",)),
-    # the cross-check records (cli.py): the exit code reads their booleans
-    Mutation("exit code only when every check failed", "cli.py",
+    # the cross-check records and the route lists (verify.py), which the CLI
+    # prints: its exit code and the fixtures read the one pass rule
+    Mutation("exit code only when every check failed", "verify.py",
              "any(check.passed is False for check in checks)",
              "all(check.passed is False for check in checks)",
              ("test_cli.py",)),
-    Mutation("eta-route note as a failed check", "cli.py",
+    Mutation("eta-route note as a failed check", "verify.py",
              'Check("eta-invariant route", None,', 'Check("eta-invariant route", False,',
              ("test_cli.py",)),
-    Mutation("signature check always passes", "cli.py",
+    Mutation("signature check always passes", "verify.py",
              "closed.gorenstein_check, f", "True, f",
+             ("test_cli.py",)),
+    Mutation("lens Casson-Walker with p/4", "verify.py",
+             "Fraction(p, 2) * s_qp", "Fraction(p, 4) * s_qp",
+             ("test_cli.py",)),
+    Mutation("eta route compared with T(1)", "verify.py",
+             "report.sw0, ks.sw0_ks", "report.torsion_at_1, ks.sw0_ks",
+             ("test_cli.py",)),
+    Mutation("Brieskorn Casson-Walker against the closed torsion", "verify.py",
+             "closed.lambda_closed", "closed.torsion_closed",
              ("test_cli.py",)),
 ]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from swplumb import cli, verify
+from swplumb import cli, dedekind, seifert, verify
 from swplumb.cli import EXIT_CAP, EXIT_INPUT, EXIT_MISMATCH, main
 from swplumb.errors import InternalInvariantViolated, NotRational
 from swplumb.plumbing import PlumbingGraph
@@ -155,6 +155,23 @@ def test_dedekind_command(capsys):
     doc = json.loads(out)
     assert doc["value"] == {"num": 1, "den": 8}
     assert doc["oracle_agrees"] is True
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("x, y", [("1/3", "-2/5"), ("-1/3", "-2/5"), ("-2", "-.5")])
+def test_dedekind_negative_shift_as_separate_argument(capsys, fmt, x, y):
+    # argparse takes "-2/5" for an option, so "--y -2/5" is read as "--y=-2/5";
+    # "-2" and "-.5" were accepted before and read the same
+    joined = run_cli(capsys, "dedekind", "5", "12", f"--x={x}", f"--y={y}", "--format", fmt)
+    separate = run_cli(capsys, "dedekind", "5", "12", "--x", x, "--y", y, "--format", fmt)
+    assert separate == joined
+    code, out, err = separate
+    assert code == 0 and err == ""
+    if (x, y) == ("1/3", "-2/5"):
+        if fmt == "table":
+            assert out.splitlines()[0] == "s(5,12;1/3,-2/5) = -7/72"
+        else:
+            assert json.loads(out)["value"] == {"num": -7, "den": 72}
 
 
 def test_verify_list(capsys):
@@ -317,21 +334,28 @@ def test_max_order_of_one_is_a_cap(capsys):
     assert "group order 7 exceeds the cap 1" in err
 
 
-def skew(monkeypatch, name):
-    """Shift a closed-form route used by the CLI so its cross-check disagrees."""
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a, **k: real(*a, **k) + Fraction(1, 7))
+def skew(monkeypatch, module, name):
+    """Shift a route's value where `module` defines or imports it, so its cross-check disagrees."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: real(*a, **k) + Fraction(1, 7))
+
+
+def assert_fixture_fails(capsys, fixture):
+    assert not verify.run(names=[fixture])
+    assert f"[FAIL] {fixture}:" in capsys.readouterr().out
 
 
 def test_lens_mismatch_exit_code(monkeypatch, capsys):
-    skew(monkeypatch, "dr_sum")
+    # the CLI and the fixtures read one route list, so one skewed definition reaches both
+    skew(monkeypatch, dedekind, "dr_sum")
     code, out, _ = run_cli(capsys, "lens", "7", "3")
     assert code == EXIT_MISMATCH
     assert "MISMATCH" in out
+    assert_fixture_fails(capsys, "01-lens-spaces")
 
 
 def test_dedekind_mismatch_exit_code(monkeypatch, capsys):
-    skew(monkeypatch, "dr_sum")
+    skew(monkeypatch, cli, "dr_sum")
     code, out, _ = run_cli(capsys, "dedekind", "2", "3")
     assert code == EXIT_MISMATCH
     assert "MISMATCH" in out
@@ -341,11 +365,12 @@ def test_dedekind_mismatch_exit_code(monkeypatch, capsys):
 
 
 def test_seifert_mismatch_exit_code(monkeypatch, capsys):
-    skew(monkeypatch, "seifert_casson_walker")
+    skew(monkeypatch, seifert, "seifert_k2nv")
     code, out, _ = run_cli(capsys, "seifert", "--b", "-2", "--arm", "2/1",
                            "--arm", "3/2", "--arm", "4/3", "--format", "json")
     assert code == EXIT_MISMATCH
     assert "MISMATCH" in out
+    assert_fixture_fails(capsys, "18-eta-route-random")
 
 
 def test_brieskorn_mismatch_exit_code(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """The package imports nothing outside the standard library, and computes no float.
 
-No module imports another module's underscore-prefixed name, and only the
-homology module builds a FinAbGroup.
+No module imports another module's underscore-prefixed name, only the
+homology module builds a FinAbGroup, and the CLI compares no closed form.
 """
 
 import ast
@@ -102,6 +102,37 @@ def test_homology_scan_sees_each_form(tmp_path):
     assert list(homology_uses(path)) == [
         ("import", "homology"), ("import", ""), ("import", "swplumb.homology"),
         ("import", "swplumb.homology"), ("FinAbGroup", 6), ("FinAbGroup", 7)]
+
+
+CLOSED_FORMS = {"seifert_casson_walker", "seifert_k2nv", "seifert_torsion_shortcut"}
+
+
+def route_calls(path):
+    """(top-level definition, name) for each call of `Check` or of a Seifert
+    closed form in one source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Check" or name in CLOSED_FORMS:
+                    yield getattr(top, "name", None), name
+
+
+def test_cli_builds_no_route_list():
+    # the route lists live in verify, where the fixtures read them too; the CLI
+    # renders them and builds only the dedekind command's oracle check
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    assert list(route_calls(cli)) == [("_cmd_dedekind", "Check")]
+
+
+def test_route_scan_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(d):\n    return verify.Check('a', True, ''), seifert.seifert_k2nv(d)\n"
+                    "g = seifert_torsion_shortcut(1, 2, 3)\nh = seifert_casson_walker\n")
+    assert list(route_calls(path)) == [("f", "Check"), ("f", "seifert_k2nv"),
+                                       (None, "seifert_torsion_shortcut")]
 
 
 # verify._blown_up's seeded coin, rng.random() < 0.5: it draws test graphs, not a value

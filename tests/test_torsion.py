@@ -349,8 +349,8 @@ class TestOrderCapBeforeField:
         assert (exc.value.order, exc.value.cap) == (4001, 10)
 
     def test_seifert_shortcut(self, monkeypatch, capsys):
-        from swplumb import cli
-        monkeypatch.setattr(cli, "seifert_torsion_shortcut", refuse)
+        from swplumb import cli, seifert
+        monkeypatch.setattr(seifert, "seifert_torsion_shortcut", refuse)
         monkeypatch.setattr(cli, "compute_report_from", refuse)
         data = three_arm_family(8)
         order = build_lattice(star_graph(data)).order_h
