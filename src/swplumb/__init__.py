@@ -9,7 +9,7 @@ builders feed the same pipeline and carry independent closed-form routes.
 
 from .brieskorn import (BrieskornReport, BrieskornSpec, brieskorn_seifert,
                         classify, closed_form_invariants, order_of_h)
-from .dedekind import (dedekind_sum, dedekind_symbol, dr_sum, dr_sum_direct,
+from .dedekind import (dedekind_symbol, dr_sum, dr_sum_direct,
                        fourier_identity_suite)
 from .errors import (ConductorMismatch, InternalInvariantViolated,
                      InvalidBaseVertex, NotATree, NotNegativeDefinite, NotQHS,

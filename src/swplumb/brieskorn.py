@@ -15,6 +15,7 @@ from math import gcd, lcm, prod
 
 from .dedekind import dr_sum
 from .errors import InternalInvariantViolated, NotQHS
+from .exact import is_int
 from .seifert import SeifertData
 
 
@@ -27,7 +28,7 @@ class BrieskornSpec:
     def __init__(self, exponents):
         exps = tuple(exponents)
         for a in exps:
-            if not isinstance(a, int) or isinstance(a, bool):
+            if not is_int(a):
                 raise ValueError(f"exponent {a!r} is not an integer")
         if len(exps) < 3:
             raise ValueError("need at least three exponents")

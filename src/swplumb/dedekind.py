@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .exact import is_int
 from .torsion import orbit_table
 
 _ZERO = Fraction(0)
@@ -88,14 +89,9 @@ def dr_sum(h: int, k: int, x=0, y=0) -> Fraction:
         sign, h, k, X, Y = -sign, k, h, Y, X
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """Classical s(h, k)."""
-    return dr_sum(h, k)
-
-
 def _check_args(h, k, *shifts):
     for name, value in (("h", h), ("k", k)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise ValueError(f"{name}={value!r} is not an integer")
     for value in shifts:
         _check_rational(value, "shift")
@@ -106,7 +102,7 @@ def _check_args(h, k, *shifts):
 
 
 def _check_rational(value, what):
-    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+    if not (is_int(value) or isinstance(value, Fraction)):
         raise ValueError(f"{what} {value!r} is not an integer or a Fraction")
 
 

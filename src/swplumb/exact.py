@@ -27,6 +27,12 @@ from math import gcd
 from .errors import ConductorMismatch, NotRational, SingularMatrix
 
 
+def is_int(x) -> bool:
+    """An `int` and not a `bool`: the package's one test of integer input, which
+    is rejected, never coerced."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # Integer matrices
 # ---------------------------------------------------------------------------
@@ -43,7 +49,7 @@ class IntMatrix:
         rows = tuple(tuple(row) for row in entries)
         for row in rows:
             for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not is_int(x):
                     raise ValueError(f"matrix entry {x!r} is not an integer")
         self._set(rows)
 

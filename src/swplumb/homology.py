@@ -20,7 +20,8 @@ from itertools import product as iproduct
 from math import isqrt, lcm, prod
 
 from .errors import InternalInvariantViolated, OrderCapExceeded
-from .exact import CyclotomicField, cyclotomic_field, replay_backward, smith_elimination
+from .exact import CyclotomicField, cyclotomic_field, is_int, replay_backward, \
+    smith_elimination
 from .plumbing import LatticeData
 
 DEFAULT_ORDER_CAP = 10 ** 6
@@ -157,7 +158,7 @@ def homology_from_lattice(lattice: LatticeData, *,
     of its lift column, and prod d_i = N, so the images give an isomorphism
     from coker(I).
     """
-    if not isinstance(max_order, int) or isinstance(max_order, bool) or max_order < 1:
+    if not is_int(max_order) or max_order < 1:
         raise ValueError(f"max_order={max_order!r} is not a positive integer")
     order = lattice.order_h
     if order > max_order:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InternalInvariantViolated, NotATree, NotNegativeDefinite
-from .exact import IntMatrix
+from .exact import IntMatrix, is_int
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class PlumbingGraph:
         for i, e in vv:
             if not isinstance(i, str):
                 raise ValueError(f"vertex id {i!r} is not a string")
-            if not isinstance(e, int) or isinstance(e, bool):
+            if not is_int(e):
                 raise ValueError(f"Euler number {e!r} of vertex {i} is not an integer")
         for a, b in ee:
             if not (isinstance(a, str) and isinstance(b, str)):

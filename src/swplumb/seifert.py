@@ -16,19 +16,15 @@ from math import floor, gcd, lcm, prod
 
 from .dedekind import dedekind_symbol, dr_sum
 from .errors import InternalInvariantViolated
+from .exact import is_int
 from .homology import FinAbGroup, GroupElement
 from .plumbing import LatticeData, PlumbingGraph
 from .torsion import orbit_table
 
 
-def _is_int(x) -> bool:
-    """An int and not a bool: Seifert and lens data are rejected, never coerced."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def hj_expand(alpha: int, omega: int):
     """Negative continued fraction (entries >= 2) of alpha/omega, coprime 0 < omega < alpha."""
-    if not (_is_int(alpha) and _is_int(omega)):
+    if not (is_int(alpha) and is_int(omega)):
         raise ValueError(f"({alpha!r}, {omega!r}) is not a pair of integers")
     if not 0 < omega < alpha or gcd(alpha, omega) != 1:
         raise ValueError(f"need coprime 0 < {omega} < {alpha}")
@@ -55,11 +51,11 @@ class SeifertData:
     arms: tuple
 
     def __init__(self, b, arms):
-        if not _is_int(b):
+        if not is_int(b):
             raise ValueError(f"central Euler number {b!r} is not an integer")
         arms = tuple((a, w) for a, w in arms)
         for a, w in arms:
-            if not (_is_int(a) and _is_int(w)):
+            if not (is_int(a) and is_int(w)):
                 raise ValueError(f"arm ({a!r}, {w!r}) is not a pair of integers")
             if a < 2:
                 raise ValueError(f"arm order {a} must be at least 2")
@@ -212,9 +208,10 @@ def ks_route(data: SeifertData) -> KSReport:
     component is zero dimensional); only the two counts and that flag are kept.
 
     The degrees are integers scaled by L = lcm(alpha_i), so that E = e*L < 0
-    and K = kappa*L are integers: L*deg is j*E - sum ((j*w_i) mod a_i) L/a_i
-    on the plus side, n0 = K // 2E < j <= 0, and K - j*E - sum ((a_i - 1 -
-    j*w_i) mod a_i) L/a_i on the minus side, K/E <= j < K/2E.  Cost:
+    and K = kappa*L are integers.  With L*deg = j*E - sum ((j*w_i) mod a_i) L/a_i,
+    the degree is deg on the plus side, n0 = K // 2E < j <= 0, and -2 - deg on
+    the minus side, K/E <= j < K/2E: there K - j*E - sum ((a_i - 1 - j*w_i) mod
+    a_i) L/a_i = -2L - L*deg, because K = -2L + sum (L - L/a_i).  Cost:
     kappa/(2|e|) integer steps per side in constant memory, with no cap.
     """
     e, kappa = data.e, data.kappa
@@ -224,15 +221,15 @@ def ks_route(data: SeifertData) -> KSReport:
         E, K = int(e * L), int(kappa * L)
         arms = [(a, w, L // a) for a, w in data.arms]
         # j*e in [0, kappa/2): negative shift; j*e in (kappa/2, kappa]: positive
-        plus = (j * E - sum(j * w % a * s for a, w, s in arms)
-                for j in range(data.n0 + 1, 1))
-        minus = (K - j * E - sum((a - 1 - j * w) % a * s for a, w, s in arms)
-                 for j in range(-(-K // E), -(-K // (2 * E))))
-        for side, degrees in enumerate((plus, minus)):
-            for scaled in degrees:
-                deg, rest = divmod(scaled, L)
+        plus = range(data.n0 + 1, 1)
+        minus = range(-(-K // E), -(-K // (2 * E)))
+        for side, js in enumerate((plus, minus)):
+            for j in js:
+                deg, rest = divmod(j * E - sum(j * w % a * s for a, w, s in arms), L)
                 if rest:
                     raise InternalInvariantViolated("smooth degree must be an integer")
+                if side:
+                    deg = -2 - deg
                 if deg >= 0:
                     counts[side] += 1
                     zero_dim = zero_dim and deg == 0

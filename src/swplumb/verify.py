@@ -1,16 +1,17 @@
 """Acceptance fixture suite: every numbered criterion as a runnable family.
 
 Each fixture family returns a list of `Check(name, passed, detail)` records.
-The sweeps and property suites (fixtures 01-03, 05, 07 and 10-20) return
-summaries, whose detail counts the cases or lists the first failures;
-fixture 17 returns two, for the round trips and the arm shortcut.  Fixtures
-04, 06, 08 and 09 return one record per manifold or identity.  `run` prints
-one [PASS]/[FAIL] line per record and reports overall success.  The CLI
-prints the builders' route lists (`lens_routes`, `seifert_routes`,
-`brieskorn_routes`), and fixtures 01, 03, 05, 07, 09 and 18 evaluate them,
-under one pass rule (`failed`).  Every equality is
-exact: rationals as Fractions, the root-of-unity sums of fixture 12 as
-rational traces over Galois orbits, the field axioms (11), the torsion
+The sweeps and property suites (fixtures 01-03, 05, 07 and 10-20) state their
+cases and the condition each must meet; one tally (`_Tally`) counts the checks,
+keeps the failed cases and writes the summary, whose detail counts the checks
+or lists the first failures.  Fixture 17 returns two summaries, for the round
+trips and the arm shortcut.  Fixtures 04, 06, 08 and 09 return one record per
+manifold or identity.  `run` prints one [PASS]/[FAIL] line per record and
+reports overall success.  The CLI prints the builders' route lists
+(`lens_routes`, `seifert_routes`, `brieskorn_routes`), and fixtures 01, 03,
+05, 07, 09 and 18 evaluate them, under one pass rule (`failed`).  Every
+equality is exact: rationals as Fractions, the root-of-unity sums of fixture
+12 as rational traces over Galois orbits, the field axioms (11), the torsion
 reference (13) and the Gauss sums (15) in cyclotomic fields.
 """
 
@@ -63,10 +64,32 @@ def _pipeline(graph):
     return lattice, group
 
 
-def _summary(label, failures, total) -> Check:
-    if failures:
-        return Check(label, False, f"{len(failures)}/{total} failed: {failures[:4]}")
-    return Check(label, True, f"{total} checks")
+class _Tally:
+    """The one counting rule: `check` counts one check, keeps its case if it failed and
+    returns `passed`, so that a loop can stop at its first failure."""
+
+    def __init__(self):
+        self.count, self.failures = 0, []
+
+    def check(self, passed, case):
+        self.count += 1
+        if not passed:
+            self.failures.append(case)
+        return passed
+
+    def summary(self, label) -> Check:
+        if self.failures:
+            return Check(label, False,
+                         f"{len(self.failures)}/{self.count} failed: {self.failures[:4]}")
+        return Check(label, True, f"{self.count} checks")
+
+
+def _sweep(label, cases, holds) -> Check:
+    """One check per case, which must satisfy `holds`; a failed case is kept as it is."""
+    tally = _Tally()
+    for case in cases:
+        tally.check(holds(case), case)
+    return tally.summary(label)
 
 
 # -- route lists: a builder's report against its independent routes ------------
@@ -111,43 +134,48 @@ def brieskorn_routes(closed, report):
     ]
 
 
-def _star_routes(data, ks):
-    """The report of `data`'s star graph and its Seifert route list."""
-    lattice, group = _pipeline(star_graph(data))
-    report = compute_report_from(lattice, group)
-    return report, seifert_routes(data, ks, lattice, group, report)
+def _with_ks(build, keys):
+    """(key, data, ks_route(data)) for the Seifert data `build(key)` of each key."""
+    for key in keys:
+        data = build(key)
+        yield key, data, ks_route(data)
+
+
+def _star_sweep(label, cases, holds) -> Check:
+    """One check per case (key, data, ks), kept as `key` when it fails: the Seifert
+    route list of data's star graph holds, and so does holds(key, ks, report)."""
+    tally = _Tally()
+    for key, data, ks in cases:
+        lattice, group = _pipeline(star_graph(data))
+        report = compute_report_from(lattice, group)
+        tally.check(not failed(seifert_routes(data, ks, lattice, group, report))
+                    and holds(key, ks, report), key)
+    return tally.summary(label)
 
 
 # -- criterion families -------------------------------------------------------
 
 def lens_sweep():
     """All coprime (p, q) up to 50: closed forms for torsion, lambda, K^2+#V, zero gap."""
+    def holds(pq):
+        rep = compute_report(lens_chain(*pq))
+        return not failed(lens_routes(*pq, rep)) and rep.conjecture_gap == 0
+
     pairs = [(p, q) for p in range(2, 51) for q in range(1, p) if gcd(p, q) == 1]
-    failures = []
-    for p, q in pairs:
-        rep = compute_report(lens_chain(p, q))
-        if failed(lens_routes(p, q, rep)) or rep.conjecture_gap != 0:
-            failures.append((p, q))
-    return [_summary("lens closed forms and zero gap, p <= 50", failures, len(pairs))]
+    return [_sweep("lens closed forms and zero gap, p <= 50", pairs, holds)]
 
 
 def a_chain_sweep():
     """Chains of -2 curves up to 29 vertices: 8 sw0 = p - 1."""
-    failures = [p for p in range(2, 31) if compute_report(a_chain(p)).sw0 != Fraction(p - 1, 8)]
-    return [_summary("(-2)-chain monopole count, p <= 30", failures, 29)]
+    return [_sweep("(-2)-chain monopole count, p <= 30", range(2, 31),
+                   lambda p: compute_report(a_chain(p)).sw0 == Fraction(p - 1, 8))]
 
 
 def d_family():
     """Two routes for the dihedral-type stars: 8 sw0 = p + 2, p = n - 2."""
-    failures = []
-    for n in range(4, 13):
-        data = dn_seifert(n)
-        want = Fraction(n, 8)  # (p + 2)/8 with p = n - 2
-        ks = ks_route(data)
-        rep, routes = _star_routes(data, ks)
-        if not (rep.sw0 == want and ks.applicable) or failed(routes):
-            failures.append(n)
-    return [_summary("dihedral-type stars, both routes, 4 <= n <= 12", failures, 9)]
+    return [_star_sweep("dihedral-type stars, both routes, 4 <= n <= 12",
+                        _with_ks(dn_seifert, range(4, 13)),
+                        lambda n, ks, rep: rep.sw0 == Fraction(n, 8) and ks.applicable)]
 
 
 def e_family():
@@ -175,19 +203,14 @@ def e_family():
 
 def three_arm_sweep():
     """Central -3 with three (m, m-1) arms: both routes, zero gap."""
-    failures = []
-    for m in (2, 4, 5, 7, 8):
-        data = three_arm_family(m)
+    def holds(m, ks, rep):
         want = (Fraction(3 * m) - Fraction(m, 3) - 2) / 8
-        ks = ks_route(data)
-        rep, routes = _star_routes(data, ks)
         plus_expected = (m - 3) // 6 + 1 if m > 3 else 0
-        ok = (rep.sw0 == want and ks.applicable and ks.plus == plus_expected
-              and rep.conjecture_gap == 0 and not failed(routes))
-        if not ok:
-            failures.append(m)
-    return [_summary("three-arm family, both routes, m in {2,4,5,7,8}",
-                     failures, 5)]
+        return (rep.sw0 == want and ks.applicable and ks.plus == plus_expected
+                and rep.conjecture_gap == 0)
+
+    return [_star_sweep("three-arm family, both routes, m in {2,4,5,7,8}",
+                        _with_ks(three_arm_family, (2, 4, 5, 7, 8)), holds)]
 
 
 def three_arm_m3():
@@ -208,19 +231,12 @@ def three_arm_m3():
 
 def polygonal_family():
     """Cone-over-polygon stars: 8 sw0 = 17 + nu - sum(a_i), gap 1."""
-    failures = []
     cases = ([3, 4, 5], [3, 3, 3, 3], [2, 2, 2, 2, 2],
              [3, 3, 3, 3, 3], [3, 3, 3, 3, 3, 3])
-    for a_list in cases:
-        data = polygonal_seifert(a_list)
-        want = Fraction(17 + len(a_list) - sum(a_list), 8)
-        ks = ks_route(data)
-        rep, routes = _star_routes(data, ks)
-        if not (rep.sw0 == want and rep.conjecture_gap == 1 and ks.applicable) \
-                or failed(routes):
-            failures.append(a_list)
-    return [_summary("polygonal stars: count formula and unit gap",
-                     failures, len(cases))]
+    return [_star_sweep("polygonal stars: count formula and unit gap",
+                        _with_ks(polygonal_seifert, cases),
+                        lambda a, ks, rep: (rep.sw0 == Fraction(17 + len(a) - sum(a), 8)
+                                            and rep.conjecture_gap == 1 and ks.applicable))]
 
 
 def nonstar_example():
@@ -293,29 +309,21 @@ def _blown_up(graph, size, rng):
 
 def snf_and_inverse_props():
     rng = random.Random(20240901)
-    failures = []
-    total = 0
+    tally = _Tally()
     for _ in range(40):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         mat = IntMatrix([[rng.randrange(-6, 7) for _ in range(cols)]
                          for _ in range(rows)])
-        total += 1
-        if not _smith_holds(mat, smith_normal_form(mat)):
-            failures.append(mat.entries)
-    for _ in range(25):
+        tally.check(_smith_holds(mat, smith_normal_form(mat)), mat.entries)
+    for _ in range(25):     # a singular draw counts, and passes
         n = rng.randrange(1, 6)
         mat = IntMatrix([[rng.randrange(-5, 6) for _ in range(n)]
                          for _ in range(n)])
-        total += 1
-        if mat.det() == 0:
-            continue
-        if invert_rational_matrix(mat) != adjugate_inverse(mat):
-            failures.append(mat.entries)
+        tally.check(mat.det() == 0 or invert_rational_matrix(mat) == adjugate_inverse(mat),
+                    mat.entries)
     fixed = IntMatrix([[-2, 1], [1, -2]])
-    total += 1
-    if smith_normal_form(fixed).diagonal != (1, 3):
-        failures.append("fixed-chain")
+    tally.check(smith_normal_form(fixed).diagonal == (1, 3), "fixed-chain")
     trees = 0
     while trees < 20:       # tree cofactors and tree solves against the dense inverse
         n = rng.randrange(1, 13)
@@ -328,76 +336,61 @@ def snf_and_inverse_props():
         except NotNegativeDefinite:
             continue
         trees += 1
-        total += 1
         scaled = tuple(tuple(-lattice.order_h * x for x in row)
                        for row in invert_rational_matrix(lattice.I))
         b = [v % 7 - 3 for v in range(n)]     # fixed, so the draws below do not depend on it
-        if (lattice.adj != scaled or lattice.det != lattice.I.det()
-                or lattice.solve(b) != [sum(a * x for a, x in zip(row, b)) for row in scaled]
-                or lattice.adj_diagonal != tuple(scaled[v][v] for v in range(n))):
-            failures.append(graph.to_dict())
+        tally.check(lattice.adj == scaled and lattice.det == lattice.I.det()
+                    and lattice.solve(b) == [sum(a * x for a, x in zip(row, b)) for row in scaled]
+                    and lattice.adj_diagonal == tuple(scaled[v][v] for v in range(n)),
+                    graph.to_dict())
     # intersection matrices of blown-up trees: the pivot sequences of real input,
     # and the report path's factors and meridian images (U[kept] mod d_i)
     for base, size in ((star_graph(dn_seifert(6)), 40), (e_star(7), 47),
                        (nonstar_13_vertex(), 54), (lens_chain(25, 7), 60)):
         graph = _blown_up(base, size, rng)
-        total += 1
         lattice, group = _pipeline(graph)
         snf = smith_normal_form(lattice.I)
         kept = [i for i, d in enumerate(snf.diagonal) if d > 1]
-        if (not _smith_holds(lattice.I, snf)
-                or group.invariant_factors != tuple(snf.diagonal[i] for i in kept)
-                or group.generator_images != tuple(tuple(snf.U[i, v] % snf.diagonal[i] for i in kept)
-                                                   for v in range(lattice.size))):
-            failures.append(graph.to_dict())
-    return [_summary("integer normal form and exact inverse oracles",
-                     failures, total)]
+        tally.check(_smith_holds(lattice.I, snf)
+                    and group.invariant_factors == tuple(snf.diagonal[i] for i in kept)
+                    and group.generator_images == tuple(
+                        tuple(snf.U[i, v] % snf.diagonal[i] for i in kept)
+                        for v in range(lattice.size)),
+                    graph.to_dict())
+    return [tally.summary("integer normal form and exact inverse oracles")]
 
 
 def cyclotomic_props():
-    failures = []
-    total = 0
-    if cyclotomic_polynomial(1) != (-1, 1) or cyclotomic_polynomial(4) != (1, 0, 1) \
-            or cyclotomic_polynomial(12) != (1, 0, -1, 0, 1):
-        failures.append("small-polynomials")
-    total += 1
+    tally = _Tally()
+    tally.check(cyclotomic_polynomial(1) == (-1, 1) and cyclotomic_polynomial(4) == (1, 0, 1)
+                and cyclotomic_polynomial(12) == (1, 0, -1, 0, 1), "small-polynomials")
     rng = random.Random(77)
     for n in range(2, 25):
         field = cyclotomic_field(n)
-        total += 1
         zero_sum = field.zero()
         for k in range(n):
             zero_sum = zero_sum + field.root_of_unity(k)
-        if not zero_sum.is_zero:
-            failures.append(("root-sum", n))
+        tally.check(zero_sum.is_zero, ("root-sum", n))
         a = field.element([Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                            for _ in range(field.degree)])
         b = field.root_of_unity(rng.randrange(n)) + field.rational(2)
         c = field.element([rng.randrange(-3, 4) for _ in range(field.degree)])
-        total += 1
-        if ((a + b) * c != a * c + b * c or a * b != b * a
-                or (a + b) + c != a + (b + c)):
-            failures.append(("ring-axioms", n))
-        total += 1
-        if any(field.inv_root_minus_one(k) * field.root_minus_one(k) != field.one()
-               for k in range(1, n)):
-            failures.append(("inverse", n))
-    return [_summary("cyclotomic field axioms and root sums", failures, total)]
+        tally.check((a + b) * c == a * c + b * c and a * b == b * a
+                    and (a + b) + c == a + (b + c), ("ring-axioms", n))
+        tally.check(all(field.inv_root_minus_one(k) * field.root_minus_one(k) == field.one()
+                        for k in range(1, n)), ("inverse", n))
+    return [tally.summary("cyclotomic field axioms and root sums")]
 
 
 def dedekind_props():
-    failures = []
-    total = 0
+    tally = _Tally()
     # reciprocity sweep
     for k in range(1, 61):
         for h in range(1, k):
-            if gcd(h, k) != 1:
-                continue
-            total += 1
-            lhs = dedekind.dr_sum(h, k) + dedekind.dr_sum(k, h)
-            rhs = Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k)
-            if lhs != rhs:
-                failures.append(("reciprocity", h, k))
+            if gcd(h, k) == 1:
+                tally.check(dedekind.dr_sum(h, k) + dedekind.dr_sum(k, h)
+                            == Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k),
+                            ("reciprocity", h, k))
     # fast path against the direct oracle, shifted arguments included
     rng = random.Random(5)
     for _ in range(200):
@@ -407,9 +400,8 @@ def dedekind_props():
             continue
         x = Fraction(rng.randrange(-12, 13), rng.randrange(1, 13))
         y = Fraction(rng.randrange(-12, 13), rng.randrange(1, 13))
-        total += 1
-        if dedekind.dr_sum(h, k, x, y) != dedekind.dr_sum_direct(h, k, x, y):
-            failures.append(("oracle", h, k, str(x), str(y)))
+        tally.check(dedekind.dr_sum(h, k, x, y) == dedekind.dr_sum_direct(h, k, x, y),
+                    ("oracle", h, k, str(x), str(y)))
     # shift periodicity
     for _ in range(40):
         k = rng.randrange(2, 40)
@@ -418,42 +410,33 @@ def dedekind_props():
             continue
         x = Fraction(rng.randrange(-6, 7), rng.randrange(1, 9))
         y = Fraction(rng.randrange(-6, 7), rng.randrange(1, 9))
-        total += 1
-        if dedekind.dr_sum(h, k, x, y) != dedekind.dr_sum(h, k, x + 3, y - 2):
-            failures.append(("periodicity", h, k))
+        tally.check(dedekind.dr_sum(h, k, x, y) == dedekind.dr_sum(h, k, x + 3, y - 2),
+                    ("periodicity", h, k))
     # averaging identity for the sawtooth
     for k in range(1, 31):
         for _ in range(10):
             w = Fraction(rng.randrange(-20, 21), rng.randrange(1, 12))
-            total += 1
-            lhs = sum(dedekind.dedekind_symbol(Fraction(mu + w, k))
-                      for mu in range(k))
-            if lhs != dedekind.dedekind_symbol(w):
-                failures.append(("averaging", k, str(w)))
-    # root-of-unity sums against their closed forms; twist exponents swept low
+            tally.check(sum(dedekind.dedekind_symbol(Fraction(mu + w, k)) for mu in range(k))
+                        == dedekind.dedekind_symbol(w), ("averaging", k, str(w)))
+    # root-of-unity sums against their closed forms, one check per suite, which
+    # names its failing identities; twist exponents swept low
     for p in range(2, 41):
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
             for t in ((0, 1, 2, 3) if p <= 15 else (0,)):
-                total += 1
-                pairs = dedekind.fourier_identity_suite(p, q, t)
-                for name, lhs, rhs in pairs:
-                    if lhs != rhs:
-                        failures.append((name, p, q, t))
-    return [_summary("Dedekind sums: reciprocity, oracle, root-of-unity identities",
-                     failures, total)]
+                bad = [name for name, lhs, rhs in dedekind.fourier_identity_suite(p, q, t)
+                       if lhs != rhs]
+                tally.check(not bad, (*bad, p, q, t))
+    return [tally.summary("Dedekind sums: reciprocity, oracle, root-of-unity identities")]
 
 
 def torsion_props():
-    failures = []
-    total = 0
+    tally = _Tally()
     for name, graph in standard_corpus():
         lattice, group = _pipeline(graph)
         for v0 in range(lattice.size):
-            total += 1
-            if not delta_at_one_check(lattice, v0):
-                failures.append(("order-count", name, v0))
+            tally.check(delta_at_one_check(lattice, v0), ("order-count", name, v0))
         if group.order == 1 or group.order > 200:
             continue
         # base-vertex and scale independence
@@ -473,52 +456,40 @@ def torsion_props():
                         scaled = WeightVector(v0=wv.v0, m=3 * wv.m,
                                               w=tuple(3 * x for x in wv.w))
                         values.add(regularized_product(lattice, group, chi, scaled))
-            total += 1
-            if len(values) != 1:
-                failures.append(("independence", name, chi.exponents))
+            tally.check(len(values) == 1, ("independence", name, chi.exponents))
             transform.append((chi, values.pop()))
         # conjugation symmetry: T(h) = T(conjugate of h) on all of H, which by
         # Fourier uniqueness is R(chi) = chibar(c) * R(chibar) for every chi
         tfun, field = torsion_table(lattice, group).invert(), group.field
         for h, t in tfun.items():
-            total += 2
-            if t != tfun[spinc_conjugate(lattice, group, h)]:
-                failures.append(("symmetry", name, h))
+            tally.check(t == tfun[spinc_conjugate(lattice, group, h)], ("symmetry", name, h))
             reference = sum((field.root_of_unity(-group.char_exponent(chi, h)) * r
                              for chi, r in transform), field.zero()) * Fraction(1, group.order)
-            if t != reference.as_rational():
-                failures.append(("reference", name, h))
-    return [_summary("torsion transform: order counting, independence, symmetry, "
-                     "reference", failures, total)]
+            tally.check(t == reference.as_rational(), ("reference", name, h))
+    return [tally.summary("torsion transform: order counting, independence, symmetry, "
+                          "reference")]
 
 
 def swiden_family():
-    failures = []
-    total = 0
+    tally = _Tally()
     for name, graph in standard_corpus():
         lattice, group = _pipeline(graph)
         if group.order > 500 or group.order == 1:
             continue
-        sample = [group.identity] + [h for h in group.elements()][-1:]
-        total += len(sample)
-        if not swiden_consistency(lattice, group, sample):
-            failures.append((name, sample))
-    return [_summary("torsion vs quadratic-function identities, |H| <= 500",
-                     failures, total)]
+        for offsets in ([group.identity], list(group.elements())[-1:]):
+            tally.check(swiden_consistency(lattice, group, offsets), (name, offsets))
+    return [tally.summary("torsion vs quadratic-function identities, |H| <= 500")]
 
 
 def quadratic_function_family():
-    failures = []
-    total = 0
+    tally = _Tally()
     rng = random.Random(11)
     for name, graph in standard_corpus():
         lattice, group = _pipeline(graph)
         # Gauss sums against sqrt|H| times an eighth root of unity, in Q(zeta_L)
         if group.order <= GAUSS_ORDER_CAP:
-            total += 1
             computed, predicted = gauss_sum_check(lattice, group)
-            if computed != predicted:
-                failures.append(("gauss", name))
+            tally.check(computed == predicted, ("gauss", name))
         if group.order > 200 or group.order == 1:
             continue
         elements = list(group.elements())
@@ -528,43 +499,33 @@ def quadratic_function_family():
                                       lcm(*(q.denominator for q in qvals.values())))
         qint = {h: q.numerator * (den // q.denominator) for h, q in qvals.items()}
 
-        # quadratic-function law against the linking form
+        # quadratic-function law against the linking form, up to the first failing h
         for g in elements:
             qg = qint[g]
             for h, b in zip(elements, bform_row(g)):
-                total += 1
-                if (qint[group.add(g, h)] - qg - qint[h] - b) % den:
-                    failures.append(("law", name, g, h))
+                if not tally.check((qint[group.add(g, h)] - qg - qint[h] - b) % den == 0,
+                                   ("law", name, g, h)):
                     break
         # lift independence: shift a lift by a column of the intersection matrix
         for h in elements[:6]:
             base = group.lift(h)
             col = rng.randrange(lattice.size)
             shifted = tuple(x + lattice.I[v, col] for v, x in enumerate(base))
-            total += 1
-            if qvals[h] != q_can(lattice, group, h, lift=shifted):
-                failures.append(("lift", name, h))
+            tally.check(qvals[h] == q_can(lattice, group, h, lift=shifted), ("lift", name, h))
         # quadratic form refinement in the integral-cycle case
         if numerically_gorenstein(lattice):
             for h in elements:
                 for c in (2, 3):
-                    total += 1
-                    if (qvals[group.scale(c, h)] - c * c * qvals[h]) % 1 != 0:
-                        failures.append(("form", name, h, c))
+                    tally.check((qvals[group.scale(c, h)] - c * c * qvals[h]) % 1 == 0,
+                                ("form", name, h, c))
         # conjugation is an involution
         for h in elements:
-            total += 1
-            twice = spinc_conjugate(lattice, group,
-                                    spinc_conjugate(lattice, group, h))
-            if twice != h:
-                failures.append(("involution", name, h))
+            twice = spinc_conjugate(lattice, group, spinc_conjugate(lattice, group, h))
+            tally.check(twice == h, ("involution", name, h))
         # linking form nondegeneracy
         rows = {tuple(bform_row(g)) for g in elements}
-        total += 1
-        if len(rows) != group.order:
-            failures.append(("nondegenerate", name))
-    return [_summary("quadratic functions, linking form, Gauss sums",
-                     failures, total)]
+        tally.check(len(rows) == group.order, ("nondegenerate", name))
+    return [tally.summary("quadratic functions, linking form, Gauss sums")]
 
 
 def _blowup_invariants(rep):
@@ -572,8 +533,7 @@ def _blowup_invariants(rep):
 
 
 def blowup_family():
-    failures = []
-    total = 0
+    tally = _Tally()
     for name, graph in standard_corpus():
         lattice, group = _pipeline(graph)
         if group.order > 300:
@@ -583,11 +543,8 @@ def blowup_family():
         if graph.edges:
             moved.append(blow_up_edge(graph, graph.edges[0]))
         for g2 in moved:
-            got = _blowup_invariants(compute_report(g2))
-            total += 1
-            if got != base:
-                failures.append(name)
-    return [_summary("blowup stability of all invariants", failures, total)]
+            tally.check(_blowup_invariants(compute_report(g2)) == base, name)
+    return [tally.summary("blowup stability of all invariants")]
 
 
 def _random_seifert(rng, nu_stop, alpha_stop, lower_b):
@@ -608,26 +565,23 @@ def _random_seifert(rng, nu_stop, alpha_stop, lower_b):
 
 def seifert_round_trip():
     """Torsion-free graph routes on random data; the arm shortcut on the star corpus."""
-    failures = []
+    trips = _Tally()
     rng = random.Random(321)
-    produced = 0
-    while produced < 20:
+    while trips.count < 20:
         data = _random_seifert(rng, 6, 13, lower_b=True)
         if data is None:
             continue
-        produced += 1
         lattice, group = _pipeline(star_graph(data))
-        ok = (seifert.seifert_casson_walker(data) == casson_walker(lattice)
-              and seifert.seifert_k2nv(data) == k2_plus_nv(lattice)
-              and data.order_h == group.order
-              and data.b <= data.e < 0)
-        # the graph route on the arms reversed: another tree and vertex order
-        ok = ok and casson_walker(build_lattice(star_graph(
-            SeifertData(data.b, data.arms[::-1])))) == seifert.seifert_casson_walker(data)
-        if not ok:
-            failures.append((data.b, data.arms))
+        trips.check(seifert.seifert_casson_walker(data) == casson_walker(lattice)
+                    and seifert.seifert_k2nv(data) == k2_plus_nv(lattice)
+                    and data.order_h == group.order
+                    and data.b <= data.e < 0
+                    # the graph route on the arms reversed: another tree and vertex order
+                    and casson_walker(build_lattice(star_graph(SeifertData(
+                        data.b, data.arms[::-1])))) == seifert.seifert_casson_walker(data),
+                    (data.b, data.arms))
     # arm-level torsion shortcut against the generic route, star corpus
-    short_fail = []
+    shortcut = _Tally()
     star_data = ([dn_seifert(n) for n in (4, 5, 6)]
                  + [three_arm_family(m) for m in (2, 3, 4, 5)]
                  + [polygonal_seifert(a) for a in ([3, 4, 5], [2] * 5)]
@@ -636,58 +590,50 @@ def seifert_round_trip():
         lattice, group = _pipeline(star_graph(data))
         table = torsion_table(lattice, group)
         for h in (group.identity, next(reversed(list(group.elements())))):
-            if seifert.seifert_torsion_shortcut(data, lattice, group, h) != table.at(h):
-                short_fail.append(data.arms)
-    return [_summary("random Seifert data round trips", failures, produced),
-            _summary("arm-level torsion shortcut agreement", short_fail, 2 * len(star_data))]
+            shortcut.check(seifert.seifert_torsion_shortcut(data, lattice, group, h)
+                           == table.at(h), data.arms)
+    return [trips.summary("random Seifert data round trips"),
+            shortcut.summary("arm-level torsion shortcut agreement")]
 
 
 def eta_route_cross_check():
     """Random Seifert data: whenever the eta route applies, the Seifert route list
     (the eta route against the torsion route among them) must hold."""
-    rng = random.Random(424242)
-    failures = []
-    tried = applicable = 0
-    while applicable < 25 and tried < 4000:
-        tried += 1
-        data = _random_seifert(rng, 5, 9, lower_b=False)
-        if data is None or data.order_h > 250:
-            continue
-        ks = ks_route(data)
-        if not ks.applicable:
-            continue
-        applicable += 1
-        if failed(_star_routes(data, ks)[1]):
-            failures.append((data.b, data.arms))
-    return [_summary("eta route equals torsion route when applicable",
-                     failures, applicable)]
+    def applicable(rng):
+        found = 0
+        for _ in range(4000):
+            if found == 25:
+                return
+            data = _random_seifert(rng, 5, 9, lower_b=False)
+            if data is None or data.order_h > 250:
+                continue
+            ks = ks_route(data)
+            if ks.applicable:
+                found += 1
+                yield (data.b, data.arms), data, ks
+
+    return [_star_sweep("eta route equals torsion route when applicable",
+                        applicable(random.Random(424242)), lambda *_: True)]
 
 
 def unimodular_family():
-    failures = []
-    graphs = [("E8", e_star(8)),
-              ("Sigma(2,3,7)", star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 7))))),
-              ("Sigma(2,3,11)", star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 11)))))]
-    for name, graph in graphs:
-        rep = compute_report(graph)
-        if not (rep.order_h == 1 and rep.sw0 == -rep.casson_walker):
-            failures.append(name)
-    return [_summary("unimodular graphs: monopole count is minus Casson",
-                     failures, len(graphs))]
+    graphs = {"E8": e_star(8),
+              "Sigma(2,3,7)": star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 7)))),
+              "Sigma(2,3,11)": star_graph(brieskorn_seifert(BrieskornSpec((2, 3, 11))))}
+
+    def holds(name):
+        rep = compute_report(graphs[name])
+        return rep.order_h == 1 and rep.sw0 == -rep.casson_walker
+
+    return [_sweep("unimodular graphs: monopole count is minus Casson", graphs, holds)]
 
 
 def nonnegativity_sweep():
-    failures = []
-    items = standard_corpus()
-    for exps in [(2, 3, 5), (4, 6, 5), (4, 2, 2, 3)]:
-        items.append((f"link{exps}",
-                      star_graph(brieskorn_seifert(BrieskornSpec(exps)))))
-    for name, graph in items:
-        gap = compute_report(graph).conjecture_gap
-        if gap < 0:
-            failures.append((name, gap))
-    return [_summary("conjectured gap nonnegative across the corpus",
-                     failures, len(items))]
+    items = standard_corpus() + [(f"link{exps}", star_graph(brieskorn_seifert(BrieskornSpec(exps))))
+                                 for exps in [(2, 3, 5), (4, 6, 5), (4, 2, 2, 3)]]
+    gaps = ((name, compute_report(graph).conjecture_gap) for name, graph in items)
+    return [_sweep("conjectured gap nonnegative across the corpus", gaps,
+                   lambda case: case[1] >= 0)]
 
 
 FIXTURES = (

@@ -111,7 +111,7 @@ MUTATIONS = [
              ("test_plumbing.py",)),
     # the Seifert routes and Dedekind sums (seifert.py, dedekind.py)
     Mutation("K + jE on the minus side", "seifert.py",
-             "K - j * E - sum(", "K + j * E - sum(",
+             "deg = -2 - deg", "deg = -2 + deg",
              ("test_seifert.py",)),
     Mutation("integrality check removed", "seifert.py",
              "                if rest:\n", "                if False:\n",
@@ -150,8 +150,8 @@ MUTATIONS = [
              "(e, k, 1)", "(e, k, 2)",
              ("test_dedekind.py",)),
     Mutation("Dedekind symbol accepts bool", "dedekind.py",
-             "if not isinstance(value, (int, Fraction)) or isinstance(value, bool):",
-             "if not isinstance(value, (int, Fraction)):",
+             "if not (is_int(value) or isinstance(value, Fraction)):",
+             "if not (isinstance(value, int) or isinstance(value, Fraction)):",
              ("test_dedekind.py",)),
     # the Gauss sum, the linking form and the caps (homology.py, cli.py)
     Mutation("Gauss sum without -i", "homology.py",
@@ -194,6 +194,13 @@ MUTATIONS = [
     Mutation("Brieskorn Casson-Walker against the closed torsion", "verify.py",
              "closed.lambda_closed", "closed.torsion_closed",
              ("test_cli.py",)),
+    # the one counting rule of the fixture families (verify._Tally)
+    Mutation("counts each check twice", "verify.py",
+             "self.count += 1", "self.count += 2",
+             ("test_acceptance.py",)),
+    Mutation("drops a failed case", "verify.py",
+             "self.failures.append(case)", "pass",
+             ("test_acceptance.py",)),
 ]
 
 EQUIVALENT = {

@@ -1,17 +1,32 @@
 """Acceptance gate: every numbered criterion, one test each.
 
 Each test runs its fixtures through `verify.run`, the same runner as
-`swplumb verify`, which prints one [PASS]/[FAIL] line per check (shown by
-pytest when the test fails) and returns whether all passed.  All equalities
-are exact (tolerance zero): rational identities, and the Gauss sums of
-criterion 10 in a cyclotomic field.
+`swplumb verify`, which prints one [PASS]/[FAIL] line per check and returns
+whether all passed.  The printed lines must equal those fixtures' lines in
+`data/verify_lines.txt`, the committed output of `swplumb verify`, so a count
+or a detail that moves fails its test.  All equalities are exact (tolerance
+zero): rational identities, and the Gauss sums of criterion 10 in a
+cyclotomic field.
 """
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
 
 from swplumb import verify
 
+LINES = (Path(__file__).parent / "data" / "verify_lines.txt").read_text(
+    encoding="utf-8").splitlines()
+
 
 def _run(*names):
-    assert verify.run(names=names)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        passed = verify.run(names=names)
+    assert out.getvalue().splitlines() == [
+        line for line in LINES if line.split()[1].rstrip(":") in names
+    ] + ["result: all fixtures passed"]
+    assert passed
 
 
 def test_criterion_01_lens_space_closed_forms():
@@ -60,3 +75,13 @@ def test_criterion_10_property_suites():
 
 def test_criterion_11_nonnegative_gap_sweep():
     _run("20-nonnegative-gap")
+
+
+def test_a_failed_check_is_counted_once_and_named(monkeypatch, capsys):
+    # one of fixture 11's 70 checks fails: the small cyclotomic polynomials
+    monkeypatch.setattr(verify, "cyclotomic_polynomial", lambda n: ())
+    assert not verify.run(names=["11-cyclotomic-axioms"])
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] 11-cyclotomic-axioms: cyclotomic field axioms and root sums "
+        "(1/70 failed: ['small-polynomials'])",
+        "result: FAILURES detected"]

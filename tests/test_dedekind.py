@@ -8,8 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swplumb.dedekind import (dedekind_sum, dedekind_symbol, dr_sum,
-                              dr_sum_direct, fourier_identity_suite)
+from swplumb.dedekind import (dedekind_symbol, dr_sum, dr_sum_direct,
+                              fourier_identity_suite)
 from swplumb.exact import cyclotomic_field
 
 
@@ -35,12 +35,12 @@ def test_symbol_rejects_malformed_input(bad):
 
 
 def test_classical_values():
-    assert dedekind_sum(1, 5) == Fraction(1, 5)
+    assert dr_sum(1, 5) == Fraction(1, 5)
     for k in range(1, 40):
-        assert dedekind_sum(1, k) == Fraction((k - 1) * (k - 2), 12 * k)
-    assert dedekind_sum(2, 3) == Fraction(-1, 18)
+        assert dr_sum(1, k) == Fraction((k - 1) * (k - 2), 12 * k)
+    assert dr_sum(2, 3) == Fraction(-1, 18)
     assert dr_sum_direct(2, 3) == Fraction(-1, 18)
-    assert dedekind_sum(2, 5) == 0
+    assert dr_sum(2, 5) == 0
 
 
 def test_shifted_closed_form():
@@ -58,7 +58,7 @@ def test_reciprocity_sweep():
         for h in range(1, k):
             if gcd(h, k) != 1:
                 continue
-            assert dedekind_sum(h, k) + dedekind_sum(k, h) == \
+            assert dr_sum(h, k) + dr_sum(k, h) == \
                 Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k)
 
 
@@ -147,7 +147,7 @@ def test_rejects_malformed_input(fn, args):
 @pytest.mark.parametrize("h, k", [(True, 3), (2.0, 3), (2, "3"), (2, False)])
 def test_dedekind_sum_rejects_non_integers(h, k):
     with pytest.raises(ValueError, match="not an integer"):
-        dedekind_sum(h, k)
+        dr_sum(h, k)
 
 
 def test_integer_and_fraction_shifts_agree():
@@ -255,7 +255,7 @@ class TestRootOfUnitySums:
         pairs = dict((name, (lhs, rhs))
                      for name, lhs, rhs in fourier_identity_suite(5, 2))
         lhs, rhs = pairs["cotangent_product"]
-        assert rhs == -4 * dedekind_sum(2, 5) == 0
+        assert rhs == -4 * dr_sum(2, 5) == 0
         assert lhs == 0
 
     def test_full_sweep_small(self):

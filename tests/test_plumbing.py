@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from swplumb import cli, plumbing
 from swplumb.corpus import (a_chain, chain_graph, dn_seifert, e_star, standard_corpus,
                             three_arm_family)
-from swplumb.dedekind import dedekind_sum
+from swplumb.dedekind import dr_sum
 from swplumb.errors import InternalInvariantViolated, NotATree, NotNegativeDefinite
 from swplumb.exact import IntMatrix, invert_rational_matrix
 from swplumb.homology import homology_from_lattice, linking_matrix
@@ -277,7 +277,7 @@ class TestCanonicalCycleInvariant:
         for p, q in [(3, 2), (5, 2), (12, 5), (25, 7)]:
             lattice = build_lattice(lens_chain(p, q))
             assert k2_plus_nv(lattice) == \
-                Fraction(2 * (p - 1), p) - 12 * dedekind_sum(q, p)
+                Fraction(2 * (p - 1), p) - 12 * dr_sum(q, p)
 
     def test_polygonal_count(self):
         from swplumb.corpus import polygonal_seifert
@@ -303,7 +303,7 @@ class TestCassonWalker:
                 if gcd(p, q) != 1:
                     continue
                 lattice = build_lattice(lens_chain(p, q))
-                assert casson_walker(lattice) == Fraction(p, 2) * dedekind_sum(q, p)
+                assert casson_walker(lattice) == Fraction(p, 2) * dr_sum(q, p)
 
 
 class TestNumericallyGorenstein:
