@@ -4,7 +4,8 @@ The shifted sum s(h, k; x, y) is evaluated two ways: a direct O(k) summation
 straight from the definition (the oracle), and one Euclid loop that alternates
 argument reduction with the reciprocity law.  The loop works in integers: with
 x = X/D and y = Y/D over the lcm D of the shift denominators, each reciprocity
-step adds one fraction over 12 h k D^2, so it builds O(log k) fractions.
+step adds one integer fraction over 12 h k D^2 to a running numerator and
+denominator, and one Fraction is built at the end.
 Rational shifts only, given as int or Fraction; that is all the geometry ever
 needs, and anything else is rejected rather than coerced.
 """
@@ -58,7 +59,8 @@ def dr_sum(h: int, k: int, x=0, y=0) -> Fraction:
     x = X/D and y = Y/D, X and Y reduced mod D, ((Z/D)) = sigma(Z) / 2D and
     B2({Z/D}) = beta(Z) / 6D^2, where sigma(Z) = 2Z - D (0 at Z = 0) and
     beta(Z) = 6Z^2 - 6ZD + D^2; so the right side is one fraction over 12 h k D^2.
-    The loop ends at h = 0 with ((x))((y)).
+    The loop ends at h = 0 with ((x))((y)).  The steps are summed as one reduced
+    integer fraction times 12 D^2, and one Fraction is built at the end.
     """
     _check_args(h, k, x, y)
     x, y = Fraction(x), Fraction(y)
@@ -72,20 +74,22 @@ def dr_sum(h: int, k: int, x=0, y=0) -> Fraction:
     def beta(z):
         return 6 * z * z - 6 * z * D + D * D
 
-    sign, total = 1, _ZERO
+    sign, num, den = 1, 0, 1        # the steps so far, times 12 D^2: num / den, reduced
     if h < 0:               # s(-h, k; -x, y) = -s(h, k; x, y)
         sign, h, X = -1, -h, -X % D
     while True:
         m, h = divmod(h, k)             # s(h, k; x, y) = s(h - mk, k; x + my, y)
         X = (X + m * Y) % D
-        if h == 0:
-            return total + Fraction(sign * sigma(X) * sigma(Y), 4 * D * D)
+        if h == 0:                      # ((x))((y)) = 3 sigma(X) sigma(Y) / 12 D^2
+            return Fraction(num + 3 * sign * sigma(X) * sigma(Y) * den, 12 * D * D * den)
         if D == 1:                      # x and y integers throughout
             step = h * h + k * k + 1 - 3 * h * k
         else:
             step = (3 * h * k * sigma(X) * sigma(Y) + h * h * beta(Y)
                     + beta((h * Y + k * X) % D) + k * k * beta(X))
-        total += Fraction(sign * step, 12 * h * k * D * D)
+        num, den = num * h * k + sign * step * den, den * h * k
+        g = gcd(num, den)
+        num, den = num // g, den // g
         sign, h, k, X, Y = -sign, k, h, Y, X
 
 

@@ -9,6 +9,11 @@ I w = -m e_(v0).  No numeric limits.
 Since R(chi^u) = sigma_u(R(chi)), `orbit_table` takes one trace per Galois
 orbit, of R(chi) in Q[x]/(x^d - 1) against the Ramanujan sum c_d, d the order
 of chi, which it keeps as a linear form c in Z/d: chi(h) = zeta_d^(c . h).
+The orbits are the cyclic subgroups of H, enumerated directly, and each
+product takes one net power per exponent, so the table's work follows the
+orbits and their orders, not |H|.  `TorsionTable.at` reads one point with one
+trace per orbit; `TorsionTable.invert` reads all of H from one residue table
+per orbit, one lookup per orbit and point.
 `regularized_product`, one Q(zeta_N) product per character, is the reference.
 The transform is computed once, for the canonical structure:
 T_{h*sigma_can}(1) = T_{sigma_can}(h), so a spin^c offset is an evaluation point.
@@ -92,16 +97,24 @@ def regularized_product(lattice: LatticeData, group: FinAbGroup,
     return value
 
 
+def prime_divisors(n: int) -> list:
+    """The primes dividing n, ascending, by trial division."""
+    primes, p = [], 2
+    while n > 1:
+        p = p if p * p <= n else n
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes
+
+
 def moebius_terms(d: int) -> list:
     """(q, mu(d/q)) for the q | d with d/q squarefree: c_d(n) = sum of mu(d/q) q over q | n."""
-    terms, rest, p = [(d, 1)], d, 2
-    while rest > 1:
-        p = p if p * p <= rest else rest
-        if rest % p == 0:
-            terms += [(q // p, -m) for q, m in terms]
-            while rest % p == 0:
-                rest //= p
-        p += 1
+    terms = [(d, 1)]
+    for p in prime_divisors(d):
+        terms += [(q // p, -m) for q, m in terms]
     return terms
 
 
@@ -110,6 +123,9 @@ def orbit_product(d: int, factors):
 
     (numerators, denominator), equal to R(chi^u) at x = zeta_d^u for every unit u,
     or None when R vanishes; a factor with a = 0 has p orders of (t - 1), unit part w^p.
+    The factors with one exponent 0 < a < d go in as one net power, the sum of
+    their p: x^a - 1 is invertible at every primitive d-th root, so (x^a - 1) and
+    1/(x^a - 1) cancel there, and only the other components of f change.
     """
     order = sum(p for a, p, _ in factors if a == 0)
     if order > 0:
@@ -119,9 +135,11 @@ def orbit_product(d: int, factors):
             "negative regularization order; the limit would be infinite")
     scalar = prod((Fraction(w) ** p for a, p, w in factors if a == 0), start=Fraction(1))
     f, den = [scalar.numerator] + [0] * (d - 1), scalar.denominator
+    net = {}
     for a, p, _ in factors:
-        if a == 0:
-            continue
+        if a:
+            net[a] = net.get(a, 0) + p
+    for a, p in net.items():
         for _ in range(p):          # times x^a - 1: shift and subtract
             f = [x - y for x, y in zip(f[-a:] + f[:-a], f)]
         for _ in range(-p):         # times 1/(x^a - 1) = (1/k) sum_{i<k} i x^(a i)
@@ -142,22 +160,58 @@ def orbit_trace(num, terms, e) -> int:
     return sum(m * q * sum(num[e % q::q]) for q, m in terms)
 
 
+def residue_table(num, terms) -> list:
+    """[orbit_trace(num, terms, e) for e < d]: the residue sums of num mod each q, read per e."""
+    sums = [(m * q, q, [sum(num[r::q]) for r in range(q)]) for q, m in terms]
+    return [sum(w * s[e % q] for w, q, s in sums) for e in range(len(num))]
+
+
+def _valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in n > 0."""
+    a = 0
+    while n % p == 0:
+        n, a = n // p, a + 1
+    return a
+
+
+def orbit_characters(dims):
+    """(k, d): one character k of order d per Galois orbit of the nontrivial characters.
+
+    The orbit {u k : u a unit mod d} of k in H = prod Z/d_i (`dims`) is the set of
+    generators of the cyclic subgroup <k>, the product of its p-parts.  In the
+    p-part prod Z/p^(a_i), embedded by y_i -> y_i d_i / p^(a_i), a cyclic subgroup
+    of order p^b has one generator y with y_s = p^(a_s - b) at the first coordinate
+    s of order p^b: the coordinates before s have order below p^b (multiples of
+    p^(a_j - b + 1)), those after it at most p^b (multiples of p^(a_j - b)).
+    """
+    parts = []
+    for p in prime_divisors(lcm(*dims)):
+        a = [_valuation(m, p) for m in dims]
+        part = [(1, (0,) * len(dims))]
+        for b in range(1, max(a) + 1):
+            for s in [j for j, x in enumerate(a) if x >= b]:
+                ranges = [range(0, p ** x, p ** max(0, x - b + (j < s))) for j, x in enumerate(a)]
+                ranges[s] = (p ** (a[s] - b),)
+                part += [(p ** b, tuple(y * (m // p ** x) for y, m, x in zip(ys, dims, a)))
+                         for ys in iproduct(*ranges)]
+        parts.append(part)
+    for choice in iproduct(*parts):
+        d = prod(order for order, _ in choice)
+        if d > 1:
+            yield tuple(sum(ys) % m for ys, m in zip(zip(*(y for _, y in choice)), dims)), d
+
+
 def orbit_table(dims, images, factors_of) -> TorsionTable:
     """R(chi) of one character per Galois orbit, whose trace carries the whole orbit.
 
-    The character k of order d of H = prod Z/d_i (`dims`) is the form c_i = k_i d / d_i.
+    The orbits are the cyclic subgroups of H = prod Z/d_i (`dims`), one character k
+    of order d each (`orbit_characters`), so the work follows the orbits and their
+    orders, not |H|.  The character is kept as the form c_i = k_i d / d_i.
     factors_of(exps), exps its values at `images` in Z/d, lists the factors
     (a, p, w) of R(chi): (t^w * zeta_d^a - 1)^p.
     """
-    strides = [prod(dims[i + 1:]) for i in range(len(dims))]
-    seen = bytearray(prod(dims))      # visited characters, by lexicographic position
-    orbits, pos = [], 0               # the trivial character, at 0, contributes 0
-    while (pos := seen.find(0, pos + 1)) >= 0:
-        k = tuple(pos // s % m for s, m in zip(strides, dims))
-        d = lcm(*(m // gcd(m, x) for x, m in zip(k, dims)))    # the order of chi
-        for u in range(1, d):
-            if gcd(u, d) == 1:
-                seen[sum(u * x % m * s for x, m, s in zip(k, dims, strides))] = 1
+    orbits = []
+    for k, d in orbit_characters(dims):
         c = tuple(x * d // m for x, m in zip(k, dims))
         product = orbit_product(d, factors_of([sum(map(mul, c, g)) % d for g in images]))
         if product is not None:
@@ -194,8 +248,21 @@ class TorsionTable:
         return Fraction(total, common * prod(self.dims))
 
     def invert(self) -> dict:
-        """{h: T(h)} over H, lexicographic."""
-        return {h: self.at(h) for h in iproduct(*map(range, self.dims))}
+        """{h: T(h)} over H, lexicographic: one lookup per orbit and point.
+
+        Each orbit's traces at every e in Z/d come from one `residue_table`, and
+        the values e = c . h over H are built one coordinate at a time.
+        """
+        common, scales = self._scales
+        totals = [0] * prod(self.dims)
+        for (c, num, _, terms), scale in zip(self.orbits, scales):
+            d, table = len(num), [scale * x for x in residue_table(num, terms)]
+            es = [0]
+            for x, m in zip(c, self.dims):
+                es = [(e + x * j) % d for e in es for j in range(m)]
+            totals = [t + table[e] for t, e in zip(totals, es)]
+        n = common * prod(self.dims)
+        return {h: Fraction(t, n) for h, t in zip(iproduct(*map(range, self.dims)), totals)}
 
 
 def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +15,9 @@ from swplumb.homology import Character, homology_from_lattice, spinc_conjugate
 from swplumb.plumbing import build_lattice, casson_walker
 from swplumb.seifert import (SeifertData, lens_chain, seifert_torsion_shortcut,
                              star_graph)
-from swplumb.torsion import (WeightVector, delta_at_one_check,
+from swplumb.plumbing import PlumbingGraph
+from swplumb.torsion import (WeightVector, delta_at_one_check, moebius_terms,
+                             orbit_characters, orbit_trace, prime_divisors,
                              regularized_product, swiden_consistency,
                              torsion_table, weight_vector)
 
@@ -290,8 +292,209 @@ def small_stars(draw):
     return data
 
 
+def scan_orbits(dims):
+    """{(orbit, d)}: the Galois orbits of the nontrivial characters of prod Z/d_i, by a scan.
+
+    Every character is visited in lexicographic order, and each one not yet
+    seen starts a new orbit {u k : u a unit mod d}: O(|H|) work, the oracle of
+    `orbit_characters`.
+    """
+    strides = [prod(dims[i + 1:]) for i in range(len(dims))]
+    seen = bytearray(prod(dims))      # visited characters, by lexicographic position
+    orbits, pos = set(), 0            # the trivial character sits at 0
+    while (pos := seen.find(0, pos + 1)) >= 0:
+        k = tuple(pos // s % m for s, m in zip(strides, dims))
+        d = lcm(*(m // gcd(m, x) for x, m in zip(k, dims)))    # the order of k
+        orbit = frozenset(tuple(u * x % m for x, m in zip(k, dims))
+                          for u in range(1, d) if gcd(u, d) == 1)
+        for member in orbit:
+            seen[sum(x * s for x, s in zip(member, strides))] = 1
+        orbits.add((orbit, d))
+    return orbits
+
+
+def abelian_groups(limit, max_factor=None, max_rank=None):
+    """Invariant factors d_1 | d_2 | ... (d_1 >= 2) of the abelian groups of order <= limit."""
+    out = []
+
+    def grow(dims, order):
+        if len(dims) == max_rank:
+            return
+        for m in range(dims[-1] if dims else 2, min(limit // order, max_factor or limit) + 1):
+            if not dims or m % dims[-1] == 0:
+                out.append(dims + (m,))
+                grow(dims + (m,), order * m)
+
+    grow((), 1)
+    return out
+
+
+def totients(limit):
+    """[phi(n) for n <= limit], by a sieve."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for n in range(p, limit + 1, p):
+                phi[n] -= phi[n] // p
+    return phi
+
+
+class TestOrbitCharacters:
+    """One character per Galois orbit, found as a cyclic subgroup, against the scan."""
+
+    def test_equals_the_scan(self):
+        groups = set(abelian_groups(3000, max_factor=24, max_rank=3)) | set(abelian_groups(128))
+        assert len(abelian_groups(3000, max_factor=24, max_rank=3)) == 185
+        assert {(3, 3, 6), (2, 4, 8), (2, 2, 2, 2, 2), (2, 2, 4, 8), (12, 12, 12)} <= groups
+        for dims in groups:
+            found = list(orbit_characters(dims))
+            got = {(frozenset(tuple(u * x % m for x, m in zip(k, dims))
+                              for u in range(1, d) if gcd(u, d) == 1), d) for k, d in found}
+            assert len(got) == len(found), dims
+            assert got == scan_orbits(dims), dims
+
+    def test_every_group_up_to_order_3000(self):
+        # each representative has its order d, and the orbits, phi(d) characters
+        # each, cover the |H| - 1 nontrivial characters
+        phi = totients(3000)
+        groups = abelian_groups(3000)
+        assert len(groups) == 6492
+        for dims in groups:
+            total = 0
+            for k, d in orbit_characters(dims):
+                assert lcm(*(m // gcd(m, x) for x, m in zip(k, dims))) == d, (dims, k)
+                total += phi[d]
+            assert total == prod(dims) - 1, dims
+
+    def test_cyclic_group_one_orbit_per_divisor(self):
+        for n in (2, 12, 97, 360, 999983):
+            found = list(orbit_characters((n,)))
+            assert sorted(n // gcd(k, n) for (k,), _ in found) \
+                == sorted(d for _, d in found) == [d for d in range(2, n + 1) if n % d == 0]
+        assert list(orbit_characters(())) == []
+
+    def test_prime_divisors_and_moebius_terms(self):
+        assert prime_divisors(1) == [] and prime_divisors(360) == [2, 3, 5]
+        assert prime_divisors(999983) == [999983]
+        assert moebius_terms(12) == [(12, 1), (6, -1), (4, -1), (2, 1)]
+
+
+def reference_orbit_product(d, factors):
+    """The orbit kernel with one multiplication per factor: the reference of `orbit_product`.
+
+    (numerators, denominator) of prod (t^w * x^a - 1)^p at t = 1 in Q[x]/(x^d - 1),
+    or None when the product vanishes.
+    """
+    if sum(p for a, p, _ in factors if a == 0) > 0:
+        return None
+    scalar = prod((Fraction(w) ** p for a, p, w in factors if a == 0), start=Fraction(1))
+    f, den = [scalar.numerator] + [0] * (d - 1), scalar.denominator
+    for a, p, _ in factors:
+        if a == 0:
+            continue
+        for _ in range(p):
+            f = [x - y for x, y in zip(f[-a:] + f[:-a], f)]
+        for _ in range(-p):
+            k, out = d // gcd(a, d), [0] * d
+            for r in range(d // k):
+                run = [f[(r + a * i) % d] for i in range(k)]
+                value, total = sum((-i % k) * x for i, x in enumerate(run)), sum(run)
+                for i in range(k):
+                    out[(r + a * i) % d] = value
+                    value += total - k * run[(i + 1) % k]
+            f, den = out, den * k
+    return f, den
+
+
+def blown_up(graph, at):
+    """The graph with a -1 leaf on each vertex of `at`, whose Euler numbers drop by one.
+
+    The same manifold; the leaf's meridian equals its neighbor's, so every
+    character gives the leaf (power -1) and a vertex of degree 2 made degree 3
+    (power +1) one exponent.
+    """
+    bumped = {vid: e - at.count(vid) for vid, e in graph.vertices}
+    leaves = [(f"leaf{i}", -1) for i in range(len(at))]
+    return PlumbingGraph(list(bumped.items()) + leaves,
+                         list(graph.edges) + [(vid, f"leaf{i}") for i, vid in enumerate(at)])
+
+
+class TestNetPowerKernel:
+    """`orbit_product` nets the powers of one exponent; every trace is unchanged."""
+
+    def recorded_products(self, monkeypatch, graph):
+        real, seen = torsion.orbit_product, []
+
+        def recording(d, factors):
+            seen.append((d, list(factors), real(d, factors)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(torsion, "orbit_product", recording)
+        lattice, group = pipeline(graph)
+        table = torsion_table(lattice, group)
+        monkeypatch.undo()
+        return seen, table, lattice, group
+
+    def assert_traces_equal(self, seen):
+        for d, factors, got in seen:
+            want = reference_orbit_product(d, factors)
+            assert (got is None) == (want is None), (d, factors)
+            if got is None:
+                continue
+            terms = moebius_terms(d)
+            for e in range(d):
+                assert Fraction(orbit_trace(got[0], terms, e), got[1]) \
+                    == Fraction(orbit_trace(want[0], terms, e), want[1]), (d, factors, e)
+
+    def test_blown_up_tree_cancels_leaf_and_node(self, monkeypatch):
+        base = lens_chain(25, 7)
+        inner = [vid for vid, _ in base.vertices][1:-1]
+        graph = blown_up(base, inner + inner[:1])
+        seen, table, lattice, group = self.recorded_products(monkeypatch, graph)
+        cancelling = [(d, factors) for d, factors, _ in seen
+                      if any(a and (a, -p) in {(b, q) for b, q, _ in factors}
+                             for a, p, _ in factors)]
+        assert len(cancelling) == len(seen) > 0
+        self.assert_traces_equal(seen)
+        base_lattice, base_group = pipeline(base)
+        assert table.at(group.identity) == torsion_table(base_lattice, base_group).at(
+            base_group.identity)
+        assert table.invert() == reference_torsion(lattice, group)
+
+    def test_corpus(self, monkeypatch):
+        for name, graph in standard_corpus():
+            if 1 < build_lattice(graph).order_h <= 120:
+                seen, *_ = self.recorded_products(monkeypatch, graph)
+                self.assert_traces_equal(seen)
+
+    def test_repeated_exponents(self):
+        # a and d - a, a net power of zero, and repeated negative powers
+        for d, factors in [(7, [(3, -1, 1), (3, 1, 1), (4, -1, 1)]),
+                           (12, [(4, -2, 1), (4, 1, 1), (6, -1, 1), (6, -1, 1), (0, 0, 5)]),
+                           (9, [(3, 1, 1), (6, -1, 1), (3, -1, 1), (1, -2, 1), (0, -1, 2),
+                                (0, 1, 3)])]:
+            self.assert_traces_equal([(d, factors, torsion.orbit_product(d, factors))])
+
+
+class TestResidueTables:
+    """`invert` reads per-orbit residue tables; `at` keeps the per-point trace.
+
+    On random stars `TestCommonDenominator.test_random_stars` compares the two.
+    """
+
+    def test_lens_1009(self):
+        lattice, group = pipeline(lens_chain(1009, 3))
+        table = torsion_table(lattice, group)
+        values = table.invert()
+        assert list(values) == list(group.elements())
+        for h, t in values.items():
+            assert t == table.at(h), h
+        for h in [(0,), (1,), (504,), (1008,)]:
+            assert values[h] == per_orbit_torsion(table, group, h)
+
+
 class TestCommonDenominator:
-    """`at` sums integer traces over the lcm of the orbit denominators."""
+    """`at` and `invert` sum integer traces over the lcm of the orbit denominators."""
 
     def test_trivial_group(self):
         for graph in (e_star(8), star_graph(SeifertData(-2, [(2, 1), (3, 2), (5, 4)]))):
@@ -300,6 +503,7 @@ class TestCommonDenominator:
             assert group.order == 1 and table.dims == () and table.orbits == ()
             assert table._scales == (1, ())
             assert table.at(group.identity) == 0
+            assert table.invert() == {(): 0}
             assert type(table.at(group.identity)) is Fraction
 
     @settings(max_examples=40, deadline=None)
@@ -311,8 +515,10 @@ class TestCommonDenominator:
         common, scales = table._scales
         assert all(common == scale * den for scale, (_, _, den, _) in zip(scales, table.orbits))
         want = reference_torsion(lattice, group)
+        values = table.invert()
+        assert list(values) == list(group.elements())
         for h in group.elements():
-            assert table.at(h) == per_orbit_torsion(table, group, h) == want[h], h
+            assert values[h] == table.at(h) == per_orbit_torsion(table, group, h) == want[h], h
 
 
 class TestPipelineBuildsNoField:
