@@ -20,11 +20,12 @@ from math import gcd
 
 from .brieskorn import BrieskornSpec, brieskorn_seifert, classify, \
     closed_form_invariants
-from .dedekind import dr_sum, dr_sum_direct
+from .dedekind import dr_sum
 from .errors import InternalInvariantViolated, NotRational, OrderCapExceeded, \
     SwplumbError
 from .homology import DEFAULT_ORDER_CAP, homology_from_lattice
 from .plumbing import PlumbingGraph, build_lattice
+from .reference import dr_sum_direct
 from .report import compute_report_from, render_table, report_to_json
 from .seifert import SeifertData, ks_route, lens_chain, star_graph
 from . import verify as verify_mod

@@ -9,7 +9,8 @@ The group is read off the sparse Smith elimination of I (`exact.smith_eliminatio
 without forming U, V or the dense I: the meridian images U[kept] mod d_i and
 one lift column per generator come from the row and column logs, replayed
 backwards once mod |det I| and |det I| exp(H).  Both are certified against I
-itself and kept; the logs are dropped.
+itself and kept; the logs are dropped.  The Gauss-sum check of the quadratic
+function is `reference.gauss_sum_check`.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import isqrt, lcm, prod
+from math import lcm, prod
 
 from .errors import InternalInvariantViolated, OrderCapExceeded
-from .exact import CyclotomicField, cyclotomic_field, is_int, replay_backward, \
-    smith_elimination
+from .exact import is_int, replay_backward, smith_elimination
 from .plumbing import LatticeData
 
 DEFAULT_ORDER_CAP = 10 ** 6
-GAUSS_ORDER_CAP = 500       # |H| bound of gauss_sum_check, whose cost grows like L phi(L)
 
 GroupElement = tuple
 
@@ -67,7 +66,9 @@ class FinAbGroup:
         return (0,) * self.rank
 
     @property
-    def field(self) -> CyclotomicField:
+    def field(self):
+        """Q(zeta_exp(H)) of the reference arithmetic; the report path never builds it."""
+        from .reference import cyclotomic_field
         return cyclotomic_field(self.exponent)
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
@@ -263,36 +264,3 @@ def spinc_conjugate(lattice: LatticeData, group: FinAbGroup,
     """Offset of the conjugate structure: -h_sigma - c(sigma_can)."""
     c = spinc_canonical_class(lattice, group)
     return group.neg(group.add(h_sigma, c))
-
-
-def gauss_sum_check(lattice: LatticeData, group: FinAbGroup):
-    """Both sides of sum_x e(q(x)) = sqrt|H| e((-n - (k,k))/8), exactly, in Q(zeta_L).
-
-    The identity is van der Blij's and Milgram's: e(y) = exp(2 pi i y), q(x) =
-    (1/2)(d + k, d) = -q_can(x) mod 1 for a lift d of x, k the characteristic
-    vector -e_v - 2, n the number of vertices.  L is the lcm of the denominators
-    involved, and each side is one integer vector in Z[x]/(x^L - 1): the left
-    counts the values L q(x) mod L; sqrt|H| = s prod sqrt(p) for |H| =
-    s^2 prod p, with sqrt 2 = zeta_8 + zeta_8^-1 and sqrt p = sum_a zeta_p^(a^2)
-    for p = 1 mod 4, -i times that sum for p = 3 mod 4 (Gauss).  The cost is
-    about L phi(L), so a group over GAUSS_ORDER_CAP is refused before any field.
-    """
-    if group.order > GAUSS_ORDER_CAP:
-        raise OrderCapExceeded(group.order, GAUSS_ORDER_CAP)
-    values = [-q_can(lattice, group, h) % 1 for h in group.elements()]
-    phase = Fraction(-lattice.size - _pairing(lattice, lattice.k_vec, lattice.k_vec), 8) % 1
-    s = max(s for s in range(1, isqrt(group.order) + 1) if group.order % (s * s) == 0)
-    r = group.order // (s * s)
-    primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % x for x in range(2, p))]
-    L = lcm(phase.denominator, *(v.denominator for v in values),
-            *(8 if p == 2 else p * (4 if p % 4 == 3 else 1) for p in primes))
-    lhs, rhs = [0] * L, [0] * L
-    for v in values:
-        lhs[v.numerator * (L // v.denominator)] += 1
-    rhs[phase.numerator * (L // phase.denominator)] = s
-    for p in primes:
-        turn = 3 * L // 4 if p % 4 == 3 else 0      # -i = e(3/4)
-        exps = (L // 8, -(L // 8)) if p == 2 else [a * a % p * (L // p) + turn for a in range(p)]
-        rhs = [sum(rhs[(i - e) % L] for e in exps) for i in range(L)]
-    field = cyclotomic_field(L)
-    return field.element(lhs), field.element(rhs)

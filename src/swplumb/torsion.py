@@ -14,7 +14,7 @@ product takes one net power per exponent, so the table's work follows the
 orbits and their orders, not |H|.  `TorsionTable.at` reads one point with one
 trace per orbit; `TorsionTable.invert` reads all of H from one residue table
 per orbit, one lookup per orbit and point.
-`regularized_product`, one Q(zeta_N) product per character, is the reference.
+`reference.regularized_product`, one Q(zeta_N) product per character, is the oracle.
 The transform is computed once, for the canonical structure:
 T_{h*sigma_can}(1) = T_{sigma_can}(h), so a spin^c offset is an evaluation point.
 """
@@ -28,10 +28,8 @@ from itertools import product as iproduct
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import InternalInvariantViolated, InvalidBaseVertex
-from .exact import CycNum
-from .homology import (Character, FinAbGroup, GroupElement, linking_rows,
-                       spinc_quadratic)
+from .errors import InternalInvariantViolated
+from .homology import FinAbGroup, GroupElement, linking_rows, spinc_quadratic
 from .plumbing import LatticeData
 
 
@@ -63,38 +61,6 @@ def weight_vector(lattice: LatticeData, v0: int) -> WeightVector:
     if lattice.times(w) != target:
         raise InternalInvariantViolated("weight system verification failed")
     return WeightVector(v0=v0, m=m, w=tuple(w))
-
-
-def regularized_product(lattice: LatticeData, group: FinAbGroup,
-                        chi: Character, wv: WeightVector) -> CycNum:
-    """Reference R(chi): the regularized vertex product, one element of Q(zeta_N).
-
-    The base vertex must satisfy chi(g_v0) != 1 or have a neighbor u with
-    chi(g_u) != 1; otherwise InvalidBaseVertex is raised.
-    """
-    if chi.is_trivial:
-        raise ValueError("chi must be nontrivial")
-    exps = [group.char_exponent(chi, g) for g in group.generator_images]
-    if exps[wv.v0] == 0 and all(exps[u] == 0 for u in lattice.neighbors[wv.v0]):
-        raise InvalidBaseVertex(
-            f"vertex {wv.v0} and all its neighbors are fixed by the character")
-    field, degrees = group.field, lattice.degrees
-    order = sum(degrees[v] - 2 for v, e in enumerate(exps) if e == 0)
-    if order > 0:
-        return field.zero()
-    if order < 0:
-        raise InternalInvariantViolated(
-            "negative regularization order; the limit would be infinite")
-    value = field.one()
-    for v, e in enumerate(exps):
-        p = degrees[v] - 2
-        if e == 0:
-            value = value * Fraction(wv.w[v]) ** p
-        elif p:
-            factor = field.root_minus_one(e) if p > 0 else field.inv_root_minus_one(e)
-            for _ in range(abs(p)):
-                value = value * factor
-    return value
 
 
 def prime_divisors(n: int) -> list:

@@ -28,16 +28,17 @@ from .brieskorn import BrieskornSpec, brieskorn_seifert, classify, \
 from .corpus import (a_chain, dn_seifert, e_star, nonstar_13_vertex,
                      polygonal_seifert, standard_corpus, three_arm_family)
 from .errors import NotNegativeDefinite
-from .exact import IntMatrix, adjugate_inverse, cyclotomic_field, \
-    cyclotomic_polynomial, invert_rational_matrix, smith_normal_form
-from .homology import GAUSS_ORDER_CAP, gauss_sum_check, homology_from_lattice, \
-    linking_rows, q_can, spinc_conjugate
+from .exact import IntMatrix
+from .homology import homology_from_lattice, linking_rows, q_can, spinc_conjugate
 from .plumbing import PlumbingGraph, blow_up_edge, blow_up_vertex, build_lattice, \
     casson_walker, k2_plus_nv, numerically_gorenstein
+from .reference import GAUSS_ORDER_CAP, adjugate_inverse, cyclotomic_field, \
+    cyclotomic_polynomial, dr_sum_direct, fourier_identity_suite, gauss_sum_check, \
+    invert_rational_matrix, regularized_product, smith_normal_form
 from .report import compute_report, compute_report_from
 from .seifert import SeifertData, ks_route, lens_chain, star_graph
-from .torsion import WeightVector, delta_at_one_check, \
-    regularized_product, swiden_consistency, torsion_table, weight_vector
+from .torsion import WeightVector, delta_at_one_check, swiden_consistency, \
+    torsion_table, weight_vector
 
 
 class Check(NamedTuple):
@@ -400,7 +401,7 @@ def dedekind_props():
             continue
         x = Fraction(rng.randrange(-12, 13), rng.randrange(1, 13))
         y = Fraction(rng.randrange(-12, 13), rng.randrange(1, 13))
-        tally.check(dedekind.dr_sum(h, k, x, y) == dedekind.dr_sum_direct(h, k, x, y),
+        tally.check(dedekind.dr_sum(h, k, x, y) == dr_sum_direct(h, k, x, y),
                     ("oracle", h, k, str(x), str(y)))
     # shift periodicity
     for _ in range(40):
@@ -425,7 +426,7 @@ def dedekind_props():
             if gcd(p, q) != 1:
                 continue
             for t in ((0, 1, 2, 3) if p <= 15 else (0,)):
-                bad = [name for name, lhs, rhs in dedekind.fourier_identity_suite(p, q, t)
+                bad = [name for name, lhs, rhs in fourier_identity_suite(p, q, t)
                        if lhs != rhs]
                 tally.check(not bad, (*bad, p, q, t))
     return [tally.summary("Dedekind sums: reciprocity, oracle, root-of-unity identities")]

@@ -127,7 +127,8 @@ MUTATIONS = [
     Mutation("rerooting: B[v] dropped from the diagonal", "plumbing.py",
              "diagonal = tuple(b * u for b, u in zip(below, up))", "diagonal = tuple(up)",
              ("test_plumbing.py",)),
-    # the Seifert routes and Dedekind sums (seifert.py, dedekind.py)
+    # the Seifert routes, Dedekind sums and their oracles (seifert.py, dedekind.py,
+    # reference.py)
     Mutation("K + jE on the minus side", "seifert.py",
              "deg = -2 - deg", "deg = -2 + deg",
              ("test_seifert.py",)),
@@ -164,28 +165,28 @@ MUTATIONS = [
     Mutation("dr_sum's final ((x))((y)) over 4 D^2 read over 12 D^2", "dedekind.py",
              "num + 3 * sign * sigma(X)", "num + sign * sigma(X)",
              ("test_dedekind.py",)),
-    Mutation("root sum read at +t", "dedekind.py",
+    Mutation("root sum read at +t", "reference.py",
              "(-t % p,)", "(t % p,)",
              ("test_dedekind.py",)),
-    Mutation("root-sum orbit weight 2", "dedekind.py",
+    Mutation("root-sum orbit weight 2", "reference.py",
              "(e, k, 1)", "(e, k, 2)",
              ("test_dedekind.py",)),
     Mutation("Dedekind symbol accepts bool", "dedekind.py",
              "if not (is_int(value) or isinstance(value, Fraction)):",
              "if not (isinstance(value, int) or isinstance(value, Fraction)):",
              ("test_dedekind.py",)),
-    # the Gauss sum, the linking form and the caps (homology.py, cli.py)
-    Mutation("Gauss sum without -i", "homology.py",
+    # the Gauss sum, the linking form and the caps (reference.py, homology.py, cli.py)
+    Mutation("Gauss sum without -i", "reference.py",
              "turn = 3 * L // 4 if p % 4 == 3 else 0", "turn = 0",
              ("test_homology.py",)),
-    Mutation("Gauss sum sign -s", "homology.py",
+    Mutation("Gauss sum sign -s", "reference.py",
              "rhs[phase.numerator * (L // phase.denominator)] = s",
              "rhs[phase.numerator * (L // phase.denominator)] = -s",
              ("test_homology.py",)),
-    Mutation("sqrt 2 as zeta_8 + zeta_8^3", "homology.py",
+    Mutation("sqrt 2 as zeta_8 + zeta_8^3", "reference.py",
              "exps = (L // 8, -(L // 8))", "exps = (L // 8, 3 * (L // 8))",
              ("test_homology.py",)),
-    Mutation("Gauss cap at 5000", "homology.py",
+    Mutation("Gauss cap at 5000", "reference.py",
              "GAUSS_ORDER_CAP = 500 ", "GAUSS_ORDER_CAP = 5000 ",
              ("test_homology.py",)),
     Mutation("linking rows without mod D", "homology.py",
@@ -194,6 +195,11 @@ MUTATIONS = [
     Mutation("--max-order 0 accepted", "cli.py",
              "    if value < 1:\n", "    if value < 0:\n",
              ("test_cli.py",)),
+    # the report path imports no oracle, at any depth (tests/test_stdlib_only.py)
+    Mutation("torsion imports the reference module", "torsion.py",
+             "    wv = weight_vector(lattice, v0)\n",
+             "    from .reference import CycNum\n    wv = weight_vector(lattice, v0)\n",
+             ("test_stdlib_only.py",)),
     # the cross-check records and the route lists (verify.py), which the CLI
     # prints: its exit code and the fixtures read the one pass rule
     Mutation("exit code only when every check failed", "verify.py",

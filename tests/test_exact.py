@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: Smith form, inverses, cyclotomic fields."""
+"""`exact` integer matrices and their `reference` oracles: Smith form, inverses, Q(zeta_N)."""
 
 import gc
 import weakref
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swplumb.errors import ConductorMismatch, NotRational, SingularMatrix
-from swplumb.exact import (CycNum, CyclotomicField, IntMatrix, adjugate_inverse,
-                           cyclotomic_field, cyclotomic_polynomial,
-                           invert_rational_matrix, smith_normal_form)
+from swplumb.exact import IntMatrix
+from swplumb.reference import (CycNum, CyclotomicField, adjugate_inverse,
+                               cyclotomic_field, cyclotomic_polynomial,
+                               invert_rational_matrix, smith_normal_form)
 
 
 def frac_rows(rows):

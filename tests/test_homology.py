@@ -6,15 +6,14 @@ import random
 
 import pytest
 
-from swplumb import exact, homology
+from swplumb import exact, homology, reference
 from swplumb.brieskorn import BrieskornSpec, brieskorn_seifert
 from swplumb.corpus import a_chain, dn_seifert, e_star, standard_corpus
 from swplumb.errors import InternalInvariantViolated, OrderCapExceeded
-from swplumb.exact import invert_rational_matrix, smith_normal_form
-from swplumb.homology import (gauss_sum_check, homology_from_lattice,
-                              linking_form, q_can, spinc_canonical_class,
-                              spinc_conjugate, spinc_quadratic)
+from swplumb.homology import (homology_from_lattice, linking_form, q_can,
+                              spinc_canonical_class, spinc_conjugate, spinc_quadratic)
 from swplumb.plumbing import build_lattice, numerically_gorenstein
+from swplumb.reference import gauss_sum_check, invert_rational_matrix, smith_normal_form
 from swplumb.report import compute_report
 from swplumb.seifert import lens_chain, star_graph
 from swplumb.verify import _blown_up
@@ -334,7 +333,7 @@ def test_quadratic_function_conventions_on_corpus():
 def corpus_within_gauss_cap():
     for name, graph in standard_corpus():
         lattice, group = pipeline(graph)
-        if group.order <= homology.GAUSS_ORDER_CAP:
+        if group.order <= reference.GAUSS_ORDER_CAP:
             yield name, lattice, group
 
 
@@ -392,8 +391,8 @@ class TestGaussSum:
         def refuse(*args):
             raise AssertionError("built a field or a lift above the Gauss-sum cap")
 
-        lattice, group = pipeline(lens_chain(homology.GAUSS_ORDER_CAP + 1, 2))
-        monkeypatch.setattr(homology, "cyclotomic_field", refuse)
+        lattice, group = pipeline(lens_chain(reference.GAUSS_ORDER_CAP + 1, 2))
+        monkeypatch.setattr(reference, "cyclotomic_field", refuse)
         monkeypatch.setattr(homology.FinAbGroup, "lift", refuse)
         with pytest.raises(OrderCapExceeded) as exc:
             gauss_sum_check(lattice, group)

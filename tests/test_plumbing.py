@@ -15,11 +15,12 @@ from swplumb.corpus import (a_chain, chain_graph, dn_seifert, e_star, standard_c
                             three_arm_family)
 from swplumb.dedekind import dr_sum
 from swplumb.errors import InternalInvariantViolated, NotATree, NotNegativeDefinite
-from swplumb.exact import IntMatrix, invert_rational_matrix
+from swplumb.exact import IntMatrix
 from swplumb.homology import homology_from_lattice, linking_matrix
 from swplumb.plumbing import (PlumbingGraph, blow_up_edge, blow_up_vertex,
                               build_lattice, casson_walker, k2_plus_nv,
                               numerically_gorenstein)
+from swplumb.reference import invert_rational_matrix
 from swplumb.report import compute_report, compute_report_from
 from swplumb.seifert import lens_chain, star_graph
 from swplumb.verify import _blown_up

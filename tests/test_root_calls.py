@@ -1,11 +1,11 @@
 """Roots of unity are built only in the reference arithmetic and its oracles.
 
-The torsion pipeline and the root-of-unity sums of `dedekind` take one trace
-per Galois orbit and build no root of unity, and `homology.gauss_sum_check`
-builds its elements from coefficient vectors.  The only callers are the
-`Q(zeta_N)` code in `exact.py`, the reference product
-`torsion.regularized_product`, and the oracles that check them:
-`verify.cyclotomic_props` and `verify.torsion_props`.
+The torsion pipeline and the root-of-unity sums of `reference._root_sum` take
+one trace per Galois orbit and build no root of unity, and
+`reference.gauss_sum_check` builds its elements from coefficient vectors.  The
+only callers are the reference product `reference.regularized_product` and
+the oracles that check it and the `Q(zeta_N)` code: `verify.cyclotomic_props`
+and `verify.torsion_props`.
 """
 
 import ast
@@ -15,7 +15,7 @@ import swplumb
 
 SOURCES = sorted(Path(swplumb.__file__).parent.glob("*.py"))
 ROOT_BUILDERS = {"root_of_unity", "root_minus_one", "inv_root_minus_one"}
-ALLOWED = {"exact.py": None, "torsion.py": {"regularized_product"},
+ALLOWED = {"reference.py": {"regularized_product"},
            "verify.py": {"cyclotomic_props", "torsion_props"}}
 
 
@@ -34,7 +34,7 @@ def root_calls(path):
 
 
 def test_scan_sees_the_reference():
-    calls = {call for path in SOURCES if path.name in ("torsion.py", "verify.py")
+    calls = {call for path in SOURCES if path.name in ("reference.py", "verify.py")
              for call in root_calls(path)}
     assert calls == {("regularized_product", "root_minus_one"),
                      ("regularized_product", "inv_root_minus_one"),
@@ -49,5 +49,5 @@ def test_root_builders_called_only_in_the_reference_and_its_oracles():
     for path in SOURCES:
         allowed = ALLOWED.get(path.name, set())
         stray += [(path.name, owner, name) for owner, name in root_calls(path)
-                  if allowed is not None and owner not in allowed]
+                  if owner not in allowed]
     assert stray == []

@@ -8,7 +8,8 @@ non-uniqueness of U and V: the spin^c labels of `--all-spinc` are read off U.
 
 from hypothesis import given, settings, strategies as st
 
-from swplumb.exact import IntMatrix, SmithDecomposition, smith_normal_form
+from swplumb.exact import IntMatrix
+from swplumb.reference import SmithDecomposition, smith_normal_form
 from swplumb.plumbing import PlumbingGraph, blow_up_edge, blow_up_vertex, build_lattice
 
 

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 
 import swplumb
-from swplumb import cli, exact, homology, plumbing
+from swplumb import cli, exact, homology, plumbing, reference
 from swplumb.corpus import dn_seifert, standard_corpus
 from swplumb.errors import InternalInvariantViolated
-from swplumb.exact import IntMatrix, replay_backward, smith_elimination, smith_normal_form
+from swplumb.exact import IntMatrix, replay_backward, smith_elimination
 from swplumb.homology import FinAbGroup, homology_from_lattice, linking_matrix
 from swplumb.plumbing import PlumbingGraph, build_lattice
+from swplumb.reference import smith_normal_form
 from swplumb.report import compute_report
 from swplumb.seifert import lens_chain, star_graph
 from swplumb.verify import _blown_up
@@ -107,7 +108,7 @@ def test_report_path_builds_no_dense_matrix(monkeypatch, tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("the exact Smith form or the dense I was built on the report path")
 
-    monkeypatch.setattr(exact, "smith_normal_form", refuse)
+    monkeypatch.setattr(reference, "smith_normal_form", refuse)
     monkeypatch.setattr(swplumb, "smith_normal_form", refuse)
     monkeypatch.setattr(plumbing.LatticeData, "I", property(refuse))
     big = _blown_up(star_graph(dn_seifert(6)), 60, random.Random(3))

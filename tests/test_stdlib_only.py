@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library, and computes no float.
 
 No module imports another module's underscore-prefixed name, only the
-homology module builds a FinAbGroup, and the CLI compares no closed form.
+homology module builds a FinAbGroup, the CLI compares no closed form, and
+only the oracles' readers import the `reference` module.
 """
 
 import ast
@@ -102,6 +103,71 @@ def test_homology_scan_sees_each_form(tmp_path):
     assert list(homology_uses(path)) == [
         ("import", "homology"), ("import", ""), ("import", "swplumb.homology"),
         ("import", "swplumb.homology"), ("FinAbGroup", 6), ("FinAbGroup", 7)]
+
+
+def module_imports(path):
+    """(owner, module) for each swplumb module one source file imports, at any depth.
+
+    The owner is the dotted name of the enclosing classes and functions, None at
+    the top level.  `from .reference import x`, `from . import reference`,
+    `from swplumb.reference import x` and `import swplumb.reference` all give
+    the module `reference`.
+    """
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, child.name if owner is None else f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.ImportFrom):
+                parts = (child.module or "").split(".")
+                if child.level == 0:
+                    if parts[0] != "swplumb":
+                        continue
+                    parts = parts[1:]
+                if parts and parts[0]:
+                    yield owner, parts[0]
+                else:
+                    yield from ((owner, alias.name) for alias in child.names)
+            elif isinstance(child, ast.Import):
+                yield from ((owner, alias.name.split(".")[1]) for alias in child.names
+                            if alias.name.startswith("swplumb."))
+            yield from visit(child, owner)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+
+
+# the slow oracles serve verify, the dedekind command's check and the package's re-exports
+REFERENCE_READERS = {"__init__.py", "cli.py", "verify.py"}
+# the traced bench run reads group.field (bench/run.py character_counts); the
+# import goes when that count stops modelling one field per character
+REFERENCE_IMPORTS_ALLOWED = {("homology.py", "FinAbGroup.field")}
+
+
+def test_report_path_imports_no_reference():
+    # every module but the readers: exact, plumbing, homology, torsion, report,
+    # seifert, dedekind, brieskorn, corpus and errors, and any module added later
+    assert {"exact.py", "homology.py", "reference.py"} <= {path.name for path in SOURCES}
+    found = [(path.name, owner) for path in SOURCES
+             if path.name not in REFERENCE_READERS | {"reference.py"}
+             for owner, module in module_imports(path) if module == "reference"]
+    assert [f for f in found if f not in REFERENCE_IMPORTS_ALLOWED] == []
+
+
+def test_dedekind_imports_no_torsion_or_homology():
+    dedekind = next(path for path in SOURCES if path.name == "dedekind.py")
+    assert {module for _, module in module_imports(dedekind)} & {"torsion", "homology"} == set()
+
+
+def test_module_import_scan_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from os import path\nfrom .reference import CycNum\nfrom . import reference\n"
+                    "import swplumb.reference\nfrom swplumb.torsion import orbit_table\n"
+                    "class G:\n    @property\n    def field(self):\n"
+                    "        from .reference import cyclotomic_field\n"
+                    "        def inner():\n            from . import homology\n")
+    assert list(module_imports(path)) == [
+        (None, "reference"), (None, "reference"), (None, "reference"), (None, "torsion"),
+        ("G.field", "reference"), ("G.field.inner", "homology")]
 
 
 CLOSED_FORMS = {"seifert_casson_walker", "seifert_k2nv", "seifert_torsion_shortcut"}

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import floor, gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swplumb import report, torsion
 from swplumb.corpus import (a_chain, e_star, nonstar_13_vertex, standard_corpus,
@@ -16,10 +17,10 @@ from swplumb.plumbing import build_lattice, casson_walker
 from swplumb.seifert import (SeifertData, lens_chain, seifert_torsion_shortcut,
                              star_graph)
 from swplumb.plumbing import PlumbingGraph
+from swplumb.reference import regularized_product
 from swplumb.torsion import (WeightVector, delta_at_one_check, moebius_terms,
                              orbit_characters, orbit_trace, prime_divisors,
-                             regularized_product, swiden_consistency,
-                             torsion_table, weight_vector)
+                             swiden_consistency, torsion_table, weight_vector)
 
 
 def pipeline(graph):
@@ -280,16 +281,49 @@ def per_orbit_torsion(table, group, h):
     return total / group.order
 
 
+STAR_ARMS = [(a, w) for a in range(2, 8) for w in range(1, a) if gcd(a, w) == 1]
+
+
+def star_bs(arms):
+    """The two central Euler numbers of a star: -floor(sum w/a) - 1 and one below."""
+    top = -floor(sum(Fraction(w, a) for a, w in arms)) - 1
+    return top, top - 1
+
+
+def small_star_table():
+    """(sorted arms, b) for each multiset of 3-5 arms from STAR_ARMS and b in
+    `star_bs` with 1 < |H| <= 60.  In integers: with A the product of the
+    orders and S = sum w A / a, floor(sum w/a) = S // A and |H| = |b A + S|."""
+    table = []
+    for n in range(3, 6):
+        for arms in combinations_with_replacement(STAR_ARMS, n):
+            big_a = prod(a for a, _ in arms)
+            s = sum(w * (big_a // a) for a, w in arms)
+            table += [(arms, b) for b in (-(s // big_a) - 1, -(s // big_a) - 2)
+                      if 1 < abs(b * big_a + s) <= 60]
+    return table
+
+
+SMALL_STARS = small_star_table()
+
+
 @st.composite
 def small_stars(draw):
-    """Seifert stars with 3-5 arms of order <= 7 and 1 < |H| <= 60."""
-    arms = draw(st.lists(st.integers(2, 7).flatmap(lambda a: st.tuples(
-        st.just(a), st.sampled_from([w for w in range(1, a) if gcd(a, w) == 1]))),
-        min_size=3, max_size=5))
-    b = -floor(sum(Fraction(w, a) for a, w in arms)) - 1 - draw(st.integers(0, 1))
-    data = SeifertData(b, arms)
-    assume(1 < data.order_h <= 60)
-    return data
+    """Seifert stars with 3-5 arms of order <= 7 and 1 < |H| <= 60: an admissible
+    multiset of arms and b from SMALL_STARS, then an order of the arms."""
+    arms, b = draw(st.sampled_from(SMALL_STARS))
+    return SeifertData(b, draw(st.permutations(arms)))
+
+
+def test_small_star_table_keeps_what_the_order_filter_keeps():
+    # all of it on three arms, and each entry on four and five
+    def kept(arms, b):
+        return 1 < SeifertData(b, arms).order_h <= 60
+
+    three = {(arms, b) for arms in combinations_with_replacement(STAR_ARMS, 3)
+             for b in star_bs(arms) if kept(arms, b)}
+    assert three == {(arms, b) for arms, b in SMALL_STARS if len(arms) == 3}
+    assert all(b in star_bs(arms) and kept(arms, b) for arms, b in SMALL_STARS)
 
 
 def scan_orbits(dims):
@@ -523,13 +557,13 @@ class TestCommonDenominator:
 
 class TestPipelineBuildsNoField:
     def test_no_cyclotomic_field(self, monkeypatch):
-        from swplumb import cli, exact
+        from swplumb import cli, reference
 
         def refuse_field(self, conductor):
             raise AssertionError(f"Q(zeta_{conductor}) built on the pipeline")
 
-        exact.cyclotomic_field.cache_clear()    # a cached field would skip __init__
-        monkeypatch.setattr(exact.CyclotomicField, "__init__", refuse_field)
+        reference.cyclotomic_field.cache_clear()    # a cached field would skip __init__
+        monkeypatch.setattr(reference.CyclotomicField, "__init__", refuse_field)
         noncyclic = dict(standard_corpus())["3arm(m=4)"]
         for graph in (noncyclic, lens_chain(97, 5)):
             assert report.compute_report(graph, all_spinc=True).spinc_table
