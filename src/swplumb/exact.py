@@ -3,8 +3,9 @@
 The Smith normal form has one elimination loop, `smith_elimination`, over
 sparse rows.  It returns the diagonal and logs every row and column operation.
 Replayed backwards, the logs give chosen rows of U or columns of V, mod a
-modulus if one is given: `homology` reads only those.  Replayed forwards, they
-give the exact U and V of `reference.smith_normal_form`, the oracle.
+modulus if one is given: `homology` reads only those.  Without a modulus they
+equal the U and V of `reference.smith_normal_form`, the oracle, a dense
+elimination that shares no code with this one but makes the same choices.
 
 Everything here is exact, as everywhere in the package: no floating point.
 Integer matrices keep arbitrary-precision entries.
@@ -59,7 +60,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._of_rows(_identity_rows(n))
+        return cls._of_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -113,10 +114,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
-
-
-def _identity_rows(n):
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Slow reference implementations, the oracles of `verify` and the tests.
 
 The report path imports nothing from here but the field of `FinAbGroup.field`,
-which the traced bench run reads (`tests/test_stdlib_only.py` checks it).
+which the traced bench run reads, and nothing here but `IntMatrix` comes from
+`exact` (`tests/test_stdlib_only.py` checks both).
 Elements of Q(zeta_N) are integer coefficient vectors over a common
 denominator, reduced modulo the N-th cyclotomic polynomial; `CycNum` has +, *
 and == only, and 1/(zeta^a - 1), the one inverse `regularized_product` needs,
@@ -13,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from math import gcd, isqrt, lcm
 
 from .dedekind import check_args, dedekind_symbol, dr_sum
 from .errors import (ConductorMismatch, InternalInvariantViolated, InvalidBaseVertex,
                      NotRational, OrderCapExceeded, SingularMatrix)
-from .exact import IntMatrix, smith_elimination
+from .exact import IntMatrix
 from .homology import Character, FinAbGroup, q_can
 from .plumbing import LatticeData
 from .torsion import WeightVector, orbit_table, prime_divisors
@@ -39,38 +39,59 @@ class SmithDecomposition:
         return tuple(self.D[i, i] for i in range(n))
 
 
-def _nonzeros(row):
-    """The (index, value) pairs of the nonzero entries."""
-    return list(compress(enumerate(row), row))
-
-
-def replay_forward(ops, size: int):
-    """The operations applied in order to the rows of the size x size identity."""
-    rows = [list(row) for row in IntMatrix.identity(size).entries]
-    for a, b, q in ops:
-        if q:
-            target = rows[a]
-            for j, x in _nonzeros(rows[b]):
-                target[j] += q * x
-        else:
-            rows[a], rows[b] = rows[b], rows[a]
-    return rows
-
-
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over Z, with smallest-|pivot| selection: the exact oracle.
+    """Smith normal form over Z by dense elimination, with U and V: the exact oracle.
 
-    Total on any integer matrix; for singular input the zero diagonal entries
-    come last (the divisibility chain d_i | d_(i+1) still holds).  The logs of
-    `smith_elimination` are replayed forwards into U and V.
+    Total on any integer matrix; zero diagonal entries come last.  It shares no
+    code with `exact.smith_elimination` but makes the same choices in the same
+    order, so U, D and V equal its log's.  Row operations on the top r rows of
+    [[A, I_r], [I_c, 0]] carry U, and column operations on its left c columns, V.
     """
     r, c = A.rows, A.cols
-    log = smith_elimination([dict(_nonzeros(row)) for row in A.entries], c)
-    d = [[0] * c for _ in range(r)]
-    for i, x in enumerate(log.diagonal):
-        d[i][i] = x
-    return SmithDecomposition(IntMatrix(replay_forward(log.row_ops, r)), IntMatrix(d),
-                              IntMatrix(zip(*replay_forward(log.col_ops, c))))
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(A.entries)]
+    m += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+
+    def add_col(a, b, q):   # col[a] += q * col[b]
+        for row in m:
+            row[a] += q * row[b]
+
+    def swap_cols(a, b):
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
+    for t in range(min(r, c)):
+        least = min(((abs(m[i][j]), i, j) for i in range(t, r) for j in range(t, c) if m[i][j]),
+                    default=None)
+        if least is None:
+            break
+        _, pi, pj = least
+        m[t], m[pi] = m[pi], m[t]
+        swap_cols(t, pj)
+        while True:
+            dirty = False
+            for i in range(t + 1, r):       # row[i] += q * row[t]
+                q = -(m[i][t] // m[t][t])
+                m[i] = [x + q * y for x, y in zip(m[i], m[t])]
+                if m[i][t]:                 # remainder beats the pivot; swap it in
+                    m[t], m[i] = m[i], m[t]
+                    dirty = True
+            if not dirty:                   # then col[j] += q * col[t]
+                for j in range(t + 1, c):
+                    add_col(j, t, -(m[t][j] // m[t][t]))
+                    if m[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            bad = [j for i in range(t + 1, r) for j in range(t + 1, c) if m[i][j] % m[t][t]]
+            if not bad:     # the pivot divides the block below it
+                break
+            add_col(t, bad[0], 1)
+    for i, row in enumerate(m[:min(r, c)]):     # the final sign fix, a row operation
+        row[:] = [-x for x in row] if row[i] < 0 else row
+    return SmithDecomposition(IntMatrix([row[c:] for row in m[:r]]),
+                              IntMatrix([row[:c] for row in m[:r]]),
+                              IntMatrix([row[:c] for row in m[r:]]))
 
 
 def invert_rational_matrix(A: IntMatrix):

@@ -11,9 +11,9 @@ orbit, of R(chi) in Q[x]/(x^d - 1) against the Ramanujan sum c_d, d the order
 of chi, which it keeps as a linear form c in Z/d: chi(h) = zeta_d^(c . h).
 The orbits are the cyclic subgroups of H, enumerated directly, and each
 product takes one net power per exponent, so the table's work follows the
-orbits and their orders, not |H|.  `TorsionTable.at` reads one point with one
-trace per orbit; `TorsionTable.invert` reads all of H from one residue table
-per orbit, one lookup per orbit and point.
+orbits and their orders, not |H|.  Each orbit is kept as the residue sums of its
+numerators mod each term q of c_d: `TorsionTable.at` reads one sum per term,
+and `TorsionTable.invert` tabulates all of Z/d from them.
 `reference.regularized_product`, one Q(zeta_N) product per character, is the oracle.
 The transform is computed once, for the canonical structure:
 T_{h*sigma_can}(1) = T_{sigma_can}(h), so a spin^c offset is an evaluation point.
@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import reduce
 from itertools import product as iproduct
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import InternalInvariantViolated
 from .homology import FinAbGroup, GroupElement, linking_rows, spinc_quadratic
@@ -121,15 +121,12 @@ def orbit_product(d: int, factors):
     return f, den
 
 
-def orbit_trace(num, terms, e) -> int:
-    """The trace sum_j num[j] c_d(j - e) of x^-e num in Q[x]/(x^d - 1), from c_d's terms."""
-    return sum(m * q * sum(num[e % q::q]) for q, m in terms)
-
-
-def residue_table(num, terms) -> list:
-    """[orbit_trace(num, terms, e) for e < d]: the residue sums of num mod each q, read per e."""
-    sums = [(m * q, q, [sum(num[r::q]) for r in range(q)]) for q, m in terms]
-    return [sum(w * s[e % q] for w, q, s in sums) for e in range(len(num))]
+def residue_sums(num, q) -> list:
+    """[sum(num[r::q]) for r < q]; for q >= d/q, the blocks of length q summed from num
+    itself, since `map` stops at the end of the shorter list."""
+    if q * q < len(num):
+        return [sum(num[r::q]) for r in range(q)]
+    return reduce(lambda s, b: list(map(add, s, num[b:b + q])), range(q, len(num), q), num)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -174,60 +171,52 @@ def orbit_table(dims, images, factors_of) -> TorsionTable:
     of order d each (`orbit_characters`), so the work follows the orbits and their
     orders, not |H|.  The character is kept as the form c_i = k_i d / d_i.
     factors_of(exps), exps its values at `images` in Z/d, lists the factors
-    (a, p, w) of R(chi): (t^w * zeta_d^a - 1)^p.
+    (a, p, w) of R(chi): (t^w * zeta_d^a - 1)^p.  The trace of x^-e f against c_d
+    is the sum over c_d's terms (q, mu) of mu q sum(f[e::q]): each orbit keeps its
+    residue sums mod each q, with the weight mu q over the orbits' common denominator.
     """
-    orbits = []
+    products = []
     for k, d in orbit_characters(dims):
         c = tuple(x * d // m for x, m in zip(k, dims))
         product = orbit_product(d, factors_of([sum(map(mul, c, g)) % d for g in images]))
         if product is not None:
-            orbits.append((c, *product, moebius_terms(d)))
-    return TorsionTable(dims, tuple(orbits))
+            products.append((c, d, *product))
+    common = lcm(*(den for *_, den in products))
+    orbits = tuple((c, d, tuple((mu * q * (common // den), residue_sums(num, q))
+                                for q, mu in moebius_terms(d)))
+                   for c, d, num, den in products)
+    return TorsionTable(dims, common, orbits)
 
 
 @dataclass(frozen=True, eq=False)
 class TorsionTable:
-    """Fourier transform R(chi) of the torsion of the canonical structure.
-
-    The structure h * sigma_can has torsion T(h) at 1: the transform evaluated
-    at h.  `at` reads one point, `invert` the whole function on H.
-    """
+    """Fourier transform R(chi) of the torsion of the canonical structure: the structure
+    h * sigma_can has torsion T(h) at 1.  `at` reads one point, `invert` all of H."""
 
     dims: tuple      # the invariant factors of H
-    orbits: tuple    # (c, numerators, denominator, Moebius terms of c_d) per orbit, R != 0
-
-    @cached_property
-    def _scales(self):
-        """(common, scales): the lcm of the orbit denominators, and common // den per orbit."""
-        common = lcm(*(den for _, _, den, _ in self.orbits))
-        return common, tuple(common // den for _, _, den, _ in self.orbits)
+    den: int         # the lcm of the orbit denominators
+    orbits: tuple    # (c, d, ((weight, residue sums) per term of c_d)) per orbit, R != 0
 
     def at(self, h: GroupElement) -> Fraction:
-        """(1/|H|) sum over the orbits of the trace sum_j f_j c_d(j - e), e = c . h.
-
-        The traces are summed as integers over the common denominator.
-        """
-        common, scales = self._scales
+        """(1/|H|) sum over the orbits of the trace sum_j f_j c_d(j - e), e = c . h:
+        one residue sum per term of c_d, read at e mod q and weighted, over `den`."""
         total = 0
-        for (c, num, _, terms), scale in zip(self.orbits, scales):
-            total += scale * orbit_trace(num, terms, sum(map(mul, c, h)))
-        return Fraction(total, common * prod(self.dims))
+        for c, _, sums in self.orbits:
+            e = sum(map(mul, c, h))
+            total += sum(w * s[e % len(s)] for w, s in sums)
+        return Fraction(total, self.den * prod(self.dims))
 
     def invert(self) -> dict:
-        """{h: T(h)} over H, lexicographic: one lookup per orbit and point.
-
-        Each orbit's traces at every e in Z/d come from one `residue_table`, and
-        the values e = c . h over H are built one coordinate at a time.
-        """
-        common, scales = self._scales
+        """{h: T(h)} over H, lexicographic: each orbit's traces on Z/d from its weighted
+        residue sums, one lookup per point at e = c . h, built a coordinate at a time."""
         totals = [0] * prod(self.dims)
-        for (c, num, _, terms), scale in zip(self.orbits, scales):
-            d, table = len(num), [scale * x for x in residue_table(num, terms)]
+        for c, d, sums in self.orbits:
+            table = list(map(sum, zip(*([w * x for x in s] * (d // len(s)) for w, s in sums))))
             es = [0]
             for x, m in zip(c, self.dims):
                 es = [(e + x * j) % d for e in es for j in range(m)]
             totals = [t + table[e] for t, e in zip(totals, es)]
-        n = common * prod(self.dims)
+        n = self.den * prod(self.dims)
         return {h: Fraction(t, n) for h, t in zip(iproduct(*map(range, self.dims)), totals)}
 
 

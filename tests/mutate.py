@@ -41,7 +41,7 @@ class Mutation(NamedTuple):
 
 
 MUTATIONS = [
-    # the orbit kernel (torsion.orbit_product, moebius_terms, orbit_trace)
+    # the orbit kernel and its stored form (torsion.orbit_product, residue_sums, at, invert)
     Mutation("orbit running-sum index", "torsion.py",
              "value += total - k * run[(i + 1) % k]", "value += total - k * run[i]",
              ("test_torsion.py",)),
@@ -50,19 +50,22 @@ MUTATIONS = [
              "terms += [(q // p, m) for q, m in terms]",
              ("test_torsion.py",)),
     Mutation("orbit trace offset", "torsion.py",
-             "sum(num[e % q::q])", "sum(num[(e + 1) % q::q])",
+             "w * s[e % len(s)]", "w * s[(e + 1) % len(s)]",
              ("test_torsion.py",)),
     Mutation("orbit shift direction", "torsion.py",
              "zip(f[-a:] + f[:-a], f)", "zip(f[a:] + f[:a], f)",
              ("test_torsion.py",)),
     Mutation("read-out without the per-orbit scales", "torsion.py",
-             "total += scale * orbit_trace(", "total += orbit_trace(",
+             "(mu * q * (common // den), ", "(mu * q, ",
              ("test_torsion.py",)),
     Mutation("net power: the last factor's p for the sum", "torsion.py",
              "net[a] = net.get(a, 0) + p", "net[a] = p",
              ("test_torsion.py",)),
     Mutation("residue table read at e + 1", "torsion.py",
-             "s[e % q]", "s[(e + 1) % q]",
+             "t + table[e] for", "t + table[(e + 1) % d] for",
+             ("test_torsion.py",)),
+    Mutation("residue sums one slice late", "torsion.py",
+             "return [sum(num[r::q]) for", "return [sum(num[r + 1::q]) for",
              ("test_torsion.py",)),
     # one character per Galois orbit as a cyclic subgroup (torsion.orbit_characters)
     Mutation("orbit generator p^(a - b + 1) for p^(a - b)", "torsion.py",
@@ -82,8 +85,7 @@ MUTATIONS = [
              "sum(map(mul, c, g)) % d for g in images", "sum(map(mul, c, g)) for g in images",
              ("test_torsion.py",)),
     Mutation("read-out at -h", "torsion.py",
-             "orbit_trace(num, terms, sum(map(mul, c, h)))",
-             "orbit_trace(num, terms, -sum(map(mul, c, h)))",
+             "e = sum(map(mul, c, h))", "e = -sum(map(mul, c, h))",
              ("test_torsion.py",)),
     # the Smith elimination and its logs (exact.py, homology.py)
     Mutation("last unit as pivot", "exact.py",

@@ -1,119 +1,29 @@
-"""The Smith normal form against the dense elimination it replaced.
+"""The report path's Smith log against the independent dense oracle.
 
-`smith_normal_form` skips the arithmetic on zeros but performs the same swaps
-and row and column additions in the same order as the dense elimination
-below, so U, D and V must agree entry for entry, not just up to the
-non-uniqueness of U and V: the spin^c labels of `--all-spinc` are read off U.
+`exact.smith_elimination` skips the arithmetic on zeros but makes the same
+pivot choices, swaps and row and column additions in the same order as the
+dense elimination of `reference.smith_normal_form`, so the log's diagonal and
+its replays without a modulus, U and V, must agree with the oracle's entry for
+entry, not just up to the non-uniqueness of U and V: the spin^c labels of
+`--all-spinc` are read off U.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from swplumb.exact import IntMatrix
-from swplumb.reference import SmithDecomposition, smith_normal_form
+from swplumb.exact import IntMatrix, replay_backward, smith_elimination
+from swplumb.reference import smith_normal_form
 from swplumb.plumbing import PlumbingGraph, blow_up_edge, blow_up_vertex, build_lattice
 
 
-def dense_smith_reference(A: IntMatrix) -> SmithDecomposition:
-    """The dense Smith normal form: every operation loops over whole rows and columns."""
-    r, c = A.rows, A.cols
-    m = [list(row) for row in A.entries]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row[dst] += q * row[src]
-        if q:
-            md, ms = m[dst], m[src]
-            for j in range(c):
-                md[j] += q * ms[j]
-            ud, us = u[dst], u[src]
-            for j in range(r):
-                ud[j] += q * us[j]
-
-    def add_col(dst, src, q):  # col[dst] += q * col[src]
-        if q:
-            for row in m:
-                row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
-
-    t = 0
-    while t < min(r, c):
-        best = None
-        pi = pj = -1
-        for i in range(t, r):   # the first entry of least |value|; no unit is beaten
-            row = m[i]
-            for j in range(t, c):
-                val = row[j]
-                if val and (best is None or abs(val) < best):
-                    best = abs(val)
-                    pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if best is None:
-            break
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            dirty = False
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    add_row(i, t, -(m[i][t] // m[t][t]))
-                    if m[i][t]:  # remainder beats the pivot; swap it in
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, c):
-                if m[t][j]:
-                    add_col(j, t, -(m[t][j] // m[t][t]))
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block (a unit always does)
-            p = m[t][t]
-            bad = None
-            if abs(p) != 1:
-                for i in range(t + 1, r):
-                    for j in range(t + 1, c):
-                        if m[i][j] % p:
-                            bad = j
-                            break
-                    if bad is not None:
-                        break
-            if bad is None:
-                break
-            add_col(t, bad, 1)
-        t += 1
-
-    for i in range(min(r, c)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
-
-    return SmithDecomposition(IntMatrix(u), IntMatrix(m), IntMatrix(v))
-
-
 def assert_same_decomposition(mat):
-    got, want = smith_normal_form(mat), dense_smith_reference(mat)
-    assert got.U.entries == want.U.entries
-    assert got.D.entries == want.D.entries
-    assert got.V.entries == want.V.entries
+    want = smith_normal_form(mat)
+    r, c = mat.rows, mat.cols
+    log = smith_elimination([{j: x for j, x in enumerate(row) if x} for row in mat.entries], c)
+    assert want.D.entries == tuple(tuple(log.diagonal[i] if i == j else 0 for j in range(c))
+                                   for i in range(r))
+    assert replay_backward(log.row_ops, r, range(r)) == [list(col) for col in zip(*want.U.entries)]
+    assert replay_backward(log.col_ops, c, range(c)) == [list(row) for row in want.V.entries]
+    return want, log
 
 
 # entries: zeros often (zero rows, singular blocks), multiples of 2, 3 and 6

@@ -3,7 +3,10 @@
 `homology_from_lattice` never forms U, V or the dense I: it replays the row log
 backwards into the kept rows of U mod |det I|, and the column log into the
 kept columns of V mod |det I| exp(H), from which it builds the lifts.
-`smith_normal_form` replays the same logs forwards and is the oracle here.
+`reference.smith_normal_form`, a dense elimination that shares no code with the
+log, is the oracle here.  The lifts need the column log: a single corruption of
+the row log is refused or changes nothing, which lifts read off the row log
+alone would not guarantee.
 """
 
 import json
@@ -14,17 +17,17 @@ from hypothesis import given, settings
 
 import swplumb
 from swplumb import cli, exact, homology, plumbing, reference
-from swplumb.corpus import dn_seifert, standard_corpus
+from swplumb.corpus import dn_seifert, e_star, standard_corpus
 from swplumb.errors import InternalInvariantViolated
 from swplumb.exact import IntMatrix, replay_backward, smith_elimination
 from swplumb.homology import FinAbGroup, homology_from_lattice, linking_matrix
 from swplumb.plumbing import PlumbingGraph, build_lattice
-from swplumb.reference import smith_normal_form
 from swplumb.report import compute_report
 from swplumb.seifert import lens_chain, star_graph
 from swplumb.verify import _blown_up
 
 from test_plumbing import intersection_rows, trees
+from test_smith_differential import assert_same_decomposition
 
 
 def exact_images(snf, kept):
@@ -38,11 +41,7 @@ def test_replays_match_the_exact_decomposition(graph):
     """Backwards, the logs give U^T and V; definite trees also give U[kept] mod N and the images."""
     mat = IntMatrix(intersection_rows(graph))
     n = mat.rows
-    snf = smith_normal_form(mat)
-    log = smith_elimination([{j: x for j, x in enumerate(row) if x} for row in mat.entries], n)
-    assert log.diagonal == snf.diagonal
-    assert replay_backward(log.row_ops, n, range(n)) == [list(col) for col in zip(*snf.U.entries)]
-    assert replay_backward(log.col_ops, n, range(n)) == [list(row) for row in snf.V.entries]
+    snf, log = assert_same_decomposition(mat)
     try:
         lattice = build_lattice(graph)
     except swplumb.NotNegativeDefinite:
@@ -81,27 +80,38 @@ def test_corrupted_image_raises(monkeypatch):
 
 
 def test_corrupted_row_log_entry_raises_or_changes_nothing(monkeypatch):
-    """q + 1 in any one row addition: the group is refused unless the images are unchanged."""
-    lattice = certified_lattice()
-    right = homology_from_lattice(lattice).generator_images
-    log = smith_elimination(lattice.sparse_rows(), lattice.size)
-    additions = [k for k, (_, _, q) in enumerate(log.row_ops) if q]
-    raised = 0
-    for k in additions:
-        def corrupt(rows, cols):
-            log = exact.smith_elimination(rows, cols)
-            a, b, q = log.row_ops[k]
-            log.row_ops[k] = (a, b, q + 1)
-            return log
+    """q + 1 in any one row addition, or any one row operation dropped: the group is
+    refused unless the images are unchanged.
 
-        monkeypatch.setattr(homology, "smith_elimination", corrupt)
-        try:
-            group = homology_from_lattice(lattice)
-        except InternalInvariantViolated:
-            raised += 1
-        else:
-            assert group.generator_images == right
-    assert raised
+    The lift columns come from the column log, not from the row log: so the lift
+    check also refuses a corrupted row log that still yields some basis of H.
+    """
+    for lattice in (certified_lattice(),    # H = Z2 + Z2, then Z2 and Z25
+                    build_lattice(_blown_up(e_star(7), 40, random.Random(2))),
+                    build_lattice(_blown_up(lens_chain(25, 7), 40, random.Random(5)))):
+        right = homology_from_lattice(lattice).generator_images
+        ops = smith_elimination(lattice.sparse_rows(), lattice.size).row_ops
+        raised = 0
+        for k, kind in [(k, "q + 1") for k, (_, _, q) in enumerate(ops) if q] \
+                + [(k, "drop") for k in range(len(ops))]:
+            def corrupt(rows, cols):
+                log = exact.smith_elimination(rows, cols)
+                if kind == "drop":
+                    del log.row_ops[k]
+                else:
+                    a, b, q = log.row_ops[k]
+                    log.row_ops[k] = (a, b, q + 1)
+                return log
+
+            monkeypatch.setattr(homology, "smith_elimination", corrupt)
+            try:
+                group = homology_from_lattice(lattice)
+            except InternalInvariantViolated:
+                raised += 1
+            else:
+                assert group.generator_images == right, (lattice.size, k, kind)
+        monkeypatch.undo()
+        assert raised
 
 
 def test_report_path_builds_no_dense_matrix(monkeypatch, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The package imports nothing outside the standard library, and computes no float.
 
 No module imports another module's underscore-prefixed name, only the
-homology module builds a FinAbGroup, the CLI compares no closed form, and
-only the oracles' readers import the `reference` module.
+homology module builds a FinAbGroup, the CLI compares no closed form, only
+the oracles' readers import the `reference` module, and `reference` takes no
+Smith code from `exact`.
 """
 
 import ast
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import swplumb
+from swplumb import exact
 
 SOURCES = sorted(Path(swplumb.__file__).parent.glob("*.py"))
 
@@ -168,6 +170,42 @@ def test_module_import_scan_sees_each_form(tmp_path):
     assert list(module_imports(path)) == [
         (None, "reference"), (None, "reference"), (None, "reference"), (None, "torsion"),
         ("G.field", "reference"), ("G.field.inner", "homology")]
+
+
+def exact_imports(path, names):
+    """Each name one source file takes from swplumb's exact module, at any depth: the
+    names imported from it, `exact` for the module, the dotted name of an `import
+    swplumb...`, and each of `names` imported from another swplumb module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.partition(".")[0] == "swplumb")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.partition(".")[0] == "swplumb"):
+            module = ((node.module or "").split(".")[0 if node.level else 1:] or [""])[0]
+            yield from (a.name for a in node.names if module == "exact" or a.name in names
+                        or (not module and a.name == "exact"))
+
+
+def test_reference_shares_no_smith_code_with_exact():
+    # the Smith oracle is an independent elimination: from exact, reference takes
+    # the matrix type and the integer test, and nothing of smith_elimination
+    own = {name for name, value in vars(exact).items()
+           if getattr(value, "__module__", None) == exact.__name__}
+    assert {"smith_elimination", "replay_backward", "SmithLog"} <= own
+    reference = next(path for path in SOURCES if path.name == "reference.py")
+    assert set(exact_imports(reference, own)) <= {"IntMatrix", "is_int"}
+
+
+def test_exact_import_scan_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from os import path\nfrom .exact import IntMatrix, smith_elimination\n"
+                    "from swplumb.exact import replay_backward\nfrom . import exact, torsion\n"
+                    "from swplumb import exact as e\nimport swplumb.exact\nimport swplumb\n"
+                    "from .homology import FinAbGroup, smith_elimination as sm\n"
+                    "def f():\n    from .exact import SmithLog\n")
+    assert sorted(exact_imports(path, {"smith_elimination"})) == sorted([
+        "IntMatrix", "smith_elimination", "replay_backward", "exact", "exact",
+        "swplumb.exact", "swplumb", "smith_elimination", "SmithLog"])
 
 
 CLOSED_FORMS = {"seifert_casson_walker", "seifert_k2nv", "seifert_torsion_shortcut"}

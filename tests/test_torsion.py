@@ -19,7 +19,7 @@ from swplumb.seifert import (SeifertData, lens_chain, seifert_torsion_shortcut,
 from swplumb.plumbing import PlumbingGraph
 from swplumb.reference import regularized_product
 from swplumb.torsion import (WeightVector, delta_at_one_check, moebius_terms,
-                             orbit_characters, orbit_trace, prime_divisors,
+                             orbit_characters, prime_divisors,
                              swiden_consistency, torsion_table, weight_vector)
 
 
@@ -68,7 +68,9 @@ class TestRegularizedProduct:
         # the product of the two end factors 1/(chi(g_v) - 1)
         lattice, group = pipeline(lens_chain(7, 3))
         field = group.field
-        (c0, num, den, _), = torsion_table(lattice, group).orbits
+        table, seen = recorded_table(lattice, group)
+        (c0, _, _), = table.orbits
+        (_, _, (num, den)), = seen
         ends = [v for v in range(lattice.size) if lattice.degrees[v] == 1]
         for chi in group.characters():
             if chi.is_trivial:
@@ -139,9 +141,11 @@ class TestTorsionTable:
     def test_single_vertex(self):
         # one orbit, d = 2, form c = (1,): 1/(x - 1)^2 = (x/2)^2 = 1/4 in Q[x]/(x^2 - 1)
         lattice, group = pipeline(a_chain(2))
-        table = torsion_table(lattice, group)
+        table, seen = recorded_table(lattice, group)
         assert table.dims == (2,)
-        assert [(c, num, den) for c, num, den, _ in table.orbits] == [((1,), [1, 0], 4)]
+        assert [product for *_, product in seen] == [([1, 0], 4)]
+        # stored as the residue sums mod q = 2 and q = 1, weighted by mu q common / den
+        assert table.den == 4 and table.orbits == (((1,), 2, ((2, [1, 0]), (-1, [1]))),)
         assert table.at(group.identity) == Fraction(1, 8)
         assert table.at((1,)) == Fraction(-1, 8)
 
@@ -241,12 +245,17 @@ class TestOrbitTableAgainstReference:
     # one trace per Galois orbit against one Q(zeta_N) product per character
 
     def test_corpus(self):
+        # and the stored form against the per-point trace formula, at every point
         groups = set()
         for name, graph in standard_corpus():
             lattice, group = pipeline(graph)
             if 1 < group.order <= 120:
-                assert torsion_table(lattice, group).invert() \
-                    == reference_torsion(lattice, group), name
+                table, seen = recorded_table(lattice, group)
+                assert_stored_form(table, seen)
+                values = table.invert()
+                assert values == reference_torsion(lattice, group), name
+                for h in group.elements():
+                    assert values[h] == table.at(h) == per_orbit_torsion(table, seen, group, h)
                 groups.add(group.invariant_factors)
         assert {(12,), (25,), (2, 2), (3, 9), (4, 12), (2, 2, 2, 2)} <= groups
 
@@ -265,19 +274,50 @@ class TestOrbitTableAgainstReference:
         assert {len(data.arms) for data in seeded_seifert()} == set(range(6))
 
 
-def per_orbit_torsion(table, group, h):
-    """T(h) as a sum of one Fraction per orbit, each trace over its own denominator.
+def orbit_trace(num, e) -> int:
+    """The trace sum_j num[j] c_d(j - e) of x^-e num in Q[x]/(x^d - 1), d = len(num),
+    one point at a time: the oracle of the table's residue sums."""
+    return sum(m * q * sum(num[e % q::q]) for q, m in moebius_terms(len(num)))
+
+
+def recorded_table(lattice, group):
+    """The torsion table, and (d, factors, orbit_product's value) for each orbit in order."""
+    real, seen = torsion.orbit_product, []
+
+    def recording(d, factors):
+        seen.append((d, list(factors), real(d, factors)))
+        return seen[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torsion, "orbit_product", recording)
+        table = torsion_table(lattice, group)
+    return table, seen
+
+
+def assert_stored_form(table, seen):
+    """Each orbit's weighted residue sums, read at e over `den`, give its trace at every e."""
+    products = [product for *_, product in seen if product is not None]
+    assert len(products) == len(table.orbits) and table.den == lcm(*(den for _, den in products))
+    for (_, d, sums), (num, den) in zip(table.orbits, products):
+        assert len(num) == d and [len(s) for _, s in sums] == [q for q, _ in moebius_terms(d)]
+        for e in range(d):
+            assert Fraction(sum(w * s[e % len(s)] for w, s in sums), table.den) \
+                == Fraction(orbit_trace(num, e), den), (d, e)
+
+
+def per_orbit_torsion(table, seen, group, h):
+    """T(h) as a sum of one Fraction per orbit, each per-point trace over its own denominator
+    (`assert_stored_form` pairs the orbits with their products).
 
     Each orbit's form c of order d is read back as its character k_i = c_i d_i / d
     and evaluated by the group, not by the form.
     """
-    total = Fraction(0)
-    for c, num, den, terms in table.orbits:
-        d = len(num)
+    total, products = Fraction(0), [product for *_, product in seen if product is not None]
+    for (c, d, _), (num, den) in zip(table.orbits, products):
         k = [x * m // d for x, m in zip(c, group.invariant_factors)]
         assert [x * d // m for x, m in zip(k, group.invariant_factors)] == list(c)
         e = group.char_exponent(Character(tuple(k)), h) * d // group.exponent
-        total += Fraction(sum(m * q * sum(num[e % q::q]) for q, m in terms), den)
+        total += Fraction(orbit_trace(num, e), den)
     return total / group.order
 
 
@@ -456,35 +496,22 @@ def blown_up(graph, at):
 class TestNetPowerKernel:
     """`orbit_product` nets the powers of one exponent; every trace is unchanged."""
 
-    def recorded_products(self, monkeypatch, graph):
-        real, seen = torsion.orbit_product, []
-
-        def recording(d, factors):
-            seen.append((d, list(factors), real(d, factors)))
-            return seen[-1][-1]
-
-        monkeypatch.setattr(torsion, "orbit_product", recording)
-        lattice, group = pipeline(graph)
-        table = torsion_table(lattice, group)
-        monkeypatch.undo()
-        return seen, table, lattice, group
-
     def assert_traces_equal(self, seen):
         for d, factors, got in seen:
             want = reference_orbit_product(d, factors)
             assert (got is None) == (want is None), (d, factors)
             if got is None:
                 continue
-            terms = moebius_terms(d)
             for e in range(d):
-                assert Fraction(orbit_trace(got[0], terms, e), got[1]) \
-                    == Fraction(orbit_trace(want[0], terms, e), want[1]), (d, factors, e)
+                assert Fraction(orbit_trace(got[0], e), got[1]) \
+                    == Fraction(orbit_trace(want[0], e), want[1]), (d, factors, e)
 
-    def test_blown_up_tree_cancels_leaf_and_node(self, monkeypatch):
+    def test_blown_up_tree_cancels_leaf_and_node(self):
         base = lens_chain(25, 7)
         inner = [vid for vid, _ in base.vertices][1:-1]
         graph = blown_up(base, inner + inner[:1])
-        seen, table, lattice, group = self.recorded_products(monkeypatch, graph)
+        lattice, group = pipeline(graph)
+        table, seen = recorded_table(lattice, group)
         cancelling = [(d, factors) for d, factors, _ in seen
                       if any(a and (a, -p) in {(b, q) for b, q, _ in factors}
                              for a, p, _ in factors)]
@@ -495,10 +522,10 @@ class TestNetPowerKernel:
             base_group.identity)
         assert table.invert() == reference_torsion(lattice, group)
 
-    def test_corpus(self, monkeypatch):
+    def test_corpus(self):
         for name, graph in standard_corpus():
             if 1 < build_lattice(graph).order_h <= 120:
-                seen, *_ = self.recorded_products(monkeypatch, graph)
+                _, seen = recorded_table(*pipeline(graph))
                 self.assert_traces_equal(seen)
 
     def test_repeated_exponents(self):
@@ -511,20 +538,20 @@ class TestNetPowerKernel:
 
 
 class TestResidueTables:
-    """`invert` reads per-orbit residue tables; `at` keeps the per-point trace.
-
-    On random stars `TestCommonDenominator.test_random_stars` compares the two.
-    """
+    """`at` and `invert` read one stored form, the weighted residue sums, against the
+    per-point trace formula, as on the corpus and on random stars."""
 
     def test_lens_1009(self):
         lattice, group = pipeline(lens_chain(1009, 3))
-        table = torsion_table(lattice, group)
+        table, seen = recorded_table(lattice, group)
+        assert_stored_form(table, seen)
         values = table.invert()
         assert list(values) == list(group.elements())
         for h, t in values.items():
             assert t == table.at(h), h
         for h in [(0,), (1,), (504,), (1008,)]:
-            assert values[h] == per_orbit_torsion(table, group, h)
+            assert values[h] == table.at(h) == per_orbit_torsion(table, seen, group, h)
+
 
 
 class TestCommonDenominator:
@@ -535,7 +562,7 @@ class TestCommonDenominator:
             lattice, group = pipeline(graph)
             table = torsion_table(lattice, group)
             assert group.order == 1 and table.dims == () and table.orbits == ()
-            assert table._scales == (1, ())
+            assert table.den == 1
             assert table.at(group.identity) == 0
             assert table.invert() == {(): 0}
             assert type(table.at(group.identity)) is Fraction
@@ -544,15 +571,15 @@ class TestCommonDenominator:
     @given(small_stars())
     def test_random_stars(self, data):
         lattice, group = pipeline(star_graph(data))
-        table = torsion_table(lattice, group)
+        table, seen = recorded_table(lattice, group)
         assert table.dims == group.invariant_factors
-        common, scales = table._scales
-        assert all(common == scale * den for scale, (_, _, den, _) in zip(scales, table.orbits))
+        assert_stored_form(table, seen)
         want = reference_torsion(lattice, group)
         values = table.invert()
         assert list(values) == list(group.elements())
         for h in group.elements():
-            assert values[h] == table.at(h) == per_orbit_torsion(table, group, h) == want[h], h
+            assert values[h] == table.at(h) == per_orbit_torsion(table, seen, group, h) \
+                == want[h], h
 
 
 class TestPipelineBuildsNoField:
