@@ -197,10 +197,42 @@ MUTATIONS = [
     Mutation("--max-order 0 accepted", "cli.py",
              "    if value < 1:\n", "    if value < 0:\n",
              ("test_cli.py",)),
-    # the report path imports no oracle, at any depth (tests/test_stdlib_only.py)
+    # the structural guards, each a filter over the one scan of the sources
+    # (tests/test_stdlib_only.py, tests/test_root_calls.py)
     Mutation("torsion imports the reference module", "torsion.py",
              "    wv = weight_vector(lattice, v0)\n",
              "    from .reference import CycNum\n    wv = weight_vector(lattice, v0)\n",
+             ("test_stdlib_only.py",)),
+    Mutation("seifert imports a private name of torsion", "seifert.py",
+             "from .torsion import orbit_table\n", "from .torsion import _valuation, orbit_table\n",
+             ("test_stdlib_only.py",)),
+    Mutation("a group built outside homology", "seifert.py",
+             "orbit_table(group.invariant_factors, images",
+             "orbit_table(FinAbGroup(group.invariant_factors, (), ()).invariant_factors, images",
+             ("test_stdlib_only.py",)),
+    Mutation("a route check built in the CLI", "cli.py",
+             "checks = seifert_routes(data, ks_route(data), lattice, group, report)\n",
+             "checks = seifert_routes(data, ks_route(data), lattice, group, report)"
+             " + [Check('x', None, '')]\n",
+             ("test_stdlib_only.py",)),
+    Mutation("reference imports Smith code from exact", "reference.py",
+             "from .exact import IntMatrix\n", "from .exact import IntMatrix, replay_backward\n",
+             ("test_stdlib_only.py",)),
+    Mutation("a float function from math", "reference.py",
+             "from math import gcd, isqrt, lcm\n", "from math import gcd, isqrt, lcm, sqrt\n",
+             ("test_stdlib_only.py",)),
+    Mutation("a root of unity outside the reference's oracles", "reference.py",
+             "return field.element(lhs), field.element(rhs)",
+             "return field.element(lhs), field.element(rhs) * field.root_of_unity(0)",
+             ("test_root_calls.py",)),
+    Mutation("dedekind imports homology", "dedekind.py",
+             "from .exact import is_int\n", "from .exact import is_int\nfrom . import homology\n",
+             ("test_stdlib_only.py",)),
+    Mutation("a float literal in the order cap", "homology.py",
+             "max_order < 1:", "max_order < 1.0:",
+             ("test_stdlib_only.py",)),
+    Mutation("a foreign import in the CLI", "cli.py",
+             "    out = []\n", "    import numpy\n    out = []\n",
              ("test_stdlib_only.py",)),
     # the cross-check records and the route lists (verify.py), which the CLI
     # prints: its exit code and the fixtures read the one pass rule

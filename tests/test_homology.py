@@ -16,12 +16,7 @@ from swplumb.plumbing import build_lattice, numerically_gorenstein
 from swplumb.reference import gauss_sum_check, invert_rational_matrix, smith_normal_form
 from swplumb.report import compute_report
 from swplumb.seifert import lens_chain, star_graph
-from swplumb.verify import _blown_up
-
-
-def pipeline(graph):
-    lattice = build_lattice(graph)
-    return lattice, homology_from_lattice(lattice)
+from swplumb.verify import _blown_up, _pipeline as pipeline
 
 
 def test_single_vertex_group():

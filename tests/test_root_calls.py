@@ -5,49 +5,26 @@ one trace per Galois orbit and build no root of unity, and
 `reference.gauss_sum_check` builds its elements from coefficient vectors.  The
 only callers are the reference product `reference.regularized_product` and
 the oracles that check it and the `Q(zeta_N)` code: `verify.cyclotomic_props`
-and `verify.torsion_props`.
+and `verify.torsion_props`.  The guard reads the call records of the one scan
+in tests/test_stdlib_only.py.
 """
 
-import ast
-from pathlib import Path
+from test_stdlib_only import select
 
-import swplumb
-
-SOURCES = sorted(Path(swplumb.__file__).parent.glob("*.py"))
 ROOT_BUILDERS = {"root_of_unity", "root_minus_one", "inv_root_minus_one"}
 ALLOWED = {"reference.py": {"regularized_product"},
            "verify.py": {"cyclotomic_props", "torsion_props"}}
 
 
-def root_calls(path):
-    """(top-level definition, called name) for each root builder called in a file."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ROOT_BUILDERS:
-                yield owner, name
-
-
 def test_scan_sees_the_reference():
-    calls = {call for path in SOURCES if path.name in ("reference.py", "verify.py")
-             for call in root_calls(path)}
-    assert calls == {("regularized_product", "root_minus_one"),
-                     ("regularized_product", "inv_root_minus_one"),
-                     ("cyclotomic_props", "root_of_unity"),
-                     ("cyclotomic_props", "root_minus_one"),
-                     ("cyclotomic_props", "inv_root_minus_one"),
-                     ("torsion_props", "root_of_unity")}
+    assert {(owner.partition(".")[0], name) for _, owner, _, name
+            in select("call", "reference.py", "verify.py") if name in ROOT_BUILDERS} == {
+        ("regularized_product", "root_minus_one"), ("regularized_product", "inv_root_minus_one"),
+        ("cyclotomic_props", "root_of_unity"), ("cyclotomic_props", "root_minus_one"),
+        ("cyclotomic_props", "inv_root_minus_one"), ("torsion_props", "root_of_unity")}
 
 
 def test_root_builders_called_only_in_the_reference_and_its_oracles():
-    stray = []
-    for path in SOURCES:
-        allowed = ALLOWED.get(path.name, set())
-        stray += [(path.name, owner, name) for owner, name in root_calls(path)
-                  if owner not in allowed]
-    assert stray == []
+    assert [(file, owner, name) for file, owner, _, name in select("call")
+            if name in ROOT_BUILDERS
+            and owner.partition(".")[0] not in ALLOWED.get(file, ())] == []

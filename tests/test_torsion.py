@@ -12,7 +12,7 @@ from swplumb import report, torsion
 from swplumb.corpus import (a_chain, e_star, nonstar_13_vertex, standard_corpus,
                             three_arm_family)
 from swplumb.errors import InvalidBaseVertex, OrderCapExceeded
-from swplumb.homology import Character, homology_from_lattice, spinc_conjugate
+from swplumb.homology import Character, spinc_conjugate
 from swplumb.plumbing import build_lattice, casson_walker
 from swplumb.seifert import (SeifertData, lens_chain, seifert_torsion_shortcut,
                              star_graph)
@@ -21,11 +21,7 @@ from swplumb.reference import regularized_product
 from swplumb.torsion import (WeightVector, delta_at_one_check, moebius_terms,
                              orbit_characters, prime_divisors,
                              swiden_consistency, torsion_table, weight_vector)
-
-
-def pipeline(graph):
-    lattice = build_lattice(graph)
-    return lattice, homology_from_lattice(lattice)
+from swplumb.verify import _pipeline as pipeline
 
 
 def graph_report(graph):
