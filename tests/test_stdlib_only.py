@@ -73,36 +73,83 @@ def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "torsion.py"}
 
 
-def test_scan_sees_each_form(tmp_path):
+def scanned(tmp_path, source):
+    """The records of `scan` for a sample file holding source."""
     path = tmp_path / "sample.py"
-    path.write_text(
-        "from __future__ import annotations\nimport cmath, numpy.linalg\nimport math\n"
-        "from cmath import exp\nfrom math import gcd, sqrt\nfrom os import _exit, path\n"
-        "from .torsion import _orbit_product, orbit_table\n"
-        "from swplumb.exact import _identity_rows, replay_backward\n"
-        "from . import exact, homology, _hidden\nfrom swplumb import reference as r\n"
-        "import swplumb.homology, swplumb\n"
-        "from .homology import FinAbGroup, smith_elimination as sm\n"
-        "class G:\n    @property\n    def field(self):\n"
-        "        from .reference import cyclotomic_field\n        def inner(d):\n"
-        "            from . import _hidden\n"
-        "            return verify.Check('a', True, ''), seifert.seifert_k2nv(d)\n"
-        "g = FinAbGroup((2,), (), ()) * homology.FinAbGroup((3,), (), ())\n"
-        "h = seifert_casson_walker, field.root_of_unity(0) + float(1e-9) + complex(2j)\n")
-    imports = [("<__future__>", "annotations"), ("<cmath>", "cmath"), ("<numpy>", "numpy.linalg"),
-               ("<math>", "math"), ("<cmath>", "exp"), ("<math>", "gcd"), ("<math>", "sqrt"),
-               ("<os>", "_exit"), ("<os>", "path"), ("torsion", "_orbit_product"),
-               ("torsion", "orbit_table"), ("exact", "_identity_rows"),
-               ("exact", "replay_backward"), ("exact", "exact"), ("homology", "homology"),
-               ("", "_hidden"), ("reference", "reference"), ("homology", "swplumb.homology"),
-               ("", "swplumb"), ("homology", "FinAbGroup"), ("homology", "smith_elimination")]
-    assert scan(path) == [("", "import", module, name) for module, name in imports] + [
-        ("G.field", "import", "reference", "cyclotomic_field"),
-        ("G.field.inner", "import", "", "_hidden"),
-        ("G.field.inner", "call", None, "Check"), ("G.field.inner", "call", None, "seifert_k2nv"),
-        ("", "call", None, "FinAbGroup"), ("", "call", None, "FinAbGroup"),
-        ("", "call", None, "root_of_unity"), ("", "call", None, "float"),
-        ("", "literal", None, 1e-9), ("", "call", None, "complex"), ("", "literal", None, 2j)]
+    path.write_text(source)
+    return scan(path)
+
+
+def imports(owner, *pairs):
+    """Import records of one owner for (module, name) pairs."""
+    return [(owner, "import", module, name) for module, name in pairs]
+
+
+def test_private_import_scan_sees_each_form(tmp_path):
+    assert scanned(tmp_path, "from __future__ import annotations\nfrom os import _exit, path\n"
+                   "from .torsion import _orbit_product, orbit_table\n"
+                   "from swplumb.exact import _identity_rows\n"
+                   "def f():\n    from . import _hidden\n") == imports(
+        "", ("<__future__>", "annotations"), ("<os>", "_exit"), ("<os>", "path"),
+        ("torsion", "_orbit_product"), ("torsion", "orbit_table"),
+        ("exact", "_identity_rows")) + imports("f", ("", "_hidden"))
+
+
+def test_homology_scan_sees_each_form(tmp_path):
+    assert scanned(tmp_path, "from .homology import FinAbGroup\nfrom . import homology\n"
+                   "import swplumb.homology\nfrom swplumb.homology import lift\n"
+                   "from .torsion import orbit_table\n"
+                   "g = FinAbGroup((2,), (), ()) * homology.FinAbGroup((3,), (), ())\n") == imports(
+        "", ("homology", "FinAbGroup"), ("homology", "homology"),
+        ("homology", "swplumb.homology"), ("homology", "lift"), ("torsion", "orbit_table")) + [
+        ("", "call", None, "FinAbGroup"), ("", "call", None, "FinAbGroup")]
+
+
+def test_module_import_scan_sees_each_form(tmp_path):
+    assert scanned(tmp_path, "import numpy.linalg, swplumb\nfrom os import path\n"
+                   "from .reference import CycNum\nfrom . import reference\n"
+                   "import swplumb.reference\nfrom swplumb.torsion import orbit_table\n"
+                   "from swplumb import reference as r\n"
+                   "class G:\n    @property\n    def field(self):\n"
+                   "        from .reference import cyclotomic_field\n"
+                   "        def inner():\n            from . import homology\n") == imports(
+        "", ("<numpy>", "numpy.linalg"), ("", "swplumb"), ("<os>", "path"),
+        ("reference", "CycNum"), ("reference", "reference"), ("reference", "swplumb.reference"),
+        ("torsion", "orbit_table"), ("reference", "reference")) + imports(
+        "G.field", ("reference", "cyclotomic_field")) + imports(
+        "G.field.inner", ("homology", "homology"))
+
+
+def test_exact_import_scan_sees_each_form(tmp_path):
+    assert scanned(tmp_path, "from os import path\nfrom .exact import IntMatrix, smith_elimination\n"
+                   "from swplumb.exact import replay_backward\nfrom . import exact, torsion\n"
+                   "from swplumb import exact as e\nimport swplumb.exact\nimport swplumb\n"
+                   "from .homology import FinAbGroup, smith_elimination as sm\n"
+                   "def f():\n    from .exact import SmithLog\n") == imports(
+        "", ("<os>", "path"), ("exact", "IntMatrix"), ("exact", "smith_elimination"),
+        ("exact", "replay_backward"), ("exact", "exact"), ("torsion", "torsion"),
+        ("exact", "exact"), ("exact", "swplumb.exact"), ("", "swplumb"),
+        ("homology", "FinAbGroup"), ("homology", "smith_elimination")) + imports(
+        "f", ("exact", "SmithLog"))
+
+
+def test_route_scan_sees_each_form(tmp_path):
+    assert scanned(tmp_path, "def f(d):\n"
+                   "    return verify.Check('a', True, ''), seifert.seifert_k2nv(d)\n"
+                   "g = seifert_torsion_shortcut(1, 2, 3)\nh = seifert_casson_walker\n") == [
+        ("f", "call", None, "Check"), ("f", "call", None, "seifert_k2nv"),
+        ("", "call", None, "seifert_torsion_shortcut")]
+
+
+def test_float_scan_sees_each_kind(tmp_path):
+    assert scanned(tmp_path, "import cmath, math\nfrom cmath import exp\n"
+                   "from math import gcd, sqrt\ndef f(x):\n"
+                   "    return float(x) + complex(x) + 1e-9 + 2j + field.root_of_unity(0)\n"
+                   ) == imports(
+        "", ("<cmath>", "cmath"), ("<math>", "math"), ("<cmath>", "exp"), ("<math>", "gcd"),
+        ("<math>", "sqrt")) + [
+        ("f", "call", None, "float"), ("f", "call", None, "complex"), ("f", "literal", None, 1e-9),
+        ("f", "literal", None, 2j), ("f", "call", None, "root_of_unity")]
 
 
 def test_only_stdlib_and_swplumb_imports():
