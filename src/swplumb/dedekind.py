@@ -2,10 +2,12 @@
 
 The shifted sum s(h, k; x, y) is evaluated by one Euclid loop that alternates
 argument reduction with the reciprocity law; its oracle, the direct O(k)
-summation, is `reference.dr_sum_direct`.  The loop works in integers: with
-x = X/D and y = Y/D over the lcm D of the shift denominators, each reciprocity
-step adds one integer fraction over 12 h k D^2 to a running numerator and
-denominator, and one Fraction is built at the end.
+summation, is `reference.dr_sum_direct`.  The loop, `dr_sum_parts`, works in
+integers: with x = X/D and y = Y/D over a common denominator D of the shifts,
+each reciprocity step adds one integer fraction over 12 h k D^2 to a running
+numerator and denominator, and it returns that pair.  `dr_sum` builds one
+Fraction from it; the Seifert closed forms add the pairs of several sums in
+integers and build one Fraction per value.
 Rational shifts only, given as int or Fraction; that is all the geometry ever
 needs, and anything else is rejected rather than coerced.  The module imports
 nothing from `torsion` or `homology`.
@@ -31,23 +33,33 @@ def dedekind_symbol(x) -> Fraction:
 
 
 def dr_sum(h: int, k: int, x=0, y=0) -> Fraction:
-    """s(h, k; x, y) by one Euclid loop over the reciprocity law, in integers.
+    """s(h, k; x, y): the argument check, the shifts over their lcm D, `dr_sum_parts`,
+    and one Fraction."""
+    check_args(h, k, x, y)
+    x, y = Fraction(x), Fraction(y)
+    D = lcm(x.denominator, y.denominator)
+    return Fraction(*dr_sum_parts(h, k, x.numerator * (D // x.denominator),
+                                  y.numerator * (D // y.denominator), D))
+
+
+def dr_sum_parts(h: int, k: int, X: int = 0, Y: int = 0, D: int = 1):
+    """s(h, k; X/D, Y/D) as integers (num, den), den > 0, by one Euclid loop over the
+    reciprocity law; h, k coprime ints with k >= 1, unchecked, and D >= 1 any common
+    denominator of the shifts.
 
     A step reduces h mod k (x += (h // k) y) and applies
     s(h, k; x, y) + s(k, h; y, x) = ((x))((y))
         + (h^2 B2({y}) + B2({h y + k x}) + k^2 B2({x})) / (2 h k),
-    or -1/4 + (h^2 + k^2 + 1) / (12 h k) when x and y are integers (D = 1).  With
-    x = X/D and y = Y/D, X and Y reduced mod D, ((Z/D)) = sigma(Z) / 2D and
-    B2({Z/D}) = beta(Z) / 6D^2, where sigma(Z) = 2Z - D (0 at Z = 0) and
+    or -1/4 + (h^2 + k^2 + 1) / (12 h k) when x and y are integers (D = 1, once D is
+    divided by gcd(X, Y, D)).  With X and Y reduced mod D, ((Z/D)) = sigma(Z) / 2D
+    and B2({Z/D}) = beta(Z) / 6D^2, where sigma(Z) = 2Z - D (0 at Z = 0) and
     beta(Z) = 6Z^2 - 6ZD + D^2; so the right side is one fraction over 12 h k D^2.
     The loop ends at h = 0 with ((x))((y)).  The steps are summed as one reduced
-    integer fraction times 12 D^2, and one Fraction is built at the end.
+    integer fraction times 12 D^2.
     """
-    check_args(h, k, x, y)
-    x, y = Fraction(x), Fraction(y)
-    D = lcm(x.denominator, y.denominator)
-    X = x.numerator * (D // x.denominator) % D
-    Y = y.numerator * (D // y.denominator) % D
+    g = gcd(X, Y, D)
+    D = D // g
+    X, Y = X // g % D, Y // g % D
 
     def sigma(z):
         return 2 * z - D if z else 0
@@ -62,7 +74,7 @@ def dr_sum(h: int, k: int, x=0, y=0) -> Fraction:
         m, h = divmod(h, k)             # s(h, k; x, y) = s(h - mk, k; x + my, y)
         X = (X + m * Y) % D
         if h == 0:                      # ((x))((y)) = 3 sigma(X) sigma(Y) / 12 D^2
-            return Fraction(num + 3 * sign * sigma(X) * sigma(Y) * den, 12 * D * D * den)
+            return num + 3 * sign * sigma(X) * sigma(Y) * den, 12 * D * D * den
         if D == 1:                      # x and y integers throughout
             step = h * h + k * k + 1 - 3 * h * k
         else:

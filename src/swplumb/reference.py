@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm, prod
 
 from .dedekind import check_args, dedekind_symbol, dr_sum
 from .errors import (ConductorMismatch, InternalInvariantViolated, InvalidBaseVertex,
@@ -22,6 +22,7 @@ from .errors import (ConductorMismatch, InternalInvariantViolated, InvalidBaseVe
 from .exact import IntMatrix
 from .homology import Character, FinAbGroup, q_can
 from .plumbing import LatticeData
+from .seifert import KSReport, SeifertData
 from .torsion import WeightVector, orbit_table, prime_divisors
 
 
@@ -534,3 +535,86 @@ def fourier_identity_suite(p: int, q: int, t: int = 0):
         ("cotangent_product", _root_sum(p, 0, [(2, 1), (1, -2), (2 * q, 1), (q, -2)]),
          -4 * dr_sum(q, p)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# The Seifert closed forms and the eta route in Fractions
+# ---------------------------------------------------------------------------
+
+def seifert_fractions(data: SeifertData) -> dict:
+    """e, kappa, n0, rho0, order_h and dedekind_total of `data` in Fractions, each from
+    (b, arms) alone, keyed by the SeifertData attribute: the oracle of its integer forms."""
+    e = Fraction(data.b) + sum(Fraction(w, a) for a, w in data.arms)
+    kappa = Fraction(-2) + sum(1 - Fraction(1, a) for a, _ in data.arms)
+    order = prod(a for a, _ in data.arms) * abs(e)
+    if order.denominator != 1:
+        raise InternalInvariantViolated("group order must be an integer")
+    return {"e": e, "kappa": kappa, "n0": floor(kappa / (2 * e)),
+            "rho0": (kappa / (2 * e)) % 1, "order_h": int(order),
+            "dedekind_total": sum((dr_sum(w, a) for a, w in data.arms), Fraction(0))}
+
+
+def seifert_casson_walker_fractions(data: SeifertData) -> Fraction:
+    """`seifert.seifert_casson_walker` one Fraction operation at a time."""
+    f = seifert_fractions(data)
+    e = f["e"]
+    total = (2 - data.nu + sum(Fraction(1, a * a) for a, _ in data.arms)) / e
+    total += e + 3 - 12 * f["dedekind_total"]
+    return Fraction(-f["order_h"], 24) * total
+
+
+def seifert_k2nv_fractions(data: SeifertData) -> Fraction:
+    """`seifert.seifert_k2nv` one Fraction operation at a time."""
+    f = seifert_fractions(data)
+    e = f["e"]
+    s = 2 - data.nu + sum(Fraction(1, a) for a, _ in data.arms)
+    return s * s / e + e + 5 - 12 * f["dedekind_total"]
+
+
+def ks_invariant_fractions(data: SeifertData) -> Fraction:
+    """The eta-invariant combination of `seifert.ks_route` one Fraction operation at a time."""
+    f = seifert_fractions(data)
+    e, rho0 = f["e"], f["rho0"]
+    gammas = [f["n0"] * w % a for a, w in data.arms]
+    inverses = [pow(w, -1, a) for a, w in data.arms]
+    total = e + 1 - 4 * e * rho0 * (1 - rho0) + 4 * data.nu * rho0 - 4 * f["dedekind_total"]
+    for (a, w), g in zip(data.arms, gammas):
+        total -= 8 * dr_sum(w, a, Fraction(g + rho0 * w, a), -rho0)
+    if rho0 == 0:
+        tail = -sum(dedekind_symbol(Fraction(r * g, a))
+                    for (a, _), g, r in zip(data.arms, gammas, inverses))
+    else:
+        tail = (2 + f["kappa"]) / 2 * (1 - 2 * rho0)
+        tail -= sum(Fraction((r * g) % a + rho0, a) % 1
+                    for (a, _), g, r in zip(data.arms, gammas, inverses))
+    return total + 4 * tail
+
+
+def ks_route_scaled(data: SeifertData) -> KSReport:
+    """`seifert.ks_route` with each degree scaled by L = lcm(alpha_i) and checked to be
+    an integer: L*deg = j*E - sum ((j*w_i) mod a_i) L/a_i, with E = e*L and K = kappa*L
+    read from `data.e` and `data.kappa`; the minus side's degree is -2 - deg.  The
+    invariant is `ks_invariant_fractions`."""
+    e, kappa = data.e, data.kappa
+    counts, zero_dim = [0, 0], True
+    if kappa > 0:
+        L = data.alpha
+        E, K = int(e * L), int(kappa * L)
+        arms = [(a, w, L // a) for a, w in data.arms]
+        plus = range(data.n0 + 1, 1)
+        minus = range(-(-K // E), -(-K // (2 * E)))
+        for side, js in enumerate((plus, minus)):
+            for j in js:
+                deg, rest = divmod(j * E - sum(j * w % a * s for a, w, s in arms), L)
+                if rest:
+                    raise InternalInvariantViolated("smooth degree must be an integer")
+                if side:
+                    deg = -2 - deg
+                if deg >= 0:
+                    counts[side] += 1
+                    zero_dim = zero_dim and deg == 0
+    ks = ks_invariant_fractions(data)
+    applicable = data.rho0 != 0 and zero_dim
+    sw0_ks = ks / 8 + sum(counts) if applicable else None
+    return KSReport(ks=ks, plus=counts[0], minus=counts[1],
+                    applicable=applicable, sw0_ks=sw0_ks)

@@ -38,8 +38,8 @@ def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
     """The one place sw0, the gap and the spin^c rows are derived.
 
     sw0 = T(1) - lambda/|H| and the gap sw0 - (K^2 + #V)/8 for the canonical
-    structure; with all_spinc, sw0 of h * sigma_can is T(h) - lambda/|H|, read
-    from the same torsion table.
+    structure; with all_spinc, sw0 of h * sigma_can is T(h) - lambda/|H|, one
+    Fraction per row from the integer totals that `TorsionTable.invert` reads.
     """
     k2 = k2_plus_nv(lattice)
     lam = casson_walker(lattice)
@@ -49,8 +49,10 @@ def compute_report_from(lattice: LatticeData, group: FinAbGroup, *,
     sw = t1 - lam_over_h
     gap = sw - k2 / 8
     spinc = None
-    if all_spinc:
-        spinc = tuple((h, t - lam_over_h) for h, t in table.invert().items())
+    if all_spinc:      # T(h) - lambda/|H| over n ld from the table's integer totals t/n
+        n, rows = table.totals()
+        ln, ld = lam_over_h.numerator, lam_over_h.denominator
+        spinc = tuple((h, Fraction(t * ld - ln * n, n * ld)) for h, t in rows)
     return InvariantReport(
         order_h=group.order,
         invariant_factors=group.invariant_factors,

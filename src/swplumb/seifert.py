@@ -4,7 +4,9 @@ Normalized data (b; (alpha_i, omega_i)) with any number of arms (fewer than
 three give lens spaces); the star plumbing graph comes from negative continued
 fractions.  Closed forms for the Casson-Walker invariant and the canonical-cycle
 invariant, the eta-invariant route to the monopole count, and the arm-level
-shortcut for the torsion.
+shortcut for the torsion.  The data's rationals and the closed forms are integers
+over one denominator (L = lcm(alpha_i), the Dedekind sums as `dr_sum_parts` pairs),
+with one Fraction per returned value; their Fraction forms are oracles in `reference`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, lcm, prod
+from math import gcd, lcm, prod
 
-from .dedekind import dedekind_symbol, dr_sum
+from .dedekind import dr_sum_parts
 from .errors import InternalInvariantViolated
 from .exact import is_int
 from .homology import FinAbGroup, GroupElement
@@ -65,7 +67,7 @@ class SeifertData:
                 raise ValueError(f"arm ({a},{w}) is not coprime")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "arms", arms)
-        if self.e >= 0:
+        if self.E >= 0:
             raise ValueError(f"orbifold Euler number {self.e} must be negative")
 
     @property
@@ -73,18 +75,35 @@ class SeifertData:
         return len(self.arms)
 
     @cached_property
-    def e(self) -> Fraction:
-        return Fraction(self.b) + sum(Fraction(w, a) for a, w in self.arms)
+    def alpha(self) -> int:
+        """L = lcm(alpha_i), the denominator of e and kappa."""
+        return lcm(*(a for a, _ in self.arms))
 
     @cached_property
-    def alpha(self) -> int:
-        return lcm(*(a for a, _ in self.arms))
+    def E(self) -> int:
+        """e * L = b L + sum omega_i L / alpha_i."""
+        L = self.alpha
+        return self.b * L + sum(w * (L // a) for a, w in self.arms)
+
+    @cached_property
+    def K(self) -> int:
+        """kappa * L = -2L + sum (L - L / alpha_i)."""
+        L = self.alpha
+        return -2 * L + sum(L - L // a for a, _ in self.arms)
+
+    @cached_property
+    def e(self) -> Fraction:
+        return Fraction(self.E, self.alpha)
+
+    @cached_property
+    def kappa(self) -> Fraction:
+        return Fraction(self.K, self.alpha)
 
     @cached_property
     def dedekind_total(self) -> Fraction:
         """sum s(omega_i, alpha_i), shared by the closed forms.  Absorbing b into one arm
         gives beta_i = -omega_i mod alpha_i, whose s(beta_i, alpha_i) total minus this."""
-        return sum((dr_sum(w, a) for a, w in self.arms), Fraction(0))
+        return Fraction(*_sum_parts(dr_sum_parts(w, a) for a, w in self.arms))
 
     @cached_property
     def chains(self):
@@ -92,16 +111,14 @@ class SeifertData:
         return tuple(hj_expand(a, w) for a, w in self.arms)
 
     @cached_property
-    def kappa(self) -> Fraction:
-        return Fraction(-2) + sum(1 - Fraction(1, a) for a, _ in self.arms)
+    def n0(self) -> int:
+        """floor(kappa / 2e) = K // 2E."""
+        return self.K // (2 * self.E)
 
     @cached_property
     def rho0(self) -> Fraction:
-        return (self.kappa / (2 * self.e)) % 1
-
-    @cached_property
-    def n0(self) -> int:
-        return floor(self.kappa / (2 * self.e))
+        """{kappa / 2e} = (K - 2E n0) / 2E."""
+        return Fraction(self.K - 2 * self.E * self.n0, 2 * self.E)
 
     @cached_property
     def gammas(self):
@@ -114,10 +131,16 @@ class SeifertData:
 
     @cached_property
     def order_h(self) -> int:
-        value = prod(a for a, _ in self.arms) * abs(self.e)
-        if value.denominator != 1:
-            raise InternalInvariantViolated("group order must be an integer")
-        return int(value)
+        """prod(alpha_i) |e|; L divides prod(alpha_i)."""
+        return -self.E * (prod(a for a, _ in self.arms) // self.alpha)
+
+
+def _sum_parts(parts):
+    """sum n / d over integer pairs (n, d), d > 0, as one unreduced pair."""
+    num, den = 0, 1
+    for n, d in parts:
+        num, den = num * d + n * den, den * d
+    return num, den
 
 
 def star_graph(data: SeifertData) -> PlumbingGraph:
@@ -155,18 +178,21 @@ def lens_chain(p: int, q: int) -> PlumbingGraph:
 
 
 def seifert_casson_walker(data: SeifertData) -> Fraction:
-    """Casson-Walker invariant from the Seifert data alone."""
-    e = data.e
-    total = (2 - data.nu + sum(Fraction(1, a * a) for a, _ in data.arms)) / e
-    total += e + 3 - 12 * data.dedekind_total
-    return Fraction(-data.order_h, 24) * total
+    """Casson-Walker invariant from the Seifert data alone:
+    -(|H| / 24) ((2 - nu + sum 1/alpha_i^2) / e + e + 3 - 12 sum s(omega_i, alpha_i)),
+    over L E S with e = E / L and the Dedekind total over S."""
+    L, E, s = data.alpha, data.E, data.dedekind_total
+    squares = (2 - data.nu) * L * L + sum((L // a) ** 2 for a, _ in data.arms)
+    total = (squares + E * E + 3 * L * E) * s.denominator - 12 * L * E * s.numerator
+    return Fraction(-data.order_h * total, 24 * L * E * s.denominator)
 
 
 def seifert_k2nv(data: SeifertData) -> Fraction:
-    """Canonical-cycle invariant K^2 + #vertices from the Seifert data alone."""
-    e = data.e
-    s = 2 - data.nu + sum(Fraction(1, a) for a, _ in data.arms)
-    return s * s / e + e + 5 - 12 * data.dedekind_total
+    """Canonical-cycle invariant K^2 + #vertices from the Seifert data alone:
+    kappa^2 / e + e + 5 - 12 sum s(omega_i, alpha_i), with 2 - nu + sum 1/alpha_i = -kappa."""
+    L, E, K, s = data.alpha, data.E, data.K, data.dedekind_total
+    total = (K * K + E * E + 5 * L * E) * s.denominator - 12 * L * E * s.numerator
+    return Fraction(total, L * E * s.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +201,10 @@ def seifert_k2nv(data: SeifertData) -> Fraction:
 
 @dataclass(frozen=True)
 class KSReport:
-    """Eta-invariant combination and the finite monopole count, when usable."""
+    """Eta-invariant combination and the finite monopole count, when usable.
+
+    `ks` is one Fraction built from integer parts; `reference.ks_route_scaled`
+    and `reference.ks_invariant_fractions` are its oracles."""
 
     ks: Fraction
     plus: int           # bundle multiples counted with small negative degree shift
@@ -185,18 +214,26 @@ class KSReport:
 
 
 def _ks_invariant(data: SeifertData) -> Fraction:
-    e, nu, rho0 = data.e, data.nu, data.rho0
-    total = e + 1 - 4 * e * rho0 * (1 - rho0) + 4 * nu * rho0 - 4 * data.dedekind_total
-    for (a, w), g in zip(data.arms, data.gammas):
-        total -= 8 * dr_sum(w, a, Fraction(g + rho0 * w, a), -rho0)
-    if rho0 == 0:
-        tail = -sum(dedekind_symbol(Fraction(r * g, a))
-                    for (a, _), g, r in zip(data.arms, data.gammas, data.omega_inverses))
-    else:
-        tail = (2 + data.kappa) / 2 * (1 - 2 * rho0)
-        tail -= sum(Fraction((r * g) % a + rho0, a) % 1
-                    for (a, _), g, r in zip(data.arms, data.gammas, data.omega_inverses))
-    return total + 4 * tail
+    """e + 1 - 4 e rho (1 - rho) + 4 nu rho - 4 sum s(omega_i, alpha_i)
+    - 8 sum s(omega_i, alpha_i; (gamma_i + rho omega_i) / alpha_i, -rho) + 4 tail,
+    rho = rho0 = R / N: all but the Dedekind sums over 2 L N^2, the tail over 2 L N,
+    the sums as `dr_sum_parts` pairs; one Fraction of the whole."""
+    L, E, K = data.alpha, data.E, data.K
+    R, N = data.rho0.numerator, data.rho0.denominator
+    rows = [(a, w, g, r * g % a) for (a, w), g, r in
+            zip(data.arms, data.gammas, data.omega_inverses)]
+    if R:       # (2 + kappa) / 2 (1 - 2 rho) - sum ((r g mod a) + rho) / a
+        tail = ((2 * L + K) * (N - 2 * R)
+                - 2 * sum((m * N + R) * (L // a) for a, _, _, m in rows))
+    else:       # - sum ((r g / a)), N = 1
+        tail = -sum((2 * m - a) * (L // a) for a, _, _, m in rows if m)
+    rest = 2 * N * N * (E + L) - 8 * E * R * (N - R) + 8 * data.nu * R * L * N + 4 * N * tail
+    s = data.dedekind_total
+    parts = [(rest, 2 * L * N * N), (-4 * s.numerator, s.denominator)]
+    for a, w, g, _ in rows:
+        n, d = dr_sum_parts(w, a, g * N + R * w, -R * a, a * N)
+        parts.append((-8 * n, d))
+    return Fraction(*_sum_parts(parts))
 
 
 def ks_route(data: SeifertData) -> KSReport:
@@ -207,27 +244,24 @@ def ks_route(data: SeifertData) -> KSReport:
     applies when rho0 is nonzero and every counted degree is 0 (each selected
     component is zero dimensional); only the two counts and that flag are kept.
 
-    The degrees are integers scaled by L = lcm(alpha_i), so that E = e*L < 0
-    and K = kappa*L are integers.  With L*deg = j*E - sum ((j*w_i) mod a_i) L/a_i,
-    the degree is deg on the plus side, n0 = K // 2E < j <= 0, and -2 - deg on
-    the minus side, K/E <= j < K/2E: there K - j*E - sum ((a_i - 1 - j*w_i) mod
-    a_i) L/a_i = -2L - L*deg, because K = -2L + sum (L - L/a_i).  Cost:
-    kappa/(2|e|) integer steps per side in constant memory, with no cap.
+    With E = e*L < 0 and K = kappa*L integers (L = lcm(alpha_i)), the degree is
+    deg(j) = j*b + sum floor(j*w_i / a_i), which is
+    (j*E - sum ((j*w_i) mod a_i) L/a_i) / L, on the plus side, n0 = K // 2E < j <= 0,
+    and -2 - deg(j) on the minus side, K/E <= j < K/2E: there K - j*E - sum
+    ((a_i - 1 - j*w_i) mod a_i) L/a_i = -2L - L*deg, because K = -2L + sum (L - L/a_i).
+    Cost: kappa/(2|e|) integer steps per side in constant memory, with no cap.
+    `reference.ks_route_scaled`, the walk over L-scaled degrees, is its oracle.
     """
-    e, kappa = data.e, data.kappa
     counts, zero_dim = [0, 0], True
-    if kappa > 0:
-        L = data.alpha
-        E, K = int(e * L), int(kappa * L)
-        arms = [(a, w, L // a) for a, w in data.arms]
+    E, K = data.E, data.K
+    if K > 0:
+        b, arms = data.b, data.arms
         # j*e in [0, kappa/2): negative shift; j*e in (kappa/2, kappa]: positive
         plus = range(data.n0 + 1, 1)
         minus = range(-(-K // E), -(-K // (2 * E)))
         for side, js in enumerate((plus, minus)):
             for j in js:
-                deg, rest = divmod(j * E - sum(j * w % a * s for a, w, s in arms), L)
-                if rest:
-                    raise InternalInvariantViolated("smooth degree must be an integer")
+                deg = j * b + sum(j * w // a for a, w in arms)
                 if side:
                     deg = -2 - deg
                 if deg >= 0:
@@ -240,7 +274,9 @@ def ks_route(data: SeifertData) -> KSReport:
     # integrality), while lens spaces (at most two arms) can.  The torsion
     # route is the fallback.
     applicable = data.rho0 != 0 and zero_dim
-    sw0_ks = ks / 8 + sum(counts) if applicable else None
+    sw0_ks = None
+    if applicable:
+        sw0_ks = Fraction(ks.numerator + 8 * sum(counts) * ks.denominator, 8 * ks.denominator)
     return KSReport(ks=ks, plus=counts[0], minus=counts[1],
                     applicable=applicable, sw0_ks=sw0_ks)
 

@@ -191,7 +191,8 @@ def orbit_table(dims, images, factors_of) -> TorsionTable:
 @dataclass(frozen=True, eq=False)
 class TorsionTable:
     """Fourier transform R(chi) of the torsion of the canonical structure: the structure
-    h * sigma_can has torsion T(h) at 1.  `at` reads one point, `invert` all of H."""
+    h * sigma_can has torsion T(h) at 1.  `at` reads one point; `totals` all of H as
+    integers over one denominator, which `invert` turns into Fractions."""
 
     dims: tuple      # the invariant factors of H
     den: int         # the lcm of the orbit denominators
@@ -206,9 +207,10 @@ class TorsionTable:
             total += sum(w * s[e % len(s)] for w, s in sums)
         return Fraction(total, self.den * prod(self.dims))
 
-    def invert(self) -> dict:
-        """{h: T(h)} over H, lexicographic: each orbit's traces on Z/d from its weighted
-        residue sums, one lookup per point at e = c . h, built a coordinate at a time."""
+    def totals(self):
+        """(n, rows): T(h) = t / n for each (h, t) of rows, h over H in lexicographic order.
+        Each orbit's traces on Z/d are tabulated from its weighted residue sums, then read
+        once per point at e = c . h, built a coordinate at a time; t is an integer."""
         totals = [0] * prod(self.dims)
         for c, d, sums in self.orbits:
             table = list(map(sum, zip(*([w * x for x in s] * (d // len(s)) for w, s in sums))))
@@ -216,8 +218,12 @@ class TorsionTable:
             for x, m in zip(c, self.dims):
                 es = [(e + x * j) % d for e in es for j in range(m)]
             totals = [t + table[e] for t, e in zip(totals, es)]
-        n = self.den * prod(self.dims)
-        return {h: Fraction(t, n) for h, t in zip(iproduct(*map(range, self.dims)), totals)}
+        return self.den * prod(self.dims), list(zip(iproduct(*map(range, self.dims)), totals))
+
+    def invert(self) -> dict:
+        """{h: T(h)} over H, lexicographic, from `totals`."""
+        n, rows = self.totals()
+        return {h: Fraction(t, n) for h, t in rows}
 
 
 def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:

@@ -134,7 +134,7 @@ MUTATIONS = [
     Mutation("K + jE on the minus side", "seifert.py",
              "deg = -2 - deg", "deg = -2 + deg",
              ("test_seifert.py",)),
-    Mutation("integrality check removed", "seifert.py",
+    Mutation("integrality check removed", "reference.py",
              "                if rest:\n", "                if False:\n",
              ("test_seifert.py",)),
     Mutation("plus side from n0", "seifert.py",
@@ -146,15 +146,31 @@ MUTATIONS = [
     Mutation("zero-dimension flag ignores the degree", "seifert.py",
              "zero_dim = zero_dim and deg == 0", "zero_dim = zero_dim",
              ("test_seifert.py",)),
+    Mutation("degree floor term as a ceiling", "seifert.py",
+             "sum(j * w // a for a, w in arms)", "sum(-(-j * w // a) for a, w in arms)",
+             ("test_seifert.py",)),
+    Mutation("rho0 numerator sign", "seifert.py",
+             "Fraction(self.K - 2 * self.E * self.n0, 2 * self.E)",
+             "Fraction(2 * self.E * self.n0 - self.K, 2 * self.E)",
+             ("test_seifert.py",)),
     Mutation("Dedekind total added in Casson-Walker", "seifert.py",
-             "e + 3 - 12 * data.dedekind_total", "e + 3 + 12 * data.dedekind_total",
+             "3 * L * E) * s.denominator - 12", "3 * L * E) * s.denominator + 12",
+             ("test_seifert.py",)),
+    Mutation("Casson-Walker Dedekind part times 4", "seifert.py",
+             "3 * L * E) * s.denominator - 12", "3 * L * E) * s.denominator - 4",
              ("test_seifert.py",)),
     Mutation("Dedekind total added in K^2 + #V", "seifert.py",
-             "e + 5 - 12 * data.dedekind_total", "e + 5 + 12 * data.dedekind_total",
+             "5 * L * E) * s.denominator - 12", "5 * L * E) * s.denominator + 12",
              ("test_seifert.py",)),
     Mutation("Dedekind total added in the eta invariant", "seifert.py",
-             "- 4 * data.dedekind_total", "+ 4 * data.dedekind_total",
+             "(-4 * s.numerator, s.denominator)", "(4 * s.numerator, s.denominator)",
              ("test_seifert.py",)),
+    Mutation("eta tail sawtooth ((0)) read as -1/2", "seifert.py",
+             "for a, _, _, m in rows if m)", "for a, _, _, m in rows)",
+             ("test_seifert.py",)),
+    Mutation("Dedekind kernel keeps a common factor of X, Y and D", "dedekind.py",
+             "g = gcd(X, Y, D)", "g = 1",
+             ("test_dedekind.py", "test_seifert.py")),
     Mutation("continuant step c * num + den", "seifert.py",
              "num, den = c * num - den, num", "num, den = c * num + den, num",
              ("test_seifert.py",)),
@@ -194,6 +210,9 @@ MUTATIONS = [
     Mutation("linking rows without mod D", "homology.py",
              "for x, y in zip(gb, h)) % den", "for x, y in zip(gb, h))",
              ("test_homology.py",)),
+    Mutation("spin^c rows shifted by +lambda/|H|", "report.py",
+             "Fraction(t * ld - ln * n, n * ld)", "Fraction(t * ld + ln * n, n * ld)",
+             ("test_torsion.py",)),
     Mutation("--max-order 0 accepted", "cli.py",
              "    if value < 1:\n", "    if value < 0:\n",
              ("test_cli.py",)),
@@ -219,7 +238,8 @@ MUTATIONS = [
              "from .exact import IntMatrix\n", "from .exact import IntMatrix, replay_backward\n",
              ("test_stdlib_only.py",)),
     Mutation("a float function from math", "reference.py",
-             "from math import gcd, isqrt, lcm\n", "from math import gcd, isqrt, lcm, sqrt\n",
+             "from math import floor, gcd, isqrt, lcm, prod\n",
+             "from math import floor, gcd, isqrt, lcm, prod, sqrt\n",
              ("test_stdlib_only.py",)),
     Mutation("a root of unity outside the reference's oracles", "reference.py",
              "return field.element(lhs), field.element(rhs)",

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swplumb.dedekind import dedekind_symbol, dr_sum
+from swplumb.dedekind import dedekind_symbol, dr_sum, dr_sum_parts
 from swplumb.reference import cyclotomic_field, dr_sum_direct, fourier_identity_suite
 
 
@@ -59,6 +59,24 @@ def test_reciprocity_sweep():
                 continue
             assert dr_sum(h, k) + dr_sum(k, h) == \
                 Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k)
+
+
+def test_integer_kernel_against_dr_sum():
+    """dr_sum_parts on the reciprocity sweep's pairs, unshifted and with shifts over
+    common denominators that are not the least one (X = Y = 0 mod D among them)."""
+    for k in range(1, 61):
+        for h in range(1, k):
+            if gcd(h, k) != 1:
+                continue
+            for a, b in ((h, k), (k, h), (-h, k)):
+                num, den = dr_sum_parts(a, b)
+                assert den > 0 and Fraction(num, den) == dr_sum(a, b)
+                x, y = Fraction(a % 7, 7), Fraction(-b % 3, 3)
+                for scale in (1, 2, 5):
+                    D = 21 * scale
+                    num, den = dr_sum_parts(a, b, x.numerator * 3 * scale,
+                                            y.numerator * 7 * scale - D, D)
+                    assert den > 0 and Fraction(num, den) == dr_sum(a, b, x, y)
 
 
 def test_shifted_reciprocity_against_oracle():

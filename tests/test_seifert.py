@@ -10,10 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from swplumb import seifert
 from swplumb.corpus import dn_seifert, polygonal_seifert, three_arm_family
-from swplumb.dedekind import dr_sum
+from swplumb.dedekind import dr_sum, dr_sum_parts
 from swplumb.errors import InternalInvariantViolated
 from swplumb.homology import homology_from_lattice
 from swplumb.plumbing import build_lattice, casson_walker, k2_plus_nv
+from swplumb.reference import (ks_invariant_fractions, ks_route_scaled,
+                               seifert_casson_walker_fractions, seifert_fractions,
+                               seifert_k2nv_fractions)
 from swplumb.report import compute_report_from
 from swplumb.seifert import (KSReport, SeifertData, hj_expand, ks_route, lens_chain,
                              seifert_casson_walker, seifert_k2nv,
@@ -199,9 +202,9 @@ class TestOneComputationPerArm:
         def counting(h, k, *shifts):
             if not shifts:
                 unshifted.append((h, k))
-            return dr_sum(h, k, *shifts)
+            return dr_sum_parts(h, k, *shifts)
 
-        monkeypatch.setattr(seifert, "dr_sum", counting)
+        monkeypatch.setattr(seifert, "dr_sum_parts", counting)
         data = SeifertData(b, arms)
         seifert_casson_walker(data)
         seifert_k2nv(data)
@@ -271,7 +274,7 @@ def reference_ks_route(data):
             if deg >= 0:
                 counts[side] += 1
                 dims.append(deg)
-    ks = seifert._ks_invariant(data)
+    ks = ks_invariant_fractions(data)
     applicable = data.rho0 != 0 and all(d == 0 for d in dims)
     return KSReport(ks=ks, plus=counts[0], minus=counts[1], applicable=applicable,
                     sw0_ks=ks / 8 + sum(counts) if applicable else None)
@@ -288,7 +291,8 @@ def seifert_data(draw, max_alpha=13):
 
 
 class TestEtaRouteAgainstFractions:
-    """ks_route's integer enumeration against the Fraction reference."""
+    """ks_route's integer enumeration against the Fraction reference, and every integer
+    form against its oracle in `reference`."""
 
     @settings(max_examples=150, deadline=None)
     @given(seifert_data())
@@ -299,6 +303,7 @@ class TestEtaRouteAgainstFractions:
     @example(SeifertData(-3, [(2, 1), (3, 1), (5, 2), (8, 7), (9, 8)]))  # 311 per side
     def test_whole_report(self, data):
         assert ks_route(data) == reference_ks_route(data)
+        assert_integer_forms_match(data)
 
     def test_examples_cover_the_branches(self):
         kappa_nonpositive = SeifertData(-2, [(2, 1), (3, 1), (6, 1)])
@@ -316,13 +321,60 @@ class TestEtaRouteAgainstFractions:
         assert not report.applicable and report.sw0_ks is None
         assert report == reference_ks_route(data)
 
-    @pytest.mark.parametrize("route", [ks_route, reference_ks_route])
+    @pytest.mark.parametrize("route", [ks_route_scaled, reference_ks_route])
     def test_non_integral_degree_raises(self, route):
         # ell off by -1/L: L * deg moves by -j, not a multiple of L for 0 < |j| < L
         data = SeifertData(-2, [(3, 1), (5, 4), (7, 6)])
         object.__setattr__(data, "e", data.e - Fraction(1, data.alpha))
         with pytest.raises(InternalInvariantViolated, match="integer"):
             route(data)
+
+
+def assert_integer_forms_match(data):
+    """Every integer form of the Seifert side equals its Fraction oracle, value and type."""
+    for name, want in seifert_fractions(data).items():
+        got = getattr(data, name)
+        assert got == want and type(got) is type(want), (data, name)
+    for got, want in ((seifert_casson_walker(data), seifert_casson_walker_fractions(data)),
+                      (seifert_k2nv(data), seifert_k2nv_fractions(data))):
+        assert got == want and type(got) is Fraction, data
+    report = ks_route(data)
+    assert report == ks_route_scaled(data), data
+    assert report.ks == ks_invariant_fractions(data) and type(report.ks) is Fraction
+    assert report.sw0_ks is None or type(report.sw0_ks) is Fraction
+    return report
+
+
+class TestIntegerFormsAgainstFractions:
+    """SeifertData's properties, the closed forms and ks_route, all in integers, against
+    their Fraction forms in `reference`; `test_whole_report` does the same on the
+    hypothesis draws."""
+
+    def test_seeded_sweep(self):
+        """6000 data of 0-5 arms with alpha_i < 15 and b from -4 to -1."""
+        rng = random.Random(3)
+        done, kappa_positive, minus = 0, 0, 0
+        while done < 6000:
+            arms = []
+            for _ in range(rng.randrange(6)):
+                a = rng.randrange(2, 15)
+                arms.append((a, rng.choice([w for w in range(1, a) if gcd(a, w) == 1])))
+            b = rng.randrange(-4, 0)
+            if b + sum(Fraction(w, a) for a, w in arms) >= 0:
+                continue
+            data = SeifertData(b, arms)
+            report = assert_integer_forms_match(data)
+            done += 1
+            kappa_positive += data.kappa > 0
+            minus += report.minus > 0
+        assert kappa_positive > 2000 and minus > 200
+
+    def test_few_and_many_arms(self):
+        cases = [SeifertData(b, arms) for b, arms in FEW_ARMS]
+        cases += TestShortcutDifferential.seeded_data(120)
+        assert {data.nu for data in cases} == set(range(6))
+        for data in cases:
+            assert_integer_forms_match(data)
 
 
 class TestArmShortcut:
@@ -348,17 +400,20 @@ class TestArmShortcut:
                 table.at(h)
 
 
+FEW_ARMS = [
+    (-3, []),
+    (-1, [(5, 2)]),
+    (-2, [(7, 3)]),
+    (-1, [(3, 1), (4, 1)]),
+    (-2, [(5, 2), (7, 4)]),
+    (-4, [(2, 1), (2, 1)]),
+]
+
+
 class TestFewArms:
     """Fewer than three arms: a single vertex or a chain, i.e. a lens space."""
 
-    @pytest.mark.parametrize("b, arms", [
-        (-3, []),
-        (-1, [(5, 2)]),
-        (-2, [(7, 3)]),
-        (-1, [(3, 1), (4, 1)]),
-        (-2, [(5, 2), (7, 4)]),
-        (-4, [(2, 1), (2, 1)]),
-    ])
+    @pytest.mark.parametrize("b, arms", FEW_ARMS)
     def test_every_route_agrees(self, b, arms):
         data = SeifertData(b, arms)
         assert data.nu == len(arms)

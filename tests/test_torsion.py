@@ -182,6 +182,7 @@ class TestFourierInversion:
             want = [(h, t - lam_over_h)
                     for h, t in torsion_table(lattice, group).invert().items()]
             assert list(rows) == want, name
+            assert all(type(v) is Fraction for _, v in rows), name
             if group.rank > 1:
                 noncyclic.add(name)
         assert {"D4", "3arm(m=2)", "polygonal(2^5)"} <= noncyclic
