@@ -19,10 +19,6 @@ from .homology import (Character, FinAbGroup, homology_from_lattice, linking_for
 from .plumbing import (LatticeData, PlumbingGraph, blow_up_edge, blow_up_vertex,
                        build_lattice, casson_walker, k2_plus_nv,
                        numerically_gorenstein)
-from .reference import (CycNum, CyclotomicField, SmithDecomposition, cyclotomic_field,
-                        cyclotomic_polynomial, dr_sum_direct, fourier_identity_suite,
-                        gauss_sum_check, invert_rational_matrix, regularized_product,
-                        smith_normal_form)
 from .report import (InvariantReport, compute_report, render_table,
                      report_from_json, report_to_json)
 from .seifert import (KSReport, SeifertData, hj_expand, ks_route, lens_chain,
@@ -32,5 +28,5 @@ from .torsion import (TorsionTable, WeightVector, delta_at_one_check,
                       swiden_consistency, torsion_table, weight_vector)
 
 __version__ = "0.1.0"
-# `from swplumb import *`: the names above and their modules, not `reference` itself
-__all__ = [name for name in dir() if not name.startswith("_") and name != "reference"]
+# `from swplumb import *`: the names above and their modules
+__all__ = [name for name in dir() if not name.startswith("_")]

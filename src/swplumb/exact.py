@@ -132,6 +132,16 @@ class SmithLog:
     col_ops: list
 
 
+def _add_row(target: dict, source: dict, q: int) -> None:
+    """target += q * source, on sparse rows: a zero sum drops its key."""
+    for k, x in source.items():
+        y = target.get(k, 0) + q * x
+        if y:
+            target[k] = y
+        else:
+            del target[k]
+
+
 def smith_elimination(rows, cols: int) -> SmithLog:
     """Smith normal form over Z of a sparse matrix, as a diagonal and two logs.
 
@@ -144,6 +154,8 @@ def smith_elimination(rows, cols: int) -> SmithLog:
     sparsity.  A column swap exchanges two logical labels of the dict keys, and
     the arithmetic runs over nonzeros only.  Rows above the pivot t are
     finished and rows from t on are zero left of t, so whole rows are scanned.
+    A unit pivot divides every entry exactly: its rows and columns are cleared
+    in one pass, with no remainder to swap in and nothing to fix up.
     """
     r, c = len(rows), cols
     m = rows
@@ -176,6 +188,19 @@ def smith_elimination(rows, cols: int) -> SmithLog:
             row_ops.append((t, pi, 0))
         if pj != t:
             swap_cols(pj)
+        kt, mt = key[t], m[t]
+        p = mt[kt]
+        if p == 1 or p == -1:
+            # a unit divides exactly: one pass clears column t below it and row t
+            for i in [i for i in range(t + 1, r) if kt in m[i]]:
+                q = -m[i][kt] * p
+                _add_row(m[i], mt, q)
+                row_ops.append((i, t, q))
+            col_ops.extend((j, t, -mt[key[j]] * p)
+                           for j in sorted(where[k] for k in mt if where[k] > t))
+            m[t] = {kt: p}
+            t += 1
+            continue
         while True:
             dirty = False
             # rows: row[i] += q * row[t]
@@ -184,12 +209,7 @@ def smith_elimination(rows, cols: int) -> SmithLog:
                 mi = m[i]
                 q = -(mi[kt] // mt[kt])
                 if q:
-                    for k, x in mt.items():
-                        y = mi.get(k, 0) + q * x
-                        if y:
-                            mi[k] = y
-                        else:
-                            del mi[k]
+                    _add_row(mi, mt, q)
                     row_ops.append((i, t, q))
                 if kt in mi:  # remainder beats the pivot; swap it in
                     m[t], m[i] = mi, mt
@@ -253,18 +273,18 @@ def replay_backward(ops, size: int, picked, modulus=None):
     """Rows `picked` of the row-log product U, or columns `picked` of the column-log V.
 
     x = e_i^T R_k ... R_1 and V e_i = C_1 ... C_k e_i run the log backwards,
-    and both turn "a += q b" into x_b += q x_a.  Returned as x[v], the list of
-    the picked vectors' entries at v, each reduced mod `modulus` if one is given.
+    and both turn "a += q b" into x_b += q x_a.  Returned as one list per
+    picked index, the vector's entries, each reduced mod `modulus` if one is given.
     """
-    x = [[0] * len(picked) for _ in range(size)]
-    for s, i in enumerate(picked):
-        x[i][s] = 1
-    for a, b, q in reversed(ops):
-        if not q:
-            x[a], x[b] = x[b], x[a]
-        elif any(x[a]):
-            if modulus:
-                x[b] = [(y + q * z) % modulus for z, y in zip(x[a], x[b])]
-            else:
-                x[b] = [y + q * z for z, y in zip(x[a], x[b])]
-    return x
+    ops = ops[::-1]
+    vectors = []
+    for i in picked:
+        x = [0] * size
+        x[i] = 1
+        for a, b, q in ops:
+            if not q:
+                x[a], x[b] = x[b], x[a]
+            elif x[a]:
+                x[b] = (x[b] + q * x[a]) % modulus if modulus else x[b] + q * x[a]
+        vectors.append(x)
+    return vectors

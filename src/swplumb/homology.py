@@ -139,7 +139,7 @@ def _lift_columns(lattice: LatticeData, col_ops, kept, factors):
     v = replay_backward(col_ops, lattice.size, kept, lattice.order_h * factors[-1])
     columns = []
     for s, (i, d) in enumerate(zip(kept, factors)):
-        image = lattice.times([x[s] for x in v])
+        image = lattice.times(v[s])
         if any(x % d for x in image):
             raise InternalInvariantViolated(f"I V e_{i} is not divisible by d_{i} = {d}")
         columns.append([x // d for x in image])
@@ -170,13 +170,14 @@ def homology_from_lattice(lattice: LatticeData, *,
         raise InternalInvariantViolated("intersection matrix is singular")
     kept = [i for i, d in enumerate(diag) if d > 1]
     factors = [diag[i] for i in kept]
-    images = [tuple(x % d for x, d in zip(row, factors))
-              for row in replay_backward(log.row_ops, lattice.size, kept, order)]
+    rows = replay_backward(log.row_ops, lattice.size, kept, order)
+    images = list(zip(*([x % d for x in row] for row, d in zip(rows, factors)))) if kept \
+        else [()] * lattice.size
     group = FinAbGroup(factors, images, _lift_columns(lattice, log.col_ops, kept, factors))
     if group.order != order:
         raise InternalInvariantViolated(f"|H| = {group.order} but |det I| = {order}")
-    for s, d in enumerate(factors):
-        if any(x % d for x in lattice.times([image[s] for image in group.generator_images])):
+    for column, d in zip(zip(*group.generator_images), factors):
+        if any(x % d for x in lattice.times(column)):
             raise InternalInvariantViolated(f"a column of I does not die in Z/{d}")
     for s, column in enumerate(group.lift_columns):
         if group.class_of_vector(column) != tuple(int(j == s) for j in range(group.rank)):

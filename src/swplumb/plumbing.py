@@ -160,9 +160,14 @@ class LatticeData:
                                    for row in self.sparse_rows()])
 
     @cached_property
+    def adj_z(self) -> tuple:
+        """adj(-I) z in integers: the adjunction system I r = z has r = -adj(-I) z / |det I|."""
+        return tuple(self.solve(self.z))
+
+    @cached_property
     def r(self) -> tuple:
         """The rational coefficients r = I^{-1} z solving the adjunction system."""
-        return tuple(Fraction(-y, self.order_h) for y in self.solve(self.z))
+        return tuple(Fraction(-y, self.order_h) for y in self.adj_z)
 
     @cached_property
     def adj(self) -> tuple:
@@ -283,7 +288,7 @@ def _tree_solve(order, parent, dets, below, b):
     return y
 
 
-def _diagonal_and_edges(diag, neighbors, order, parent, dets, below):
+def _diagonal_and_edges(diag, order, parent, dets, below):
     """adj(-I)_vv and adj(-I)_(v, parent v) (0 at the root), from the edge-cut identity.
 
     Cutting the edge from v to its parent p leaves T_v and the component of p,
@@ -293,8 +298,9 @@ def _diagonal_and_edges(diag, neighbors, order, parent, dets, below):
     N = D[v] up[v] - B[v] upb[v], which gives up[v] root first.  Both divisions
     are by D[v]: they need the D > 0 check that `build_lattice` makes first.
     adj_vv = B[v] up[v] and adj_(v, parent v) = B[v] upb[v].  Row v of
-    I adj(-I) = -|det I| Id certifies them at every vertex, and Jacobi's
-    identity for the 2 x 2 minor of adj(-I) on each edge (v, p), whose
+    I adj(-I) = -|det I| Id certifies them at every vertex, its off-diagonal
+    part summed in one pass that adds each edge entry to both of its ends, and
+    Jacobi's identity for the 2 x 2 minor of adj(-I) on each edge (v, p), whose
     complementary minor of -I is adj_vp itself, at every edge; so the
     certificates also catch an inexact division.
     """
@@ -307,13 +313,15 @@ def _diagonal_and_edges(diag, neighbors, order, parent, dets, below):
         up[v] = (det + below[v] * upb[v]) // dets[v]
     diagonal = tuple(b * u for b, u in zip(below, up))
     edges = tuple(b * u for b, u in zip(below, upb))
-    for v in range(n):
-        total = sum(edges[u] if parent[u] == v else edges[v] for u in neighbors[v])
-        if total - diag[v] * diagonal[v] != -det:
-            raise InternalInvariantViolated("diagonal of adj(-I) fails row v of I adj = -|det I| Id")
-        p = parent[v]
-        if p >= 0 and diagonal[v] * diagonal[p] - edges[v] ** 2 != det * edges[v]:
+    totals = [0] * n    # row v of I adj(-I) off the diagonal: the edges at v
+    for v in order[1:]:
+        p, edge = parent[v], edges[v]
+        totals[v] += edge
+        totals[p] += edge
+        if diagonal[v] * diagonal[p] - edge * edge != det * edge:
             raise InternalInvariantViolated("adj(-I) fails Jacobi's identity on an edge")
+    if any(t - d * x != -det for t, d, x in zip(totals, diag, diagonal)):
+        raise InternalInvariantViolated("diagonal of adj(-I) fails row v of I adj = -|det I| Id")
     return diagonal, edges
 
 
@@ -351,7 +359,7 @@ def build_lattice(graph: PlumbingGraph) -> LatticeData:
     dets, below = _subtree_dets(diag, order, parent)
     if min(dets) <= 0:
         raise _first_failing_minor(diag, adjacency)
-    adj_diagonal, _ = _diagonal_and_edges(diag, adjacency, order, parent, dets, below)
+    adj_diagonal, _ = _diagonal_and_edges(diag, order, parent, dets, below)
 
     degrees = tuple(len(a) for a in adjacency)
     if sum(degrees) != 2 * n - 2:
@@ -381,16 +389,14 @@ def k2_plus_nv(lattice: LatticeData) -> Fraction:
 
     Evaluated through the degree-weighted corner formula c^T adj(-I) c, with
     c_v = 2 - deg v, from one tree solve, and cross-checked against the full
-    double sum z^T adj(-I) z = -|det I| (z . r).
+    double sum z^T adj(-I) z = -|det I| (z . r), from the adjunction solve.
     """
     n = lattice.size
     corner_vec = [2 - d for d in lattice.degrees]
     corner = sum(c * y for c, y in zip(corner_vec, lattice.solve(corner_vec)) if c)
     value = sum(lattice.eulers) + 3 * n + 2 - Fraction(corner, lattice.order_h)
 
-    # z^T adj(-I) z = -|det I| (z . r), in integers over r in lowest terms
-    double = -sum(zv * rv.numerator * (lattice.order_h // rv.denominator)
-                  for zv, rv in zip(lattice.z, lattice.r) if zv)
+    double = sum(zv * y for zv, y in zip(lattice.z, lattice.adj_z) if zv)
     naive = n - Fraction(double, lattice.order_h)
     if value != naive:
         raise InternalInvariantViolated(
@@ -408,8 +414,9 @@ def casson_walker(lattice: LatticeData) -> Fraction:
 
 
 def numerically_gorenstein(lattice: LatticeData) -> bool:
-    """True when every coefficient of the canonical cycle is an integer."""
-    return all(x.denominator == 1 for x in lattice.r)
+    """True when every coefficient of the canonical cycle is an integer: |det I| divides
+    every entry of adj(-I) z."""
+    return not any(y % lattice.order_h for y in lattice.adj_z)
 
 
 # ---------------------------------------------------------------------------

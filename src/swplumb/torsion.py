@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 from operator import add, mul
@@ -99,8 +99,15 @@ def orbit_product(d: int, factors):
     if order < 0:
         raise InternalInvariantViolated(
             "negative regularization order; the limit would be infinite")
-    scalar = prod((Fraction(w) ** p for a, p, w in factors if a == 0), start=Fraction(1))
-    f, den = [scalar.numerator] + [0] * (d - 1), scalar.denominator
+    num = den = 1       # prod w^p over a = 0, in lowest terms: every w > 0
+    for a, p, w in factors:
+        if a == 0:
+            if p > 0:
+                num *= w ** p
+            elif p < 0:
+                den *= w ** -p
+    g = gcd(num, den)
+    f, den = [num // g] + [0] * (d - 1), den // g
     net = {}
     for a, p, _ in factors:
         if a:
@@ -175,10 +182,14 @@ def orbit_table(dims, images, factors_of) -> TorsionTable:
     is the sum over c_d's terms (q, mu) of mu q sum(f[e::q]): each orbit keeps its
     residue sums mod each q, with the weight mu q over the orbits' common denominator.
     """
+    columns = list(zip(*images))
     products = []
     for k, d in orbit_characters(dims):
         c = tuple(x * d // m for x, m in zip(k, dims))
-        product = orbit_product(d, factors_of([sum(map(mul, c, g)) % d for g in images]))
+        # c . g at every image g, a column at a time (k is nontrivial, so some c_i is not 0)
+        values = reduce(partial(map, add), (map(x.__mul__, column)
+                                            for x, column in zip(c, columns) if x))
+        product = orbit_product(d, factors_of([x % d for x in values]))
         if product is not None:
             products.append((c, d, *product))
     common = lcm(*(den for *_, den in products))
@@ -228,7 +239,7 @@ class TorsionTable:
 
 def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:
     """R(chi) over the vertices with deg v != 2, weighted from the first vertex chi moves."""
-    degrees = lattice.degrees
+    powers = [(v, d - 2) for v, d in enumerate(lattice.degrees) if d != 2]
     weights = {}    # one weight vector per base vertex, shared by the orbits
 
     def factors_of(exps):
@@ -236,7 +247,7 @@ def torsion_table(lattice: LatticeData, group: FinAbGroup) -> TorsionTable:
         w = weights.get(v0)
         if w is None:
             w = weights[v0] = weight_vector(lattice, v0).w
-        return [(exps[v], degrees[v] - 2, w[v]) for v in range(lattice.size) if degrees[v] != 2]
+        return [(exps[v], p, w[v]) for v, p in powers]
 
     return orbit_table(group.invariant_factors, group.generator_images, factors_of)
 

@@ -82,10 +82,17 @@ MUTATIONS = [
              "c = tuple(x * d // m for x, m in zip(k, dims))", "c = k",
              ("test_torsion.py",)),
     Mutation("form values not reduced mod d", "torsion.py",
-             "sum(map(mul, c, g)) % d for g in images", "sum(map(mul, c, g)) for g in images",
+             "factors_of([x % d for x in values])", "factors_of(list(values))",
              ("test_torsion.py",)),
     Mutation("read-out at -h", "torsion.py",
              "e = sum(map(mul, c, h))", "e = -sum(map(mul, c, h))",
+             ("test_torsion.py",)),
+    # the regularization scalar prod w^p over the a = 0 factors, in integers
+    Mutation("scalar exponent sign in the denominator", "torsion.py",
+             "den *= w ** -p", "den *= w ** p",
+             ("test_torsion.py",)),
+    Mutation("scalar gcd reduction dropped", "torsion.py",
+             "g = gcd(num, den)", "g = 1",
              ("test_torsion.py",)),
     # the Smith elimination and its logs (exact.py, homology.py)
     Mutation("last unit as pivot", "exact.py",
@@ -93,9 +100,15 @@ MUTATIONS = [
              "pj = max(where[k] for k, x in row.items() if x == 1 or x == -1)",
              ("test_smith_differential.py", "test_homology.py")),
     Mutation("backward update on the wrong side", "exact.py",
-             "x[b] = [(y + q * z) % modulus for z, y in zip(x[a], x[b])]",
-             "x[a] = [(y + q * z) % modulus for z, y in zip(x[b], x[a])]",
+             "x[b] = (x[b] + q * x[a]) % modulus if modulus else x[b] + q * x[a]",
+             "x[a] = (x[a] + q * x[b]) % modulus if modulus else x[a] + q * x[b]",
              ("test_homology.py", "test_smith_log.py")),
+    Mutation("swap skipped in the replay", "exact.py",
+             "x[a], x[b] = x[b], x[a]", "pass",
+             ("test_smith_differential.py", "test_smith_log.py")),
+    Mutation("unit step quotient sign", "exact.py",
+             "q = -m[i][kt] * p", "q = m[i][kt] * p",
+             ("test_smith_differential.py",)),
     Mutation("final sign fix not logged", "exact.py",
              "row_ops.append((i, i, -2))", "pass",
              ("test_homology.py", "test_smith_log.py")),
@@ -128,6 +141,16 @@ MUTATIONS = [
              ("test_plumbing.py",)),
     Mutation("rerooting: B[v] dropped from the diagonal", "plumbing.py",
              "diagonal = tuple(b * u for b, u in zip(below, up))", "diagonal = tuple(up)",
+             ("test_plumbing.py",)),
+    Mutation("certificate: edge not added at the parent", "plumbing.py",
+             "totals[p] += edge", "pass",
+             ("test_plumbing.py",)),
+    # the adjunction solve adj(-I) z (plumbing.k2_plus_nv, numerically_gorenstein)
+    Mutation("double sum sign", "plumbing.py",
+             "double = sum(zv * y for", "double = -sum(zv * y for",
+             ("test_plumbing.py",)),
+    Mutation("Gorenstein divisor 2 |det I|", "plumbing.py",
+             "y % lattice.order_h for y in", "y % (2 * lattice.order_h) for y in",
              ("test_plumbing.py",)),
     # the Seifert routes, Dedekind sums and their oracles (seifert.py, dedekind.py,
     # reference.py)

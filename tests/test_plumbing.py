@@ -4,6 +4,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import random
 
@@ -24,6 +25,8 @@ from swplumb.reference import invert_rational_matrix
 from swplumb.report import compute_report, compute_report_from
 from swplumb.seifert import lens_chain, star_graph
 from swplumb.verify import _blown_up
+
+from test_smith_differential import definite_trees
 
 
 def test_single_vertex_lattice():
@@ -91,7 +94,7 @@ def test_tree_cofactors_match_dense_oracles(graph, data):
     assert lattice.solve(b) == [sum(a * x for a, x in zip(row, b)) for row in adj]
     assert lattice.adj_diagonal == tuple(adj[v][v] for v in range(n))
     diag = [-e for e in graph.euler_numbers]
-    _, edges = plumbing._diagonal_and_edges(diag, lattice.neighbors, lattice.order,
+    _, edges = plumbing._diagonal_and_edges(diag, lattice.order,
                                             lattice.parent, lattice.D, lattice.B)
     assert all(edges[v] == adj[v][lattice.parent[v]] for v in range(n) if lattice.parent[v] >= 0)
     c = [2 - d for d in lattice.degrees]
@@ -130,7 +133,7 @@ class TestTreeSolveCertificates:
             dataclasses.replace(lattice, D=tuple(dets)).solve([1] * lattice.size)
         diag = [-e for e in lattice.graph.euler_numbers]
         with pytest.raises(InternalInvariantViolated):
-            plumbing._diagonal_and_edges(diag, lattice.neighbors, lattice.order,
+            plumbing._diagonal_and_edges(diag, lattice.order,
                                          lattice.parent, dets, lattice.B)
 
     def test_corrupted_child_product(self):
@@ -142,7 +145,7 @@ class TestTreeSolveCertificates:
         assert below[lattice.parent[v]] % lattice.D[v]
         diag = [-e for e in lattice.graph.euler_numbers]
         with pytest.raises(InternalInvariantViolated):
-            plumbing._diagonal_and_edges(diag, lattice.neighbors, lattice.order,
+            plumbing._diagonal_and_edges(diag, lattice.order,
                                          lattice.parent, lattice.D, below)
 
     def test_corrupted_solve_result(self, monkeypatch):
@@ -322,6 +325,33 @@ class TestNumericallyGorenstein:
         assert lattice.r[center] == Fraction(2, 3)
         assert all(lattice.r[v] == Fraction(1, 3)
                    for v in range(lattice.size) if v != center)
+
+
+class TestAdjunctionSolve:
+    """K^2 + #V and the Gorenstein test read adj(-I) z in integers, not r = I^{-1} z."""
+
+    @staticmethod
+    def assert_integer_forms(graph):
+        lattice = build_lattice(graph)
+        # K^2 + #V = n + z . r, and Gorenstein means every r_v is an integer
+        assert k2_plus_nv(lattice) == lattice.size + sum(map(mul, lattice.z, lattice.r))
+        assert numerically_gorenstein(lattice) == all(x.denominator == 1 for x in lattice.r)
+        return lattice
+
+    def test_corpus_and_blown_up_trees(self):
+        graphs = [graph for _, graph in standard_corpus()]
+        graphs += [_blown_up(graph, size, random.Random(seed)) for seed, graph in
+                   enumerate(graphs[:10]) for size in (len(graph.vertices) + 3, 40)]
+        lattices = [self.assert_integer_forms(graph) for graph in graphs]
+        # both answers, and integral cycles with odd and even nonzero coefficients
+        assert {numerically_gorenstein(lattice) for lattice in lattices} == {True, False}
+        assert {x % 2 for lattice in lattices if numerically_gorenstein(lattice)
+                for x in lattice.r} == {0, 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(definite_trees())
+    def test_definite_trees(self, graph):
+        self.assert_integer_forms(graph)
 
 
 def test_unimodular_monopole_count_is_minus_casson():

